@@ -52,17 +52,18 @@ def triad_is_stable(s_ij: int, s_ik: int, s_jk: int) -> bool:
 def hamiltonian(s) -> float:
     """Minus the average sign product over all unordered triples.
 
-    Computed as -trace(S^3) / (6 * C(N,3)) in 64-bit integer arithmetic, so
-    the value is exact (the trace is bounded by N^3, far inside the int64
-    range for any panel this package can hold in memory).
+    Computed as -trace(S^3) / (6 * C(N,3)) with one matrix product: S^2 is
+    symmetric, so trace(S^3) = sum of S * S^2 (elementwise), the same product
+    `pair_stability` forms. The arithmetic is 64-bit integer, so the value is
+    exact (the sum is bounded by N^3, far inside the int64 range for any
+    panel this package can hold in memory).
     """
     values = _signed_values(s)
     n = values.shape[0]
     if n < 3:
         raise DataError("balance index needs at least 3 nodes")
     s64 = values.astype(np.int64)
-    tr = int(np.trace(s64 @ s64 @ s64))
-    return -tr / (6 * comb(n, 3))
+    return -int((s64 * (s64 @ s64)).sum()) / (6 * comb(n, 3))
 
 
 def pair_stability(s) -> np.ndarray:

@@ -13,12 +13,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
 from .balance import balance_report
-from .correlation import sign_matrix
+from .correlation import CORR_KINDS, sign_matrix
 from .errors import DataError
 from .experiment import (
     aggregate_cells,
@@ -31,20 +31,19 @@ from .experiment import (
     timeseries_rows,
     window_correlation,
 )
-from .ingest import load_panel, slice_window, write_panel_long
+from .ingest import PANEL_FORMATS, load_panel, slice_window, write_panel_long
 from .output import (
-    write_adjacency_csv,
     write_balance_json,
-    write_delta_csv,
     write_edges_csv,
     write_heatmap_csv,
     write_json,
+    write_matrix_csv,
     write_records_csv,
     write_roc_csv,
     write_stability_csv,
     write_timeseries_csv,
 )
-from .preprocess import binarize, log_returns
+from .preprocess import MEDIAN_SCOPES, binarize, log_returns
 from .svn import build_svn
 from .synth import SynthSpec, generate
 
@@ -76,20 +75,6 @@ class RunConfig:
     timeseries_window: int = 100
     seed: int = 0
 
-    _KNOWN = {
-        "prices",
-        "sectors",
-        "output_dir",
-        "format",
-        "corr_kind",
-        "alpha",
-        "t_values",
-        "step",
-        "median_scope",
-        "timeseries_window",
-        "seed",
-    }
-
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         path = Path(path)
@@ -101,30 +86,59 @@ class RunConfig:
             raise UsageError(f"cannot parse config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise UsageError(f"config {path} must be a JSON object")
-        unknown = set(raw) - cls._KNOWN
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise UsageError(f"unknown config keys in {path}: {sorted(unknown)}")
         for key in ("prices", "sectors", "output_dir"):
             if key not in raw:
                 raise UsageError(f"config {path} is missing required key {key!r}")
         cfg = cls(**raw)
-        if not 0 < cfg.alpha < 1:
-            raise UsageError("alpha must be in (0, 1)")
-        if not cfg.t_values or any(int(t) < 1 for t in cfg.t_values):
-            raise UsageError("t_values must be a nonempty list of positive lengths")
-        cfg.t_values = [int(t) for t in cfg.t_values]
-        if cfg.step < 1:
-            raise UsageError("step must be at least 1")
+        checks = (
+            ("prices", isinstance(cfg.prices, str), "a path"),
+            ("sectors", isinstance(cfg.sectors, str), "a path"),
+            ("output_dir", isinstance(cfg.output_dir, str), "a path"),
+            ("format", cfg.format in PANEL_FORMATS, f"one of {PANEL_FORMATS}"),
+            ("corr_kind", cfg.corr_kind in CORR_KINDS, f"one of {CORR_KINDS}"),
+            ("median_scope", cfg.median_scope in MEDIAN_SCOPES, f"one of {MEDIAN_SCOPES}"),
+            (
+                "alpha",
+                (_is_int(cfg.alpha) or isinstance(cfg.alpha, float)) and 0 < cfg.alpha < 1,
+                "a number in (0, 1)",
+            ),
+            (
+                "t_values",
+                isinstance(cfg.t_values, list)
+                and cfg.t_values
+                and all(_is_int(t) and t >= 1 for t in cfg.t_values),
+                "a nonempty list of positive integers",
+            ),
+            ("step", _is_int(cfg.step) and cfg.step >= 1, "an integer >= 1"),
+            (
+                "timeseries_window",
+                _is_int(cfg.timeseries_window) and cfg.timeseries_window >= 2,
+                "an integer >= 2",
+            ),
+            ("seed", _is_int(cfg.seed), "an integer"),
+        )
+        for key, ok, expected in checks:
+            if not ok:
+                raise UsageError(
+                    f"config key {key!r} must be {expected}, got {getattr(cfg, key)!r}"
+                )
         for key in ("prices", "sectors"):
             if not Path(getattr(cfg, key)).is_file():
                 raise UsageError(f"{key} file not found: {getattr(cfg, key)}")
         return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _add_panel_args(p):
     p.add_argument("--prices", required=True, help="price panel CSV")
     p.add_argument("--sectors", required=True, help="(ticker,sector) CSV")
-    p.add_argument("--format", choices=("long", "wide"), default="long")
+    p.add_argument("--format", choices=PANEL_FORMATS, default="long")
 
 
 def _add_window_args(p):
@@ -160,15 +174,15 @@ def build_parser() -> _Parser:
     _add_window_args(p)
     p.add_argument("--alpha", type=float, default=0.1, help="false discovery rate")
     p.add_argument("--polarity", choices=("positive", "negative"), default="positive")
-    p.add_argument("--median-scope", choices=("universe", "window"), default="universe")
+    p.add_argument("--median-scope", choices=MEDIAN_SCOPES, default="universe")
     p.add_argument("--out-prefix", required=True, help="writes <prefix>_edges.csv and <prefix>_adjacency.csv")
     p.set_defaults(func=cmd_svn)
 
     p = sub.add_parser("balance", help="balance analytics of one window")
     _add_panel_args(p)
     _add_window_args(p)
-    p.add_argument("--corr-kind", choices=("phi", "pearson", "partial_pearson"), default="phi")
-    p.add_argument("--median-scope", choices=("universe", "window"), default="universe")
+    p.add_argument("--corr-kind", choices=CORR_KINDS, default="phi")
+    p.add_argument("--median-scope", choices=MEDIAN_SCOPES, default="universe")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--delta-out", help="optional pair-stability matrix CSV")
     p.set_defaults(func=cmd_balance)
@@ -178,8 +192,8 @@ def build_parser() -> _Parser:
     p.add_argument("--end-date", required=True, help="last date of the in-sample window")
     p.add_argument("--tin", type=int, required=True, help="in-sample returns")
     p.add_argument("--tout", type=int, required=True, help="out-of-sample returns")
-    p.add_argument("--corr-kind", choices=("phi", "pearson", "partial_pearson"), default="phi")
-    p.add_argument("--median-scope", choices=("universe", "window"), default="universe")
+    p.add_argument("--corr-kind", choices=CORR_KINDS, default="phi")
+    p.add_argument("--median-scope", choices=MEDIAN_SCOPES, default="universe")
     p.add_argument("--bin-width", type=float, default=0.05)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_predict)
@@ -242,7 +256,9 @@ def cmd_svn(args) -> int:
     net = build_svn(b, alpha=args.alpha, polarity=args.polarity)
     prefix = Path(args.out_prefix)
     write_edges_csv(net, prefix.with_name(prefix.name + "_edges.csv"))
-    write_adjacency_csv(net, prefix.with_name(prefix.name + "_adjacency.csv"))
+    write_matrix_csv(
+        net.assets, net.adjacency, prefix.with_name(prefix.name + "_adjacency.csv")
+    )
     print(f"{net.n_links} validated links among {len(net.assets)} assets ({args.polarity}, alpha={args.alpha})")
     return 0
 
@@ -257,7 +273,7 @@ def cmd_balance(args) -> int:
     report = balance_report(sign_matrix(corr), corr)
     write_balance_json(args.end_date, report, args.out)
     if args.delta_out:
-        write_delta_csv(corr.assets, report.delta, args.delta_out)
+        write_matrix_csv(corr.assets, report.delta, args.delta_out)
     print(f"H={report.h:.6f} lambda1_frac={report.eig_fracs[0]:.6f} n={corr.n}")
     return 0
 

@@ -8,14 +8,12 @@ the leading eigenpair removed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .preprocess import BinaryPanel, ReturnPanel
-from .util import atomic_write_bytes, atomic_write_text, fmt
 
 CORR_KINDS = ("phi", "pearson", "partial_pearson")
 
@@ -103,21 +101,17 @@ def phi_matrix(b: BinaryPanel) -> CorrMatrix:
     return CorrMatrix(b.assets, values, "phi")
 
 
-def pearson_matrix(r: ReturnPanel, remove_median: bool = False) -> CorrMatrix:
+def pearson_matrix(r: ReturnPanel) -> CorrMatrix:
     """Sample Pearson correlation of the window's return columns.
 
-    Requires a complete-case window. When remove_median is true the per-date
-    median of the panel's own columns is subtracted first.
+    Requires a complete-case window.
     """
     if not r.present.all():
         raise DataError("pearson_matrix needs a complete-case window")
     t, n = r.returns.shape
     if t < 2:
         raise DataError("need at least 2 days for a correlation window")
-    x = r.returns
-    if remove_median:
-        x = x - np.median(x, axis=1)[:, None]
-    z = x - x.mean(axis=0)
+    z = r.returns - r.returns.mean(axis=0)
     norm = np.sqrt((z * z).sum(axis=0))
     if (norm == 0).any():
         bad = r.assets[int(np.argmin(norm))]
@@ -134,10 +128,12 @@ def partial_pearson(r: ReturnPanel) -> CorrMatrix:
     eigenvalue must be strictly separated from the second one; degenerate
     spectra are rejected rather than resolved arbitrarily.
     """
-    rho = pearson_matrix(r, remove_median=False)
+    rho = pearson_matrix(r)
     w, v = np.linalg.eigh(rho.values)
-    lam1, lam2 = w[-1], w[-2] if len(w) > 1 else (w[-1], None)
-    if len(w) < 2 or lam1 - lam2 <= _EIG_GAP_TOL:
+    if len(w) < 2:
+        raise DataError("partial Pearson needs at least 2 assets")
+    lam1, lam2 = w[-1], w[-2]
+    if lam1 - lam2 <= _EIG_GAP_TOL:
         raise DataError("leading eigenvalue is not separated from the second")
     v1 = v[:, -1]
     values = _symmetrize(rho.values - lam1 * np.outer(v1, v1))
@@ -152,47 +148,3 @@ def sign_matrix(corr: CorrMatrix) -> SignedMatrix:
     s = np.where(corr.values >= 0, 1, -1).astype(np.int8)
     np.fill_diagonal(s, 0)
     return SignedMatrix(corr.assets, s)
-
-
-def write_corr_csv(corr: CorrMatrix, path) -> None:
-    """Matrix as CSV with the asset list as header row and first column."""
-    lines = ["," + ",".join(corr.assets)]
-    for i, asset in enumerate(corr.assets):
-        lines.append(asset + "," + ",".join(fmt(x) for x in corr.values[i]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_corr_cache(corr: CorrMatrix, path, end_date: str, window: int) -> None:
-    """Compact binary cache: one JSON header line, then row-major little-endian f64."""
-    header = {
-        "end_date": end_date,
-        "window": int(window),
-        "kind": corr.kind,
-        "assets": list(corr.assets),
-    }
-    payload = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
-    payload += np.ascontiguousarray(corr.values, dtype="<f8").tobytes()
-    atomic_write_bytes(path, payload)
-
-
-def read_corr_cache(path):
-    """Inverse of write_corr_cache; returns (CorrMatrix, header dict)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"unreadable cache {path}: {exc}") from exc
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise DataError(f"cache {path} has no header line")
-    try:
-        header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cache {path} header is not valid JSON: {exc}") from exc
-    assets = tuple(header["assets"])
-    n = len(assets)
-    values = np.frombuffer(blob[nl + 1 :], dtype="<f8")
-    if values.size != n * n:
-        raise DataError(f"cache {path} payload size mismatch")
-    matrix = values.reshape(n, n).astype(float)
-    return CorrMatrix(assets, matrix, header["kind"]), header

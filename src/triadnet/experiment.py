@@ -19,6 +19,7 @@ import numpy as np
 
 from .balance import eigvec_overlap, hamiltonian, pair_stability, spectral_summary
 from .correlation import (
+    CORR_KINDS,
     CorrMatrix,
     partial_pearson,
     pearson_matrix,
@@ -32,8 +33,9 @@ from .graphmetrics import (
     assortativity,
     link_density,
 )
-from .ingest import PricePanel, slice_window
+from .ingest import PricePanel
 from .preprocess import (
+    MEDIAN_SCOPES,
     BinaryPanel,
     ReturnPanel,
     binarize,
@@ -97,73 +99,87 @@ def default_t_values() -> list:
     return sorted({int(round(v)) for v in raw})
 
 
-def _window_returns(panel: PricePanel, end_idx: int, t: int) -> ReturnPanel:
-    if end_idx < t:
-        raise DataError(
-            f"insufficient history for a {t}-return window ending {panel.dates[end_idx]}"
-        )
-    return log_returns(slice_window(panel, panel.dates[end_idx], t + 1))
+def _check_kinds(corr_kind: str, median_scope: str) -> None:
+    if corr_kind not in CORR_KINDS:
+        raise DataError(f"unknown correlation kind {corr_kind!r}: expected one of {CORR_KINDS}")
+    if median_scope not in MEDIAN_SCOPES:
+        raise DataError(f"unknown median scope {median_scope!r}: expected one of {MEDIAN_SCOPES}")
+
+
+def _window(returns: ReturnPanel, end_idx: int, t: int) -> ReturnPanel:
+    """The t returns ending at price row end_idx (>= t), a row slice of the panel's returns."""
+    rows = slice(end_idx - t, end_idx)
+    return ReturnPanel(
+        returns.dates[rows], returns.assets, returns.returns[rows], returns.present[rows]
+    )
 
 
 def _survivor_data(rp: ReturnPanel, corr_kind: str, median_scope: str):
-    """Surviving assets of a window and the column data its correlations use."""
+    """(dates, surviving assets, column data) of a window, as its correlations use them."""
     if corr_kind == "phi":
         b = binarize(rp, median_scope=median_scope)
-        return b.assets, b.values
+        return b.dates, b.assets, b.values
     cc = complete_case(rp)
+    x = cc.returns
     if corr_kind == "pearson":
-        if median_scope == "universe":
-            med = market_mode(rp)
-        else:
-            med = np.median(cc.returns, axis=1)
-        x = cc.returns - med[:, None]
-    elif corr_kind == "partial_pearson":
-        x = cc.returns
-    else:
-        raise DataError(f"unknown correlation kind {corr_kind!r}")
+        med = market_mode(rp) if median_scope == "universe" else np.median(x, axis=1)
+        x = x - med[:, None]
     keep = x.max(axis=0) != x.min(axis=0)
     if not keep.any():
         raise DataError("no asset survives constant-column filtering")
     assets = tuple(a for a, k in zip(cc.assets, keep) if k)
-    return assets, x[:, keep]
+    return rp.dates, assets, x[:, keep]
 
 
-def _corr_from_data(dates, assets, x, corr_kind: str) -> CorrMatrix:
+def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
+    """Correlation matrix of a window's survivor data, on `subset` of its assets if given."""
+    dates, assets, x = data
+    if subset is not None:
+        pos = {a: i for i, a in enumerate(assets)}
+        x = x[:, [pos[a] for a in subset]]
+        assets = subset
     if corr_kind == "phi":
         return phi_matrix(BinaryPanel(dates, assets, x))
     rp = ReturnPanel(dates, assets, x, np.ones_like(x, dtype=bool))
     if corr_kind == "pearson":
-        return pearson_matrix(rp, remove_median=False)
+        return pearson_matrix(rp)
     return partial_pearson(rp)
+
+
+def _common_corrs(data_in, data_out, corr_kind: str, need: int):
+    """Name-sorted assets surviving both windows and each window's correlations on them."""
+    common = tuple(sorted(set(data_in[1]) & set(data_out[1])))
+    if len(common) < need:
+        raise DataError(f"only {len(common)} assets survive both windows (need {need})")
+    return (
+        common,
+        _corr_from_data(data_in, corr_kind, common),
+        _corr_from_data(data_out, corr_kind, common),
+    )
 
 
 def window_correlation(
     returns: ReturnPanel, corr_kind: str = "phi", median_scope: str = "universe"
 ) -> CorrMatrix:
     """Correlation matrix of one window, restricted to its surviving assets."""
-    assets, x = _survivor_data(returns, corr_kind, median_scope)
-    return _corr_from_data(returns.dates, assets, x, corr_kind)
+    _check_kinds(corr_kind, median_scope)
+    return _corr_from_data(_survivor_data(returns, corr_kind, median_scope), corr_kind)
 
 
-def _dataset_from_returns(
-    r_in: ReturnPanel, r_out: ReturnPanel, corr_kind: str, median_scope: str
-) -> SignChangeDataset:
-    assets_in, x_in = _survivor_data(r_in, corr_kind, median_scope)
-    assets_out, x_out = _survivor_data(r_out, corr_kind, median_scope)
-    common = sorted(set(assets_in) & set(assets_out))
-    if len(common) < 3:
-        raise DataError(f"only {len(common)} assets survive both windows (need 3)")
-    ix_in = [assets_in.index(a) for a in common]
-    ix_out = [assets_out.index(a) for a in common]
-    corr_in = _corr_from_data(r_in.dates, common, x_in[:, ix_in], corr_kind)
-    corr_out = _corr_from_data(r_out.dates, common, x_out[:, ix_out], corr_kind)
+def _dataset(r_in, r_out, corr_kind: str, median_scope: str) -> SignChangeDataset:
+    common, corr_in, corr_out = _common_corrs(
+        _survivor_data(r_in, corr_kind, median_scope),
+        _survivor_data(r_out, corr_kind, median_scope),
+        corr_kind,
+        3,
+    )
     s_in = sign_matrix(corr_in)
     s_out = sign_matrix(corr_out)
     iu, ju = np.triu_indices(len(common), k=1)
     labels = s_in.values[iu, ju] != s_out.values[iu, ju]
     delta = pair_stability(s_in)
     return SignChangeDataset(
-        assets=tuple(common),
+        assets=common,
         pairs=list(zip(iu.tolist(), ju.tolist())),
         labels=labels,
         scores_delta=-delta[iu, ju],
@@ -189,6 +205,7 @@ def build_dataset(
     differs between the windows; both score vectors are negated stability
     measures, so a higher score predicts a switch.
     """
+    _check_kinds(corr_kind, median_scope)
     if t_in < 1 or t_out < 1:
         raise DataError("window lengths must be positive")
     end_idx = panel.date_index(end_in)
@@ -197,9 +214,15 @@ def build_dataset(
             f"insufficient out-of-sample history after {end_in}: "
             f"need {t_out} more dates, have {panel.n_dates - 1 - end_idx}"
         )
-    r_in = _window_returns(panel, end_idx, t_in)
-    r_out = _window_returns(panel, end_idx + t_out, t_out)
-    return _dataset_from_returns(r_in, r_out, corr_kind, median_scope)
+    if end_idx < t_in:
+        raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
+    returns = log_returns(panel)
+    return _dataset(
+        _window(returns, end_idx, t_in),
+        _window(returns, end_idx + t_out, t_out),
+        corr_kind,
+        median_scope,
+    )
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -271,29 +294,29 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
     return out
 
 
-# Worker state for process pools: the panel is shipped once per worker.
+# Worker state for process pools: the panel is shipped once per worker and its
+# returns are computed there once; every window is a row slice of them.
 _GRID_STATE = {}
 
 
 def _grid_init(panel, corr_kind, median_scope):
-    _GRID_STATE["panel"] = panel
+    _GRID_STATE["returns"] = log_returns(panel)
     _GRID_STATE["corr_kind"] = corr_kind
     _GRID_STATE["median_scope"] = median_scope
 
 
-def _evaluate_window(panel, t_in, t_out, end_idx, corr_kind, median_scope):
+def _evaluate_window(returns, t_in, t_out, end_idx, corr_kind, median_scope):
     """One grid cell evaluation; returns (record | None, skip reason | None)."""
+    r_in = _window(returns, end_idx, t_in)
     try:
-        r_in = _window_returns(panel, end_idx, t_in)
-        r_out = _window_returns(panel, end_idx + t_out, t_out)
-        ds = _dataset_from_returns(r_in, r_out, corr_kind, median_scope)
+        ds = _dataset(r_in, _window(returns, end_idx + t_out, t_out), corr_kind, median_scope)
     except DataError as exc:
         return None, f"window infeasible: {exc}"
     if ds.labels.all() or not ds.labels.any():
         return None, "single-class window (no switch variation)"
     n = len(ds.assets)
     record = ExperimentRecord(
-        end_date=panel.dates[end_idx],
+        end_date=returns.dates[end_idx - 1],
         t_in=t_in,
         t_out=t_out,
         q_in=t_in / n,
@@ -311,7 +334,7 @@ def _evaluate_window(panel, t_in, t_out, end_idx, corr_kind, median_scope):
 def _grid_task(task):
     t_in, t_out, end_idx = task
     return task, _evaluate_window(
-        _GRID_STATE["panel"],
+        _GRID_STATE["returns"],
         t_in,
         t_out,
         end_idx,
@@ -344,6 +367,7 @@ def run_grid(
     skipped (and logged), not errors. Records come back sorted by
     (t_in, t_out, end_date) regardless of the degree of parallelism.
     """
+    _check_kinds(corr_kind, median_scope)
     t_values = list(t_values)
     if not t_values or any(t < 1 for t in t_values):
         raise DataError("t_values must be positive window lengths")
@@ -403,15 +427,22 @@ def timeseries_rows(
     eigenvalue fraction, and the leading-eigenvector overlap with the next
     (out-of-sample) window of the same length where one exists.
     """
+    _check_kinds(corr_kind, median_scope)
+    if window < 2 or step < 1:
+        raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
+    returns = log_returns(panel)
     rows = []
     for end_idx in range(window, panel.n_dates, step):
         try:
-            r_in = _window_returns(panel, end_idx, window)
-            assets_in, x_in = _survivor_data(r_in, corr_kind, median_scope)
-            if len(assets_in) < 3:
+            r_in = _window(returns, end_idx, window)
+            data_in = _survivor_data(r_in, corr_kind, median_scope)
+            if len(data_in[1]) < 3:
                 raise DataError("fewer than 3 surviving assets")
-            corr_in = _corr_from_data(r_in.dates, assets_in, x_in, corr_kind)
-            b = binarize(r_in, median_scope=median_scope)
+            corr_in = _corr_from_data(data_in, corr_kind)
+            if corr_kind == "phi":
+                b = BinaryPanel(*data_in)
+            else:
+                b = binarize(r_in, median_scope=median_scope)
         except DataError as exc:
             logger.debug("timeseries skips %s: %s", panel.dates[end_idx], exc)
             continue
@@ -427,31 +458,15 @@ def timeseries_rows(
         overlap = None
         if end_idx + window <= panel.n_dates - 1:
             try:
-                r_out = _window_returns(panel, end_idx + window, window)
-                assets_out, x_out = _survivor_data(r_out, corr_kind, median_scope)
-                common = sorted(set(assets_in) & set(assets_out))
-                if len(common) >= 2:
-                    _, v1_out = spectral_summary(
-                        _corr_from_data(
-                            r_out.dates,
-                            common,
-                            x_out[:, [assets_out.index(a) for a in common]],
-                            corr_kind,
-                        ),
-                        k=1,
-                    )
-                    _, v1_in = spectral_summary(
-                        _corr_from_data(
-                            r_in.dates,
-                            common,
-                            x_in[:, [assets_in.index(a) for a in common]],
-                            corr_kind,
-                        ),
-                        k=1,
-                    )
-                    overlap = eigvec_overlap(v1_in, v1_out)
+                r_out = _window(returns, end_idx + window, window)
+                _, c_in, c_out = _common_corrs(
+                    data_in, _survivor_data(r_out, corr_kind, median_scope), corr_kind, 2
+                )
+                overlap = eigvec_overlap(
+                    spectral_summary(c_in, k=1)[1], spectral_summary(c_out, k=1)[1]
+                )
             except DataError:
-                overlap = None
+                pass
         rows.append(
             {
                 "date": panel.dates[end_idx],

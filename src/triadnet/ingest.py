@@ -19,6 +19,7 @@ from .errors import DataError
 from .util import atomic_write_text
 
 UNKNOWN_SECTOR = "UNKNOWN"
+PANEL_FORMATS = ("long", "wide")
 
 _MISSING_STRINGS = {"", "nan"}
 
@@ -215,7 +216,7 @@ def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
     elif format == "wide":
         dates, assets, prices, present = _load_wide(rows, prices_path)
     else:
-        raise DataError(f"unknown panel format {format!r} (expected 'long' or 'wide')")
+        raise DataError(f"unknown panel format {format!r} (expected one of {PANEL_FORMATS})")
     known = load_sectors(sectors_path)
     sectors = {a: known.get(a, UNKNOWN_SECTOR) for a in assets}
     return PricePanel(tuple(dates), tuple(assets), prices, present, sectors)

@@ -105,10 +105,11 @@ def write_edges_csv(svn, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_adjacency_csv(svn, path) -> None:
-    lines = ["," + ",".join(svn.assets)]
-    for i, asset in enumerate(svn.assets):
-        lines.append(asset + "," + ",".join(str(int(x)) for x in svn.adjacency[i]))
+def write_matrix_csv(assets, values, path) -> None:
+    """Square matrix with the asset list as header row and first column."""
+    lines = ["," + ",".join(assets)]
+    for asset, row in zip(assets, values):
+        lines.append(asset + "," + ",".join(fmt(x) for x in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -120,13 +121,6 @@ def write_balance_json(end_date: str, report, path) -> None:
         "lambda2_frac": report.eig_fracs[1],
     }
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_delta_csv(assets, delta, path) -> None:
-    lines = ["," + ",".join(assets)]
-    for i, asset in enumerate(assets):
-        lines.append(asset + "," + ",".join(fmt(x) for x in delta[i]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(payload: dict, path) -> None:

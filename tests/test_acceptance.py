@@ -6,15 +6,18 @@ lines as they execute.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triadnet
 from triadnet.balance import hamiltonian, pair_stability, spectral_summary
 from triadnet.correlation import phi_matrix, sign_matrix
 from triadnet.experiment import build_dataset, roc
@@ -243,7 +246,10 @@ def test_criterion_11_grid_determinism(tmp_path):
         "--n", "20", "--t", "80", "--rho-in", "0.4", "--rho-out", "-0.2",
         "--seed", "13", "--out", str(prices),
     ]
-    subprocess.run(cmd, check=True, capture_output=True)
+    # the CLI subprocesses import the same triadnet as this test process
+    src = str(Path(triadnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run(cmd, check=True, capture_output=True, env=env)
     outputs = ("records.csv", "heatmap_auc_delta.csv", "heatmap_auc_absphi.csv",
                "heatmap_diff.csv", "timeseries.csv")
     blobs = {}
@@ -263,7 +269,7 @@ def test_criterion_11_grid_determinism(tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "triadnet.cli", "grid", "--config", str(cfg),
              "--jobs", str(jobs)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
         blobs[name] = {f: (outdir / f).read_bytes() for f in outputs}

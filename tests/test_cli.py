@@ -155,26 +155,41 @@ def test_grid_outputs_and_determinism(tmp_path, capsys):
     assert summary["windows_attempted"] >= summary["records"]
 
 
+# (config entries, key the usage error must name)
+BAD_GRID_CONFIGS = [
+    ({"alpha": 1.5}, "alpha"),
+    ({"bogus": 1}, "bogus"),
+    ({"prices": "nope.csv"}, "nope.csv"),
+    ({"corr_kind": "spearman"}, "corr_kind"),
+    ({"median_scope": "global"}, "median_scope"),
+    ({"format": "tall"}, "format"),
+    ({"step": "5"}, "step"),
+    ({"step": 2.5}, "step"),
+    ({"step": True}, "step"),
+    ({"alpha": "0.1"}, "alpha"),
+    ({"t_values": 20}, "t_values"),
+    ({"t_values": ["a"]}, "t_values"),
+    ({"t_values": []}, "t_values"),
+    ({"timeseries_window": 0}, "timeseries_window"),
+    ({"timeseries_window": -5}, "timeseries_window"),
+    ({"timeseries_window": 1}, "timeseries_window"),
+    ({"output_dir": 3}, "output_dir"),
+    ({"seed": "x"}, "seed"),
+]
+
+
 def test_grid_config_validation(tmp_path, capsys):
     prices, sectors = make_market(tmp_path, capsys, n=6, t=30)
-    bad = {"prices": str(prices), "sectors": str(sectors),
-           "output_dir": str(tmp_path / "o"), "alpha": 1.5}
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(bad))
-    code, _, err = run(["grid", "--config", str(cfg)], capsys)
-    assert code == 1 and "alpha" in err
-
-    unknown = {"prices": str(prices), "sectors": str(sectors),
-               "output_dir": str(tmp_path / "o"), "bogus": 1}
-    cfg.write_text(json.dumps(unknown))
-    code, _, err = run(["grid", "--config", str(cfg)], capsys)
-    assert code == 1 and "bogus" in err
-
-    missing_file = {"prices": str(tmp_path / "nope.csv"), "sectors": str(sectors),
-                    "output_dir": str(tmp_path / "o")}
-    cfg.write_text(json.dumps(missing_file))
-    code, _, err = run(["grid", "--config", str(cfg)], capsys)
-    assert code == 1 and "nope.csv" in err
+    for entries, key in BAD_GRID_CONFIGS:
+        config = {"prices": str(prices), "sectors": str(sectors),
+                  "output_dir": str(tmp_path / "o"), **entries}
+        if "prices" in entries:
+            config["prices"] = str(tmp_path / entries["prices"])
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(["grid", "--config", str(cfg)], capsys)
+        assert code == 1 and key in err, (entries, err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_sector_block_cli(tmp_path, capsys):

@@ -7,10 +7,7 @@ from triadnet.correlation import (
     partial_pearson,
     pearson_matrix,
     phi_matrix,
-    read_corr_cache,
     sign_matrix,
-    write_corr_cache,
-    write_corr_csv,
 )
 from triadnet.errors import DataError
 
@@ -75,14 +72,6 @@ def test_pearson_requires_complete_case_and_nonconstant():
         pearson_matrix(make_returns([[0.1, 1.0], [0.2, 1.0]]))
 
 
-def test_pearson_remove_median_matches_manual(rng):
-    x = rng.normal(size=(12, 5))
-    med = np.median(x, axis=1)[:, None]
-    a = pearson_matrix(make_returns(x), remove_median=True)
-    b = pearson_matrix(make_returns(x - med))
-    assert np.abs(a.values - b.values).max() < 1e-15
-
-
 def test_partial_pearson_2x2_closed_form():
     # for a 2x2 correlation [[1, rho], [rho, 1]] with rho > 0 the eigenpairs
     # are known in closed form; dropping the leading one leaves
@@ -120,26 +109,3 @@ def test_sign_matrix_rules():
     assert s.values[0, 2] == -1
     assert (np.diag(s.values) == 0).all()
     assert np.array_equal(s.values, s.values.T)
-
-
-def test_corr_cache_roundtrip(tmp_path, rng):
-    phi = phi_matrix(random_binary(rng, t=30, n=7))
-    path = tmp_path / "phi.bin"
-    write_corr_cache(phi, path, end_date="2020-06-01", window=30)
-    loaded, header = read_corr_cache(path)
-    assert header["end_date"] == "2020-06-01"
-    assert header["window"] == 30
-    assert loaded.kind == "phi"
-    assert loaded.assets == phi.assets
-    assert np.array_equal(loaded.values, phi.values)
-
-
-def test_corr_csv_export(tmp_path, rng):
-    phi = phi_matrix(random_binary(rng, t=20, n=4))
-    path = tmp_path / "phi.csv"
-    write_corr_csv(phi, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "," + ",".join(phi.assets)
-    first = lines[1].split(",")
-    assert first[0] == phi.assets[0]
-    assert float(first[1]) == 1.0

@@ -32,7 +32,7 @@ def test_panel_shape_and_positivity():
 def test_paradise_raw_correlation_reaches_minus_one():
     spec = SynthSpec(n_assets=40, n_days=501, model="paradise", rho_in=0.9, rho_out=0.0, seed=2)
     panel = generate(spec)
-    corr = pearson_matrix(complete_case(log_returns(panel)), remove_median=False)
+    corr = pearson_matrix(complete_case(log_returns(panel)))
     assert hamiltonian(sign_matrix(corr)) < -0.9
 
 
