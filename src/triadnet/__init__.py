@@ -26,6 +26,7 @@ from .experiment import (
     RocResult,
     SignChangeDataset,
     aggregate_cells,
+    auc,
     build_dataset,
     default_t_values,
     h_auc_association,
@@ -66,6 +67,7 @@ __all__ = [
     "UndefinedMetricError",
     "aggregate_cells",
     "assortativity",
+    "auc",
     "balance_report",
     "bh_select",
     "binarize",

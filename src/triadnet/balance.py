@@ -17,6 +17,7 @@ import numpy as np
 
 from .correlation import CorrMatrix, SignedMatrix
 from .errors import DataError
+from .util import count_product
 
 
 @dataclass(eq=False)
@@ -49,35 +50,43 @@ def triad_is_stable(s_ij: int, s_ik: int, s_jk: int) -> bool:
     return s_ij * s_ik * s_jk == 1
 
 
+def _triad_products(values: np.ndarray) -> np.ndarray:
+    """S * S^2 (elementwise) of a validated signed matrix: the summed sign
+    product of the triads through each pair, exact while N^3 < 2**53."""
+    return values.astype(np.int64) * count_product(values, values)
+
+
+def _balance_index(products: np.ndarray) -> float:
+    """H from `_triad_products`: trace(S^3) is the sum of S * S^2."""
+    return -int(products.sum()) / (6 * comb(products.shape[0], 3))
+
+
 def hamiltonian(s) -> float:
     """Minus the average sign product over all unordered triples.
 
-    Computed as -trace(S^3) / (6 * C(N,3)) with one matrix product: S^2 is
-    symmetric, so trace(S^3) = sum of S * S^2 (elementwise), the same product
-    `pair_stability` forms. The arithmetic is 64-bit integer, so the value is
-    exact (the sum is bounded by N^3, far inside the int64 range for any
-    panel this package can hold in memory).
+    Computed as -trace(S^3) / (6 * C(N,3)) with one product: S^2 is
+    symmetric, so trace(S^3) = sum of S * S^2 (elementwise), the product
+    `pair_stability` forms. S^2 is a float64 BLAS product of integers, exact
+    while N^3 < 2**53, so the value is exact.
     """
     values = _signed_values(s)
-    n = values.shape[0]
-    if n < 3:
+    if values.shape[0] < 3:
         raise DataError("balance index needs at least 3 nodes")
-    s64 = values.astype(np.int64)
-    return -int((s64 * (s64 @ s64)).sum()) / (6 * comb(n, 3))
+    return _balance_index(_triad_products(values))
 
 
 def pair_stability(s) -> np.ndarray:
     """Per-pair average sign product over the N-2 triads through each pair.
 
     Entry (i,j) is S_ij * (S^2)_ij / (N-2): +1 when the pair forms stable
-    triads with every other node, -1 when none. Diagonal is 0.
+    triads with every other node, -1 when none. Diagonal is 0. S^2 is a
+    float64 BLAS product, exact while N^3 < 2**53.
     """
     values = _signed_values(s)
     n = values.shape[0]
     if n < 3:
         raise DataError("pair stability needs at least 3 nodes")
-    s64 = values.astype(np.int64)
-    return (s64 * (s64 @ s64)) / (n - 2)
+    return _triad_products(values) / (n - 2)
 
 
 def spectral_summary(corr: CorrMatrix, k: int = 2):

@@ -109,8 +109,9 @@ class RunConfig:
                 "t_values",
                 isinstance(cfg.t_values, list)
                 and cfg.t_values
-                and all(_is_int(t) and t >= 1 for t in cfg.t_values),
-                "a nonempty list of positive integers",
+                and all(_is_int(t) and t >= 1 for t in cfg.t_values)
+                and len(set(cfg.t_values)) == len(cfg.t_values),
+                "a nonempty list of distinct positive integers",
             ),
             ("step", _is_int(cfg.step) and cfg.step >= 1, "an integer >= 1"),
             (

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .preprocess import BinaryPanel, ReturnPanel
+from .util import count_product
 
 CORR_KINDS = ("phi", "pearson", "partial_pearson")
 
@@ -65,7 +66,7 @@ class SignedMatrix:
         if n and not (np.diag(self.values) == 0).all():
             raise DataError("signed matrix diagonal must be 0")
         off = self.values[~np.eye(n, dtype=bool)]
-        if off.size and not np.isin(off, (-1, 1)).all():
+        if not ((off == -1) | (off == 1)).all():
             raise DataError("signed matrix off-diagonal entries must be -1 or +1")
 
     @property
@@ -83,16 +84,17 @@ def phi_matrix(b: BinaryPanel) -> CorrMatrix:
     With c the number of days both columns are +1 and k the per-column counts
     of +1 days, phi = (T*c - k_i*k_j) / sqrt(k_i (T-k_i) k_j (T-k_j)). This
     equals the Pearson correlation of the columns, which the test suite
-    asserts entrywise.
+    asserts entrywise. The counts c come from one float64 BLAS product, which
+    is exact because every count is an integer of at most T < 2**53.
     """
     t, n = b.values.shape
     if t < 2:
         raise DataError("need at least 2 days for a correlation window")
-    up = (b.values > 0).astype(np.int64)
+    up = b.values > 0
     k = up.sum(axis=0)
     if ((k == 0) | (k == t)).any():
         raise DataError("constant binary column")
-    c = up.T @ up
+    c = count_product(up, up)
     num = (t * c - np.outer(k, k)).astype(float)
     d = (k * (t - k)).astype(np.int64)
     den = np.sqrt(np.outer(d, d).astype(float))

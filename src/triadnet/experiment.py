@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import eigvec_overlap, hamiltonian, pair_stability, spectral_summary
+from .balance import _balance_index, _triad_products, eigvec_overlap, hamiltonian, spectral_summary
 from .correlation import (
     CORR_KINDS,
     CorrMatrix,
@@ -38,10 +38,9 @@ from .preprocess import (
     MEDIAN_SCOPES,
     BinaryPanel,
     ReturnPanel,
-    binarize,
-    complete_case,
+    _survivors,
+    _universe_mode,
     log_returns,
-    market_mode,
     volatility,
 )
 from .svn import build_svn
@@ -53,10 +52,11 @@ SCORE_KINDS = ("delta", "absphi")
 
 @dataclass(eq=False)
 class SignChangeDataset:
-    """Aligned pairs, switch labels and the two (negated) in-sample scores."""
+    """Pairs (iu[k], ju[k]) of `assets`, switch labels and the two (negated) in-sample scores."""
 
     assets: tuple
-    pairs: list
+    iu: np.ndarray
+    ju: np.ndarray
     labels: np.ndarray
     scores_delta: np.ndarray
     scores_absphi: np.ndarray
@@ -64,8 +64,12 @@ class SignChangeDataset:
     s_out: np.ndarray
 
     @property
+    def pairs(self) -> list:
+        return list(zip(self.iu.tolist(), self.ju.tolist()))
+
+    @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        return len(self.iu)
 
 
 @dataclass(eq=False)
@@ -106,29 +110,11 @@ def _check_kinds(corr_kind: str, median_scope: str) -> None:
         raise DataError(f"unknown median scope {median_scope!r}: expected one of {MEDIAN_SCOPES}")
 
 
-def _window(returns: ReturnPanel, end_idx: int, t: int) -> ReturnPanel:
-    """The t returns ending at price row end_idx (>= t), a row slice of the panel's returns."""
+def _window(full, end_idx: int, t: int):
+    """(returns, universe market mode) of the t returns ending at price row end_idx (>= t)."""
+    r, mode = full
     rows = slice(end_idx - t, end_idx)
-    return ReturnPanel(
-        returns.dates[rows], returns.assets, returns.returns[rows], returns.present[rows]
-    )
-
-
-def _survivor_data(rp: ReturnPanel, corr_kind: str, median_scope: str):
-    """(dates, surviving assets, column data) of a window, as its correlations use them."""
-    if corr_kind == "phi":
-        b = binarize(rp, median_scope=median_scope)
-        return b.dates, b.assets, b.values
-    cc = complete_case(rp)
-    x = cc.returns
-    if corr_kind == "pearson":
-        med = market_mode(rp) if median_scope == "universe" else np.median(x, axis=1)
-        x = x - med[:, None]
-    keep = x.max(axis=0) != x.min(axis=0)
-    if not keep.any():
-        raise DataError("no asset survives constant-column filtering")
-    assets = tuple(a for a, k in zip(cc.assets, keep) if k)
-    return rp.dates, assets, x[:, keep]
+    return ReturnPanel(r.dates[rows], r.assets, r.returns[rows], r.present[rows]), mode[rows]
 
 
 def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
@@ -163,30 +149,33 @@ def window_correlation(
 ) -> CorrMatrix:
     """Correlation matrix of one window, restricted to its surviving assets."""
     _check_kinds(corr_kind, median_scope)
-    return _corr_from_data(_survivor_data(returns, corr_kind, median_scope), corr_kind)
+    mode = _universe_mode(returns)
+    return _corr_from_data(_survivors(returns, mode, corr_kind, median_scope), corr_kind)
 
 
-def _dataset(r_in, r_out, corr_kind: str, median_scope: str) -> SignChangeDataset:
+def _dataset(w_in, w_out, corr_kind: str, median_scope: str):
+    """(sign-switch dataset, in-sample H): one S^2 product gives both H and pair stability."""
     common, corr_in, corr_out = _common_corrs(
-        _survivor_data(r_in, corr_kind, median_scope),
-        _survivor_data(r_out, corr_kind, median_scope),
+        _survivors(*w_in, corr_kind, median_scope),
+        _survivors(*w_out, corr_kind, median_scope),
         corr_kind,
         3,
     )
-    s_in = sign_matrix(corr_in)
-    s_out = sign_matrix(corr_out)
+    s_in = sign_matrix(corr_in).values
+    s_out = sign_matrix(corr_out).values
     iu, ju = np.triu_indices(len(common), k=1)
-    labels = s_in.values[iu, ju] != s_out.values[iu, ju]
-    delta = pair_stability(s_in)
-    return SignChangeDataset(
+    products = _triad_products(s_in)
+    dataset = SignChangeDataset(
         assets=common,
-        pairs=list(zip(iu.tolist(), ju.tolist())),
-        labels=labels,
-        scores_delta=-delta[iu, ju],
+        iu=iu,
+        ju=ju,
+        labels=s_in[iu, ju] != s_out[iu, ju],
+        scores_delta=-(products[iu, ju] / (len(common) - 2)),
         scores_absphi=-np.abs(corr_in.values[iu, ju]),
-        s_in=s_in.values,
-        s_out=s_out.values,
+        s_in=s_in,
+        s_out=s_out,
     )
+    return dataset, _balance_index(products)
 
 
 def build_dataset(
@@ -217,12 +206,9 @@ def build_dataset(
     if end_idx < t_in:
         raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
     returns = log_returns(panel)
-    return _dataset(
-        _window(returns, end_idx, t_in),
-        _window(returns, end_idx + t_out, t_out),
-        corr_kind,
-        median_scope,
-    )
+    full = returns, _universe_mode(returns)
+    w_in, w_out = _window(full, end_idx, t_in), _window(full, end_idx + t_out, t_out)
+    return _dataset(w_in, w_out, corr_kind, median_scope)[0]
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -233,33 +219,46 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ((starts + ends) / 2.0)[inverse]
 
 
-def roc(labels, scores) -> RocResult:
-    """ROC curve and AUC of `scores` against boolean `labels`.
-
-    The AUC is the rank statistic (probability that a random positive
-    outscores a random negative, ties counting one half), which equals the
-    trapezoidal area under the tie-grouped threshold sweep returned in
-    `points`.
-    """
+def _tie_groups(labels, scores):
+    """Positive and negative label counts per tied-score group, scores ascending; one sort."""
     y = np.asarray(labels, dtype=bool)
     s = np.asarray(scores, dtype=float)
     if y.shape != s.shape or y.ndim != 1:
         raise DataError("labels and scores must be equal-length vectors")
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    if not np.isfinite(s).all():
+        raise DataError("scores must be finite")
+    if y.all() or not y.any():
         raise DataError("roc needs at least one positive and one negative label")
-    ranks = _average_ranks(s)
-    auc = (ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    tp = np.cumsum(y[order])
-    fp = np.cumsum(~y[order])
-    boundary = np.nonzero(np.diff(sorted_scores) != 0)[0]
-    cut = np.append(boundary, y.size - 1)
+    order = np.argsort(s)
+    ordered = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    pos = np.add.reduceat(y[order], starts, dtype=np.int64)
+    return pos, np.diff(np.append(starts, s.size)) - pos
+
+
+def auc(labels, scores) -> float:
+    """Area under the ROC curve of `scores` against boolean `labels`.
+
+    The rank statistic: the probability that a random positive outscores a
+    random negative, ties counting one half. Twice its numerator is an exact
+    integer, so the value equals the average-rank formula bit for bit.
+    """
+    pos, neg = _tie_groups(labels, scores)
+    twice_wins = int((pos * (2 * (np.cumsum(neg) - neg) + neg)).sum())
+    return twice_wins / 2.0 / (int(pos.sum()) * int(neg.sum()))
+
+
+def roc(labels, scores) -> RocResult:
+    """ROC curve and AUC of `scores` against boolean `labels`.
+
+    `points` is the threshold sweep from the highest score down, one point per
+    tied-score group; the trapezoidal area under it equals `auc`.
+    """
+    pos, neg = _tie_groups(labels, scores)
+    tp, fp = np.cumsum(pos[::-1]), np.cumsum(neg[::-1])
     points = [(0.0, 0.0)]
-    points.extend((fp[i] / n_neg, tp[i] / n_pos) for i in cut)
-    return RocResult(points=points, auc=float(auc))
+    points.extend(zip(fp / fp[-1], tp / tp[-1]))
+    return RocResult(points=points, auc=auc(labels, scores))
 
 
 def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float = 0.05):
@@ -295,52 +294,47 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
 
 
 # Worker state for process pools: the panel is shipped once per worker and its
-# returns are computed there once; every window is a row slice of them.
+# returns and universe market mode are computed there once; every window is a
+# row slice of them.
 _GRID_STATE = {}
 
 
 def _grid_init(panel, corr_kind, median_scope):
-    _GRID_STATE["returns"] = log_returns(panel)
+    returns = log_returns(panel)
+    _GRID_STATE["full"] = returns, _universe_mode(returns)
     _GRID_STATE["corr_kind"] = corr_kind
     _GRID_STATE["median_scope"] = median_scope
 
 
-def _evaluate_window(returns, t_in, t_out, end_idx, corr_kind, median_scope):
+def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
     """One grid cell evaluation; returns (record | None, skip reason | None)."""
-    r_in = _window(returns, end_idx, t_in)
+    w_in = _window(full, end_idx, t_in)
     try:
-        ds = _dataset(r_in, _window(returns, end_idx + t_out, t_out), corr_kind, median_scope)
+        ds, h_in = _dataset(w_in, _window(full, end_idx + t_out, t_out), corr_kind, median_scope)
     except DataError as exc:
         return None, f"window infeasible: {exc}"
     if ds.labels.all() or not ds.labels.any():
         return None, "single-class window (no switch variation)"
     n = len(ds.assets)
     record = ExperimentRecord(
-        end_date=returns.dates[end_idx - 1],
+        end_date=full[0].dates[end_idx - 1],
         t_in=t_in,
         t_out=t_out,
         q_in=t_in / n,
         q_out=t_out / n,
-        auc_delta=roc(ds.labels, ds.scores_delta).auc,
-        auc_absphi=roc(ds.labels, ds.scores_absphi).auc,
-        h_in=hamiltonian(ds.s_in),
+        auc_delta=auc(ds.labels, ds.scores_delta),
+        auc_absphi=auc(ds.labels, ds.scores_absphi),
+        h_in=h_in,
         h_out=hamiltonian(ds.s_out),
-        volatility=volatility(r_in),
+        volatility=volatility(w_in[0]),
         n_pairs=ds.n_pairs,
     )
     return record, None
 
 
 def _grid_task(task):
-    t_in, t_out, end_idx = task
-    return task, _evaluate_window(
-        _GRID_STATE["returns"],
-        t_in,
-        t_out,
-        end_idx,
-        _GRID_STATE["corr_kind"],
-        _GRID_STATE["median_scope"],
-    )
+    state = _GRID_STATE
+    return task, _evaluate_window(state["full"], *task, state["corr_kind"], state["median_scope"])
 
 
 def grid_tasks(panel: PricePanel, t_values, step: int):
@@ -369,8 +363,8 @@ def run_grid(
     """
     _check_kinds(corr_kind, median_scope)
     t_values = list(t_values)
-    if not t_values or any(t < 1 for t in t_values):
-        raise DataError("t_values must be positive window lengths")
+    if not t_values or any(t < 1 for t in t_values) or len(set(t_values)) < len(t_values):
+        raise DataError(f"t_values must be distinct positive window lengths, got {t_values}")
     if step < 1:
         raise DataError("step must be at least 1 day")
     tasks = grid_tasks(panel, t_values, step)
@@ -431,18 +425,17 @@ def timeseries_rows(
     if window < 2 or step < 1:
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
     returns = log_returns(panel)
+    full = returns, _universe_mode(returns)
     rows = []
     for end_idx in range(window, panel.n_dates, step):
         try:
-            r_in = _window(returns, end_idx, window)
-            data_in = _survivor_data(r_in, corr_kind, median_scope)
+            w_in = _window(full, end_idx, window)
+            data_in = _survivors(*w_in, corr_kind, median_scope)
             if len(data_in[1]) < 3:
                 raise DataError("fewer than 3 surviving assets")
             corr_in = _corr_from_data(data_in, corr_kind)
-            if corr_kind == "phi":
-                b = BinaryPanel(*data_in)
-            else:
-                b = binarize(r_in, median_scope=median_scope)
+            signs = data_in if corr_kind == "phi" else _survivors(*w_in, "phi", median_scope)
+            b = BinaryPanel(*signs)
         except DataError as exc:
             logger.debug("timeseries skips %s: %s", panel.dates[end_idx], exc)
             continue
@@ -458,9 +451,9 @@ def timeseries_rows(
         overlap = None
         if end_idx + window <= panel.n_dates - 1:
             try:
-                r_out = _window(returns, end_idx + window, window)
+                w_out = _window(full, end_idx + window, window)
                 _, c_in, c_out = _common_corrs(
-                    data_in, _survivor_data(r_out, corr_kind, median_scope), corr_kind, 2
+                    data_in, _survivors(*w_out, corr_kind, median_scope), corr_kind, 2
                 )
                 overlap = eigvec_overlap(
                     spectral_summary(c_in, k=1)[1], spectral_summary(c_out, k=1)[1]
@@ -473,7 +466,7 @@ def timeseries_rows(
                 "h": hamiltonian(sign_matrix(corr_in).values),
                 "g": g_value,
                 "density": link_density(graph, len(net.assets)) if len(net.assets) >= 2 else None,
-                "volatility": volatility(r_in),
+                "volatility": volatility(w_in[0]),
                 "lambda1_frac": max(float(fracs[0]), 0.0),
                 "v1_overlap": overlap,
             }

@@ -27,7 +27,7 @@ class LabeledGraph:
             raise DataError("graph has a label for every node exactly")
         if not np.array_equal(self.adjacency, self.adjacency.T):
             raise DataError("adjacency must be symmetric")
-        if not np.isin(self.adjacency, (0, 1)).all():
+        if not ((self.adjacency == 0) | (self.adjacency == 1)).all():
             raise DataError("adjacency entries must be 0 or 1")
         if n and not (np.diag(self.adjacency) == 0).all():
             raise DataError("adjacency diagonal must be 0")

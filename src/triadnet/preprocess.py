@@ -51,7 +51,7 @@ class BinaryPanel:
         self.assets = tuple(self.assets)
         if self.values.shape != (len(self.dates), len(self.assets)):
             raise DataError("binary panel shape mismatch")
-        if not np.isin(self.values, (-1, 1)).all():
+        if not ((self.values == -1) | (self.values == 1)).all():
             raise DataError("binary panel entries must be -1 or +1")
         if self.values.shape[1] and (self.values.max(axis=0) == self.values.min(axis=0)).any():
             raise DataError("binary panel has a constant column")
@@ -78,8 +78,16 @@ def market_mode(returns: ReturnPanel) -> np.ndarray:
     if (counts == 0).any():
         bad = returns.dates[int(np.argmin(counts))]
         raise DataError(f"date {bad} has no present returns")
+    return _universe_mode(returns)
+
+
+def _universe_mode(returns: ReturnPanel) -> np.ndarray:
+    """`market_mode` of every date, NaN on a date with no present return."""
+    some = returns.present.any(axis=1)
+    mode = np.full(len(some), np.nan)
     with np.errstate(invalid="ignore"):
-        return np.nanmedian(np.where(returns.present, returns.returns, np.nan), axis=1)
+        mode[some] = np.nanmedian(np.where(returns.present, returns.returns, np.nan)[some], axis=1)
+    return mode
 
 
 def complete_case(returns: ReturnPanel) -> ReturnPanel:
@@ -106,21 +114,30 @@ def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPane
     """
     if median_scope not in MEDIAN_SCOPES:
         raise DataError(f"median_scope must be one of {MEDIAN_SCOPES}")
-    keep = returns.present.all(axis=0)
+    mode = _universe_mode(returns) if median_scope == "universe" else None
+    return BinaryPanel(*_survivors(returns, mode, "phi", median_scope))
+
+
+def _survivors(returns: ReturnPanel, mode, corr_kind: str, median_scope: str):
+    """(dates, assets, columns) of a window's complete-case assets that are not constant.
+
+    The columns are what the `corr_kind` correlation uses: the signs of the
+    partial returns for phi (sign(0) = +1), the partial returns for pearson,
+    the raw returns for partial_pearson. `mode` is the window's slice of
+    `_universe_mode`; it is used under median_scope "universe".
+    """
+    cc = complete_case(returns)
+    x = cc.returns
+    if corr_kind != "partial_pearson":
+        # complete_case has raised if a date has no return, so `mode` holds no NaN here
+        med = mode if median_scope == "universe" else np.median(x, axis=1)
+        x = x - med[:, None]
+        if corr_kind == "phi":
+            x = np.where(x >= 0, 1, -1).astype(np.int8)
+    keep = x.max(axis=0) != x.min(axis=0)
     if not keep.any():
-        raise DataError("no asset survives complete-case filtering")
-    sub = returns.returns[:, keep]
-    if median_scope == "universe":
-        m = market_mode(returns)
-    else:
-        m = np.median(sub, axis=1)
-    b = np.where(sub - m[:, None] >= 0, 1, -1).astype(np.int8)
-    nonconst = b.max(axis=0) != b.min(axis=0)
-    if not nonconst.any():
         raise DataError("no asset survives constant-column filtering")
-    assets = tuple(a for a, k in zip(returns.assets, keep) if k)
-    assets = tuple(a for a, k in zip(assets, nonconst) if k)
-    return BinaryPanel(returns.dates, assets, b[:, nonconst])
+    return returns.dates, tuple(a for a, k in zip(cc.assets, keep) if k), x[:, keep]
 
 
 def volatility(returns: ReturnPanel) -> float:

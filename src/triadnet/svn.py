@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .preprocess import BinaryPanel
+from .util import count_product
 
 POLARITIES = ("positive", "negative")
 
@@ -127,7 +128,8 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
     Positive polarity counts days both assets are up (above the median).
     Negative polarity counts up/down disagreement days in both directions,
     takes the smaller of the two tail p-values and doubles it before the
-    step-up selection.
+    step-up selection. The counts come from one exact float64 BLAS product
+    (see `util.count_product`).
     """
     if polarity not in POLARITIES:
         raise DataError(f"polarity must be one of {POLARITIES}")
@@ -135,16 +137,15 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
     adjacency = np.zeros((n, n), dtype=np.int8)
     if n < 2:
         return Svn(b.assets, adjacency, polarity, alpha, {})
-    up = (b.values > 0).astype(np.int64)
+    up = b.values > 0
     k = up.sum(axis=0)
     iu, ju = np.triu_indices(n, k=1)
     lf = _log_factorials(t)
     if polarity == "positive":
-        both_up = up.T @ up
+        both_up = count_product(up, up)
         p = _tail_pvalues(both_up[iu, ju], k[iu], k[ju], t, lf)
     else:
-        down = 1 - up
-        cross = up.T @ down  # cross[i, j] = days i up and j down
+        cross = count_product(up, ~up)  # cross[i, j] = days i up and j down
         p_ij = _tail_pvalues(cross[iu, ju], k[iu], t - k[ju], t, lf)
         p_ji = _tail_pvalues(cross[ju, iu], k[ju], t - k[iu], t, lf)
         p = np.minimum(2.0 * np.minimum(p_ij, p_ji), 1.0)

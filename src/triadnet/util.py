@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic number formatting and atomic file writes."""
+"""Small shared helpers: exact count products, number formatting and atomic writes."""
 
 from __future__ import annotations
 
@@ -6,6 +6,20 @@ import math
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+
+def count_product(a, b) -> np.ndarray:
+    """a.T @ b of 0/1 or +/-1 matrices as int64, via one float64 BLAS product.
+
+    numpy's integer matmul bypasses BLAS. Every partial sum is an integer
+    below 2**53, which float64 adds exactly in any order. When b is a, one
+    converted array serves both sides, so numpy can use the symmetric kernel.
+    """
+    fa = np.asarray(a, dtype=np.float64)
+    fb = fa if b is a else np.asarray(b, dtype=np.float64)
+    return (fa.T @ fb).astype(np.int64)
 
 
 def fmt(x, na: str = "") -> str:

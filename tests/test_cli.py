@@ -170,6 +170,7 @@ BAD_GRID_CONFIGS = [
     ({"t_values": 20}, "t_values"),
     ({"t_values": ["a"]}, "t_values"),
     ({"t_values": []}, "t_values"),
+    ({"t_values": [20, 20]}, "t_values"),
     ({"timeseries_window": 0}, "timeseries_window"),
     ({"timeseries_window": -5}, "timeseries_window"),
     ({"timeseries_window": 1}, "timeseries_window"),

@@ -206,6 +206,12 @@ def test_run_grid_infeasible_windows_give_empty_list(rng):
         run_grid(panel, [10], 0)
 
 
+def test_run_grid_rejects_duplicate_t_values(rng):
+    panel = panel_from_returns(0.01 * rng.normal(size=(40, 6)))
+    with pytest.raises(DataError, match="distinct"):
+        run_grid(panel, [10, 10], 5)
+
+
 def test_aggregate_cells():
     def rec(t_in, t_out, d, p):
         return ExperimentRecord("2020-01-01", t_in, t_out, 1.0, 1.0, d, p, 0.0, 0.0, 0.01, 10)

@@ -3,8 +3,9 @@
 The reference rebuilds every window from prices, one at a time:
 slice_window -> log_returns -> binarize / complete_case -> correlation kernel
 -> sign_matrix -> pair_stability and H as -trace(S^3) / (6 C(N,3)). The
-pipeline instead slices each window out of returns computed once per panel
-and takes H from the elementwise product S * S^2. Both must agree exactly:
+pipeline instead slices each window out of returns and a universe market mode
+computed once per panel, and takes the in-window's H and pair stability from
+one elementwise product S * S^2. Both must agree exactly:
 records, skip decisions, datasets and timeseries rows.
 """
 
@@ -25,6 +26,7 @@ from triadnet.correlation import (
 from triadnet.errors import DataError
 from triadnet.experiment import (
     ExperimentRecord,
+    _window,
     build_dataset,
     grid_tasks,
     roc,
@@ -43,6 +45,8 @@ from triadnet.preprocess import (
     MEDIAN_SCOPES,
     BinaryPanel,
     ReturnPanel,
+    _survivors,
+    _universe_mode,
     binarize,
     complete_case,
     log_returns,
@@ -85,14 +89,13 @@ def panel(request):
 def ref_survivors(panel, end_idx, t, kind, scope):
     """(window returns, surviving assets, the columns the kernel sees)."""
     rp = log_returns(slice_window(panel, panel.dates[end_idx], t + 1))
-    if kind == "phi":
-        b = binarize(rp, median_scope=scope)
-        return rp, b.assets, b.values
     cc = complete_case(rp)
     x = cc.returns
-    if kind == "pearson":
+    if kind != "partial_pearson":
         med = market_mode(rp) if scope == "universe" else np.median(x, axis=1)
         x = x - med[:, None]
+    if kind == "phi":
+        x = np.where(x >= 0, 1, -1).astype(np.int8)
     keep = x.max(axis=0) != x.min(axis=0)
     if not keep.any():
         raise DataError("no asset survives constant-column filtering")
@@ -125,6 +128,8 @@ def ref_dataset(panel, end_idx, t_in, t_out, kind, scope):
     delta = pair_stability(s_in)
     fields = {
         "assets": common,
+        "iu": iu,
+        "ju": ju,
         "pairs": list(zip(iu.tolist(), ju.tolist())),
         "labels": s_in[iu, ju] != s_out[iu, ju],
         "scores_delta": -delta[iu, ju],
@@ -261,6 +266,31 @@ def test_timeseries_rows_match_per_window_reference(panel, kind, scope):
     for field in ("g", "density", "v1_overlap"):
         assert any(row[field] for row in rows), field
     assert len(rows) < len(range(TS_WINDOW, panel.n_dates, STEP))  # some windows skipped
+
+
+@pytest.mark.parametrize("kind", ["phi", "pearson"])
+def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
+    """The universe market mode is computed once per panel, NaN on the dates
+    without returns; every window's survivor data from its slice equals
+    the per-window reference, and windows over that date are infeasible."""
+    returns = log_returns(panel)
+    full = returns, _universe_mode(returns)
+    assert np.isnan(full[1]).any()
+    outcomes = set()
+    for end_idx in range(TS_WINDOW, panel.n_dates):
+        w = _window(full, end_idx, TS_WINDOW)
+        try:
+            rp, assets, x = ref_survivors(panel, end_idx, TS_WINDOW, kind, "universe")
+        except DataError:
+            with pytest.raises(DataError):
+                _survivors(*w, kind, "universe")
+            outcomes.add("infeasible")
+            continue
+        dates, got_assets, got_x = _survivors(*w, kind, "universe")
+        assert dates == rp.dates and got_assets == assets
+        assert got_x.dtype == x.dtype and np.array_equal(got_x, x)
+        outcomes.add("compared")
+    assert outcomes == {"infeasible", "compared"}
 
 
 @pytest.mark.parametrize("kind,scope", [("spearman", "universe"), ("phi", "global")])
