@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlation import CorrMatrix, SignedMatrix
 from .errors import DataError
-from .util import count_product
+from .util import _pearson, count_product
 
 
 @dataclass(eq=False)
@@ -30,16 +30,16 @@ class BalanceReport:
     v1: np.ndarray
 
 
-def _signed_values(s) -> np.ndarray:
-    values = s.values if isinstance(s, SignedMatrix) else np.asarray(s)
-    n = values.shape[0]
-    if values.ndim != 2 or values.shape != (n, n):
-        raise DataError("signed matrix must be square")
-    if not np.array_equal(values, values.T):
-        raise DataError("signed matrix must be symmetric")
-    if n and not (np.diag(values) == 0).all():
-        raise DataError("signed matrix diagonal must be 0")
-    return values
+def _signed_values(s, what: str) -> np.ndarray:
+    """Values of a SignedMatrix of at least 3 nodes; a raw array is checked as one first."""
+    if not isinstance(s, SignedMatrix):
+        values = np.asarray(s)
+        if values.ndim != 2:
+            raise DataError("signed matrix must be 2-D")
+        s = SignedMatrix(range(len(values)), values)
+    if s.n < 3:
+        raise DataError(f"{what} needs at least 3 nodes")
+    return s.values
 
 
 def triad_is_stable(s_ij: int, s_ik: int, s_jk: int) -> bool:
@@ -67,12 +67,10 @@ def hamiltonian(s) -> float:
     Computed as -trace(S^3) / (6 * C(N,3)) with one product: S^2 is
     symmetric, so trace(S^3) = sum of S * S^2 (elementwise), the product
     `pair_stability` forms. S^2 is a float64 BLAS product of integers, exact
-    while N^3 < 2**53, so the value is exact.
+    while N^3 < 2**53, so the value is exact. `s` is a SignedMatrix, or a
+    raw array that is checked like one.
     """
-    values = _signed_values(s)
-    if values.shape[0] < 3:
-        raise DataError("balance index needs at least 3 nodes")
-    return _balance_index(_triad_products(values))
+    return _balance_index(_triad_products(_signed_values(s, "balance index")))
 
 
 def pair_stability(s) -> np.ndarray:
@@ -80,13 +78,11 @@ def pair_stability(s) -> np.ndarray:
 
     Entry (i,j) is S_ij * (S^2)_ij / (N-2): +1 when the pair forms stable
     triads with every other node, -1 when none. Diagonal is 0. S^2 is a
-    float64 BLAS product, exact while N^3 < 2**53.
+    float64 BLAS product, exact while N^3 < 2**53. `s` is a SignedMatrix, or
+    a raw array that is checked like one.
     """
-    values = _signed_values(s)
-    n = values.shape[0]
-    if n < 3:
-        raise DataError("pair stability needs at least 3 nodes")
-    return _triad_products(values) / (n - 2)
+    values = _signed_values(s, "pair stability")
+    return _triad_products(values) / (len(values) - 2)
 
 
 def spectral_summary(corr: CorrMatrix, k: int = 2):
@@ -114,16 +110,7 @@ def eigvec_overlap(v_in: np.ndarray, v_out: np.ndarray) -> float:
     The absolute value quotients out the sign ambiguity of eigenvectors.
     Inputs must already be aligned on a common asset ordering.
     """
-    a = np.asarray(v_in, dtype=float)
-    b = np.asarray(v_out, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise DataError("eigenvector overlap needs two equal-length vectors (>= 2)")
-    a = a - a.mean()
-    b = b - b.mean()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise DataError("eigenvector overlap undefined for constant vectors")
-    return float(abs(a @ b) / (na * nb))
+    return abs(_pearson(v_in, v_out))
 
 
 def balance_report(signed: SignedMatrix, corr: CorrMatrix) -> BalanceReport:

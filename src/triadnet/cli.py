@@ -136,6 +136,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _checked(convert, ok, expected):
+    """argparse type: `convert` the text and require `ok(value)`, else a usage error."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_WINDOW = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_ALPHA = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_BIN_WIDTH = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
+
+
 def _add_panel_args(p):
     p.add_argument("--prices", required=True, help="price panel CSV")
     p.add_argument("--sectors", required=True, help="(ticker,sector) CSV")
@@ -144,7 +165,7 @@ def _add_panel_args(p):
 
 def _add_window_args(p):
     p.add_argument("--end-date", required=True, help="last date of the calibration window")
-    p.add_argument("--window", type=int, required=True, help="window length in return days")
+    p.add_argument("--window", type=_WINDOW, required=True, help="window length in return days")
 
 
 def build_parser() -> _Parser:
@@ -173,7 +194,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("svn", help="build a statistically validated network")
     _add_panel_args(p)
     _add_window_args(p)
-    p.add_argument("--alpha", type=float, default=0.1, help="false discovery rate")
+    p.add_argument("--alpha", type=_ALPHA, default=0.1, help="false discovery rate")
     p.add_argument("--polarity", choices=("positive", "negative"), default="positive")
     p.add_argument("--median-scope", choices=MEDIAN_SCOPES, default="universe")
     p.add_argument("--out-prefix", required=True, help="writes <prefix>_edges.csv and <prefix>_adjacency.csv")
@@ -191,18 +212,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", help="score sign-switch prediction for one window pair")
     _add_panel_args(p)
     p.add_argument("--end-date", required=True, help="last date of the in-sample window")
-    p.add_argument("--tin", type=int, required=True, help="in-sample returns")
-    p.add_argument("--tout", type=int, required=True, help="out-of-sample returns")
+    p.add_argument("--tin", type=_POSITIVE_INT, required=True, help="in-sample returns")
+    p.add_argument("--tout", type=_POSITIVE_INT, required=True, help="out-of-sample returns")
     p.add_argument("--corr-kind", choices=CORR_KINDS, default="phi")
     p.add_argument("--median-scope", choices=MEDIAN_SCOPES, default="universe")
-    p.add_argument("--bin-width", type=float, default=0.05)
+    p.add_argument("--bin-width", type=_BIN_WIDTH, default=0.05)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("grid", help="full rolling (t_in, t_out) experiment from a config file")
     p.add_argument("--config", required=True, help="JSON run configuration")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--seed", type=int, help="overrides the config seed")
+    p.add_argument("--jobs", type=_POSITIVE_INT, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_grid)
 
     return parser
@@ -244,16 +264,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _window_binary(args):
+def _window_returns(args):
+    """Returns of the --window returns ending at --end-date (window + 1 price rows)."""
     panel = load_panel(args.prices, args.sectors, args.format)
-    window = slice_window(panel, args.end_date, args.window + 1)
-    return panel, binarize(log_returns(window), median_scope=args.median_scope)
+    return log_returns(slice_window(panel, args.end_date, args.window + 1))
 
 
 def cmd_svn(args) -> int:
-    if args.window < 2:
-        raise UsageError("--window must be at least 2")
-    _, b = _window_binary(args)
+    b = binarize(_window_returns(args), median_scope=args.median_scope)
     net = build_svn(b, alpha=args.alpha, polarity=args.polarity)
     prefix = Path(args.out_prefix)
     write_edges_csv(net, prefix.with_name(prefix.name + "_edges.csv"))
@@ -265,12 +283,7 @@ def cmd_svn(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    if args.window < 2:
-        raise UsageError("--window must be at least 2")
-    panel = load_panel(args.prices, args.sectors, args.format)
-    window = slice_window(panel, args.end_date, args.window + 1)
-    returns = log_returns(window)
-    corr = window_correlation(returns, args.corr_kind, args.median_scope)
+    corr = window_correlation(_window_returns(args), args.corr_kind, args.median_scope)
     report = balance_report(sign_matrix(corr), corr)
     write_balance_json(args.end_date, report, args.out)
     if args.delta_out:
@@ -305,8 +318,6 @@ def cmd_predict(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     panel = load_panel(cfg.prices, cfg.sectors, cfg.format)
     records = run_grid(
         panel,
@@ -314,7 +325,7 @@ def cmd_grid(args) -> int:
         cfg.step,
         corr_kind=cfg.corr_kind,
         median_scope=cfg.median_scope,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
     )
     cells = aggregate_cells(records)
     outdir = Path(cfg.output_dir)

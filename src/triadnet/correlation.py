@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .preprocess import BinaryPanel, ReturnPanel
-from .util import count_product
+from .util import _check_symmetric, count_product
 
 CORR_KINDS = ("phi", "pearson", "partial_pearson")
 
@@ -35,14 +35,10 @@ class CorrMatrix:
         n = len(self.assets)
         if self.kind not in CORR_KINDS:
             raise DataError(f"unknown correlation kind {self.kind!r}")
-        if self.values.shape != (n, n):
-            raise DataError("correlation matrix shape mismatch")
-        if not np.array_equal(self.values, self.values.T):
-            raise DataError("correlation matrix must be exactly symmetric")
+        unit_diagonal = 1 if self.kind in ("phi", "pearson") else None
+        _check_symmetric(self.values, n, "correlation matrix", unit_diagonal)
         if np.abs(self.values).max(initial=0.0) > 1 + _BOUND_TOL:
             raise DataError("correlation entries outside [-1, 1]")
-        if self.kind in ("phi", "pearson") and n and not (np.diag(self.values) == 1.0).all():
-            raise DataError("diagonal must be exactly 1")
 
     @property
     def n(self) -> int:
@@ -59,12 +55,7 @@ class SignedMatrix:
     def __post_init__(self):
         self.assets = tuple(self.assets)
         n = len(self.assets)
-        if self.values.shape != (n, n):
-            raise DataError("signed matrix shape mismatch")
-        if not np.array_equal(self.values, self.values.T):
-            raise DataError("signed matrix must be symmetric")
-        if n and not (np.diag(self.values) == 0).all():
-            raise DataError("signed matrix diagonal must be 0")
+        _check_symmetric(self.values, n, "signed matrix", 0)
         off = self.values[~np.eye(n, dtype=bool)]
         if not ((off == -1) | (off == 1)).all():
             raise DataError("signed matrix off-diagonal entries must be -1 or +1")
@@ -91,9 +82,7 @@ def phi_matrix(b: BinaryPanel) -> CorrMatrix:
     if t < 2:
         raise DataError("need at least 2 days for a correlation window")
     up = b.values > 0
-    k = up.sum(axis=0)
-    if ((k == 0) | (k == t)).any():
-        raise DataError("constant binary column")
+    k = up.sum(axis=0)  # in [1, t-1]: BinaryPanel has no constant column
     c = count_product(up, up)
     num = (t * c - np.outer(k, k)).astype(float)
     d = (k * (t - k)).astype(np.int64)

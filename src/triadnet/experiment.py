@@ -44,6 +44,7 @@ from .preprocess import (
     volatility,
 )
 from .svn import build_svn
+from .util import _pearson
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +111,11 @@ def _check_kinds(corr_kind: str, median_scope: str) -> None:
         raise DataError(f"unknown median scope {median_scope!r}: expected one of {MEDIAN_SCOPES}")
 
 
+def _with_mode(returns: ReturnPanel):
+    """(returns, universe market mode): the per-panel arrays every window slices."""
+    return returns, _universe_mode(returns)
+
+
 def _window(full, end_idx: int, t: int):
     """(returns, universe market mode) of the t returns ending at price row end_idx (>= t)."""
     r, mode = full
@@ -149,12 +155,12 @@ def window_correlation(
 ) -> CorrMatrix:
     """Correlation matrix of one window, restricted to its surviving assets."""
     _check_kinds(corr_kind, median_scope)
-    mode = _universe_mode(returns)
-    return _corr_from_data(_survivors(returns, mode, corr_kind, median_scope), corr_kind)
+    return _corr_from_data(_survivors(*_with_mode(returns), corr_kind, median_scope), corr_kind)
 
 
 def _dataset(w_in, w_out, corr_kind: str, median_scope: str):
-    """(sign-switch dataset, in-sample H): one S^2 product gives both H and pair stability."""
+    """(sign-switch dataset, in-sample H, out-of-sample SignedMatrix); one S^2
+    product of the in-window gives both H and pair stability."""
     common, corr_in, corr_out = _common_corrs(
         _survivors(*w_in, corr_kind, median_scope),
         _survivors(*w_out, corr_kind, median_scope),
@@ -162,20 +168,20 @@ def _dataset(w_in, w_out, corr_kind: str, median_scope: str):
         3,
     )
     s_in = sign_matrix(corr_in).values
-    s_out = sign_matrix(corr_out).values
+    signed_out = sign_matrix(corr_out)
     iu, ju = np.triu_indices(len(common), k=1)
     products = _triad_products(s_in)
     dataset = SignChangeDataset(
         assets=common,
         iu=iu,
         ju=ju,
-        labels=s_in[iu, ju] != s_out[iu, ju],
+        labels=s_in[iu, ju] != signed_out.values[iu, ju],
         scores_delta=-(products[iu, ju] / (len(common) - 2)),
         scores_absphi=-np.abs(corr_in.values[iu, ju]),
         s_in=s_in,
-        s_out=s_out,
+        s_out=signed_out.values,
     )
-    return dataset, _balance_index(products)
+    return dataset, _balance_index(products), signed_out
 
 
 def build_dataset(
@@ -205,8 +211,7 @@ def build_dataset(
         )
     if end_idx < t_in:
         raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
-    returns = log_returns(panel)
-    full = returns, _universe_mode(returns)
+    full = _with_mode(log_returns(panel))
     w_in, w_out = _window(full, end_idx, t_in), _window(full, end_idx + t_out, t_out)
     return _dataset(w_in, w_out, corr_kind, median_scope)[0]
 
@@ -236,6 +241,12 @@ def _tie_groups(labels, scores):
     return pos, np.diff(np.append(starts, s.size)) - pos
 
 
+def _groups_auc(pos, neg) -> float:
+    """AUC from `_tie_groups`; see `auc`."""
+    twice_wins = int((pos * (2 * (np.cumsum(neg) - neg) + neg)).sum())
+    return twice_wins / 2.0 / (int(pos.sum()) * int(neg.sum()))
+
+
 def auc(labels, scores) -> float:
     """Area under the ROC curve of `scores` against boolean `labels`.
 
@@ -243,9 +254,7 @@ def auc(labels, scores) -> float:
     random negative, ties counting one half. Twice its numerator is an exact
     integer, so the value equals the average-rank formula bit for bit.
     """
-    pos, neg = _tie_groups(labels, scores)
-    twice_wins = int((pos * (2 * (np.cumsum(neg) - neg) + neg)).sum())
-    return twice_wins / 2.0 / (int(pos.sum()) * int(neg.sum()))
+    return _groups_auc(*_tie_groups(labels, scores))
 
 
 def roc(labels, scores) -> RocResult:
@@ -258,7 +267,7 @@ def roc(labels, scores) -> RocResult:
     tp, fp = np.cumsum(pos[::-1]), np.cumsum(neg[::-1])
     points = [(0.0, 0.0)]
     points.extend(zip(fp / fp[-1], tp / tp[-1]))
-    return RocResult(points=points, auc=auc(labels, scores))
+    return RocResult(points=points, auc=_groups_auc(pos, neg))
 
 
 def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float = 0.05):
@@ -300,17 +309,16 @@ _GRID_STATE = {}
 
 
 def _grid_init(panel, corr_kind, median_scope):
-    returns = log_returns(panel)
-    _GRID_STATE["full"] = returns, _universe_mode(returns)
+    _GRID_STATE["full"] = _with_mode(log_returns(panel))
     _GRID_STATE["corr_kind"] = corr_kind
     _GRID_STATE["median_scope"] = median_scope
 
 
 def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
     """One grid cell evaluation; returns (record | None, skip reason | None)."""
-    w_in = _window(full, end_idx, t_in)
+    w_in, w_out = _window(full, end_idx, t_in), _window(full, end_idx + t_out, t_out)
     try:
-        ds, h_in = _dataset(w_in, _window(full, end_idx + t_out, t_out), corr_kind, median_scope)
+        ds, h_in, signed_out = _dataset(w_in, w_out, corr_kind, median_scope)
     except DataError as exc:
         return None, f"window infeasible: {exc}"
     if ds.labels.all() or not ds.labels.any():
@@ -325,7 +333,7 @@ def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
         auc_delta=auc(ds.labels, ds.scores_delta),
         auc_absphi=auc(ds.labels, ds.scores_absphi),
         h_in=h_in,
-        h_out=hamiltonian(ds.s_out),
+        h_out=hamiltonian(signed_out),
         volatility=volatility(w_in[0]),
         n_pairs=ds.n_pairs,
     )
@@ -368,7 +376,6 @@ def run_grid(
     if step < 1:
         raise DataError("step must be at least 1 day")
     tasks = grid_tasks(panel, t_values, step)
-    results = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
             max_workers=jobs,
@@ -424,8 +431,7 @@ def timeseries_rows(
     _check_kinds(corr_kind, median_scope)
     if window < 2 or step < 1:
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
-    returns = log_returns(panel)
-    full = returns, _universe_mode(returns)
+    full = _with_mode(log_returns(panel))
     rows = []
     for end_idx in range(window, panel.n_dates, step):
         try:
@@ -463,7 +469,7 @@ def timeseries_rows(
         rows.append(
             {
                 "date": panel.dates[end_idx],
-                "h": hamiltonian(sign_matrix(corr_in).values),
+                "h": hamiltonian(sign_matrix(corr_in)),
                 "g": g_value,
                 "density": link_density(graph, len(net.assets)) if len(net.assets) >= 2 else None,
                 "volatility": volatility(w_in[0]),
@@ -472,15 +478,6 @@ def timeseries_rows(
             }
         )
     return rows
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx, ny = np.linalg.norm(xc), np.linalg.norm(yc)
-    if nx == 0 or ny == 0:
-        raise DataError("correlation undefined for a constant series")
-    return float(xc @ yc / (nx * ny))
 
 
 def h_auc_association(records) -> tuple:

@@ -7,10 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedMetricError
+from .util import _check_symmetric
 
 # Networks below this link count give a noisy assortativity; callers report a
 # null marker instead of a value.
 MIN_LINKS_FOR_ASSORTATIVITY = 10
+
+
+def _check_adjacency(adjacency: np.ndarray, n: int) -> None:
+    """Raise DataError unless `adjacency` is a symmetric n x n 0/1 matrix with zero diagonal."""
+    _check_symmetric(adjacency, n, "adjacency", 0)
+    if not ((adjacency == 0) | (adjacency == 1)).all():
+        raise DataError("adjacency entries must be 0 or 1")
 
 
 @dataclass(eq=False)
@@ -22,15 +30,7 @@ class LabeledGraph:
 
     def __post_init__(self):
         self.labels = tuple(self.labels)
-        n = len(self.labels)
-        if self.adjacency.shape != (n, n):
-            raise DataError("graph has a label for every node exactly")
-        if not np.array_equal(self.adjacency, self.adjacency.T):
-            raise DataError("adjacency must be symmetric")
-        if not ((self.adjacency == 0) | (self.adjacency == 1)).all():
-            raise DataError("adjacency entries must be 0 or 1")
-        if n and not (np.diag(self.adjacency) == 0).all():
-            raise DataError("adjacency diagonal must be 0")
+        _check_adjacency(self.adjacency, len(self.labels))
 
     @property
     def n_nodes(self) -> int:

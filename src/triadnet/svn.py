@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .graphmetrics import _check_adjacency
 from .preprocess import BinaryPanel
 from .util import count_product
 
@@ -34,13 +35,7 @@ class Svn:
 
     def __post_init__(self):
         self.assets = tuple(self.assets)
-        n = len(self.assets)
-        if self.adjacency.shape != (n, n):
-            raise DataError("adjacency shape mismatch")
-        if not np.array_equal(self.adjacency, self.adjacency.T):
-            raise DataError("adjacency must be symmetric")
-        if n and not (np.diag(self.adjacency) == 0).all():
-            raise DataError("adjacency diagonal must be 0")
+        _check_adjacency(self.adjacency, len(self.assets))
 
     @property
     def n_links(self) -> int:

@@ -1,4 +1,5 @@
-"""Small shared helpers: exact count products, number formatting and atomic writes."""
+"""Small shared helpers: exact count products, the symmetric-matrix check, the
+Pearson correlation of two vectors, number formatting and atomic writes."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError
 
 
 def count_product(a, b) -> np.ndarray:
@@ -22,17 +25,41 @@ def count_product(a, b) -> np.ndarray:
     return (fa.T @ fb).astype(np.int64)
 
 
-def fmt(x, na: str = "") -> str:
-    """Format a number with 12 significant digits; None/NaN become `na`.
+def _check_symmetric(values: np.ndarray, n: int, what: str, diagonal=None) -> None:
+    """Raise DataError unless `values` is symmetric n x n with `diagonal` (if given) on its diagonal."""
+    if values.shape != (n, n):
+        raise DataError(f"{what} must be {n} x {n}")
+    if not np.array_equal(values, values.T):
+        raise DataError(f"{what} must be exactly symmetric")
+    if diagonal is not None and n and not (np.diag(values) == diagonal).all():
+        raise DataError(f"{what} diagonal must be exactly {diagonal}")
 
-    Every CSV cell in the package goes through this so that identical runs
-    produce byte-identical output files.
+
+def _pearson(x, y) -> float:
+    """Pearson correlation of two equal-length vectors of at least 2 entries."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise DataError("correlation needs two equal-length vectors (>= 2)")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    nx, ny = np.linalg.norm(xc), np.linalg.norm(yc)
+    if nx == 0 or ny == 0:
+        raise DataError("correlation undefined for a constant vector")
+    return float(xc @ yc / (nx * ny))
+
+
+def fmt(x) -> str:
+    """Format a number with 12 significant digits; None and NaN become "".
+
+    Every numeric CSV cell in the package goes through this so that
+    identical runs produce byte-identical output files.
     """
     if x is None:
-        return na
+        return ""
     xf = float(x)
     if math.isnan(xf):
-        return na
+        return ""
     return f"{xf:.12g}"
 
 

@@ -1,0 +1,56 @@
+"""The spans the benchmark's per-layer metrics read, on one traced toy grid.
+
+bench/tracer.py wraps the public functions of the layer modules, and several
+per-layer metrics are call counts or times of those spans. A refactor that
+stops calling one of them, or calls a private copy instead, would make its
+metric read 0 without failing any other test. This runs the benchmark's own
+traced child (bench/grid_child.py --spans) on a toy workload and pins the call
+counts of those spans.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+sys.path.insert(0, str(BENCH))
+
+from workloads import WORKLOADS, write_inputs  # noqa: E402
+
+# 12 records and 4 timeseries rows: one out-of-sample H per record plus one H
+# per timeseries row, and one validated network per timeseries row.
+EXPECTED_CALLS = {
+    "preprocess.complete_case": 30,
+    "correlation.phi_matrix": 32,
+    "balance.hamiltonian": 16,
+    "svn.build_svn": 4,
+    "experiment.run_grid": 1,
+    "experiment.timeseries_rows": 1,
+}
+
+
+def test_traced_toy_grid_keeps_the_spans_the_metrics_read(tmp_path):
+    toy = dataclasses.replace(
+        WORKLOADS["grid-phi-hd"], n_assets=12, n_rows=60, t_values=(10, 20), step=10,
+        timeseries_window=20,
+    )
+    config = write_inputs(toy, 3, tmp_path)
+    stats = tmp_path / "stats.json"
+    subprocess.run(
+        [sys.executable, str(BENCH / "grid_child.py"), "--config", str(config), "--jobs", "1",
+         "--stats", str(stats), "--spans", str(tmp_path / "spans.jsonl")],
+        check=True,
+        capture_output=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    result = json.loads(stats.read_text())
+    assert result["rc"] == 0
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert (summary["records"], summary["timeseries_rows"]) == (12, 4)
+    calls = {name: result["spans"].get(name, {}).get("calls", 0) for name in EXPECTED_CALLS}
+    assert calls == EXPECTED_CALLS

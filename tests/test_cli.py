@@ -193,6 +193,40 @@ def test_grid_config_validation(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# Parsing fails before any file is read, so the paths need not exist.
+PANEL_ARGS = ["--prices", "p.csv", "--sectors", "s.csv", "--end-date", "2000-01-03"]
+VALID_ARGS = {
+    "svn": ["svn", *PANEL_ARGS, "--window", "60", "--out-prefix", "net"],
+    "balance": ["balance", *PANEL_ARGS, "--window", "60", "--out", "b.json"],
+    "predict": ["predict", *PANEL_ARGS, "--tin", "20", "--tout", "20"],
+    "grid": ["grid", "--config", "c.json"],
+}
+
+# (subcommand, flag, value that must be a usage error naming the flag)
+BAD_FLAGS = [
+    ("svn", "--window", "1"),
+    ("svn", "--window", "ten"),
+    ("balance", "--window", "0"),
+    ("svn", "--alpha", "1.5"),
+    ("svn", "--alpha", "0"),
+    ("svn", "--alpha", "nan"),
+    ("predict", "--tin", "0"),
+    ("predict", "--tin", "2.5"),
+    ("predict", "--tout", "-3"),
+    ("predict", "--bin-width", "0"),
+    ("predict", "--bin-width", "-0.1"),
+    ("predict", "--bin-width", "inf"),
+    ("grid", "--jobs", "0"),
+    ("grid", "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_FLAGS)
+def test_bad_flag_values_are_usage_errors(command, flag, value, capsys):
+    code, _, err = run([*VALID_ARGS[command], flag, value], capsys)
+    assert code == 1 and "usage error" in err and flag in err, err
+
+
 def test_synth_sector_block_cli(tmp_path, capsys):
     code, out, _ = run(
         [

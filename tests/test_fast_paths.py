@@ -3,21 +3,23 @@
 The count kernels (phi's co-occurrence counts, the SVN counts and S * S^2 for
 H and pair stability) run as float64 BLAS products; with the int64 matmul
 swapped back in, every output must be bitwise identical. The single-sort AUC
-must equal the average-rank formula bitwise, and the membership checks of the
-validating wrappers must still reject every value outside their alphabet.
+must equal the average-rank formula bitwise, `roc` must sort once, and the
+membership checks of the validating wrappers, which also guard the raw arrays
+that `hamiltonian` and `pair_stability` accept, must still reject every value
+outside their alphabet.
 """
 
 import numpy as np
 import pytest
 
-from triadnet import balance, correlation, svn
+from triadnet import balance, correlation, experiment, svn
 from triadnet.balance import hamiltonian, pair_stability
 from triadnet.correlation import SignedMatrix, phi_matrix
 from triadnet.errors import DataError
 from triadnet.experiment import _average_ranks, auc, roc
 from triadnet.graphmetrics import LabeledGraph
 from triadnet.preprocess import BinaryPanel
-from triadnet.svn import build_svn
+from triadnet.svn import Svn, build_svn
 from triadnet.util import count_product
 
 from conftest import random_binary, random_signed
@@ -120,6 +122,10 @@ def labeled_graph(values):
     return LabeledGraph(values, ("x", "y", "x"))
 
 
+def svn_network(values):
+    return Svn(("x", "y", "z"), values, "positive", 0.1)
+
+
 SIGNED_OK = np.array([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], dtype=float)
 ADJACENCY_OK = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -136,10 +142,38 @@ def with_bad(valid, i, j, bad):
     "build,valid,i,j,bad",
     [(binary_panel, BINARY_OK, 2, 0, bad) for bad in (0, 2, np.nan)]
     + [(signed_matrix, SIGNED_OK, 0, 2, bad) for bad in (0, 2, np.nan)]
-    + [(labeled_graph, ADJACENCY_OK, 0, 2, bad) for bad in (-1, 2, np.nan)],
+    + [(hamiltonian, SIGNED_OK, 0, 2, bad) for bad in (0, 2, np.nan)]
+    + [(pair_stability, SIGNED_OK, 0, 2, bad) for bad in (0, 2, np.nan)]
+    + [(labeled_graph, ADJACENCY_OK, 0, 2, bad) for bad in (-1, 2, np.nan)]
+    + [(svn_network, ADJACENCY_OK, 0, 2, bad) for bad in (-1, 2, np.nan)],
 )
 def test_membership_checks_reject_values_outside_the_alphabet(build, valid, i, j, bad):
     build(valid)
     build(valid.astype(np.int8))
     with pytest.raises(DataError):
         build(with_bad(valid, i, j, bad))
+
+
+@pytest.mark.parametrize("kernel", [hamiltonian, pair_stability])
+@pytest.mark.parametrize(
+    "values",
+    [np.array(5), np.zeros((3, 3, 3)), [[0, 2, 1], [2, 0, 1], [1, 1, 0]], np.ones((3, 4))],
+    ids=["0-d", "3-d", "entries-2-and-1", "non-square"],
+)
+def test_balance_kernels_reject_raw_arrays_that_are_not_signed_matrices(kernel, values):
+    with pytest.raises(DataError):
+        kernel(values)
+
+
+def test_roc_sorts_once(monkeypatch):
+    calls = []
+    tie_groups = experiment._tie_groups
+
+    def counted(*args):
+        calls.append(args)
+        return tie_groups(*args)
+
+    monkeypatch.setattr(experiment, "_tie_groups", counted)
+    result = roc([True, False, True, False], [0.9, 0.1, 0.5, 0.5])
+    assert len(calls) == 1
+    assert result.auc == auc([True, False, True, False], [0.9, 0.1, 0.5, 0.5]) == 0.875
