@@ -82,7 +82,7 @@ class RunConfig:
             raise UsageError(f"config file not found: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise UsageError(f"cannot parse config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise UsageError(f"config {path} must be a JSON object")
@@ -154,7 +154,8 @@ def _checked(convert, ok, expected):
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _WINDOW = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _ALPHA = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
-_BIN_WIDTH = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
+_POSITIVE_FINITE = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
+_UNIT_INTERVAL = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 def _add_panel_args(p):
@@ -180,11 +181,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic market panel")
     p.add_argument("--model", choices=("paradise", "bipolar", "sector_block"), default="bipolar")
-    p.add_argument("--n", type=int, required=True, help="number of assets")
-    p.add_argument("--t", type=int, required=True, help="number of trading days (price rows)")
-    p.add_argument("--rho-in", type=float, default=0.3)
+    p.add_argument("--n", type=_POSITIVE_INT, required=True, help="number of assets")
+    p.add_argument("--t", type=_WINDOW, required=True, help="number of trading days (price rows)")
+    p.add_argument("--rho-in", type=_UNIT_INTERVAL, default=0.3)
     p.add_argument("--rho-out", type=float, default=-0.1)
-    p.add_argument("--noise-scale", type=float, default=0.02)
+    p.add_argument("--noise-scale", type=_POSITIVE_FINITE, default=0.02)
     p.add_argument("--blocks", help="comma-separated block sizes (sector_block model)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="long-format prices CSV to write")
@@ -216,7 +217,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tout", type=_POSITIVE_INT, required=True, help="out-of-sample returns")
     p.add_argument("--corr-kind", choices=CORR_KINDS, default="phi")
     p.add_argument("--median-scope", choices=MEDIAN_SCOPES, default="universe")
-    p.add_argument("--bin-width", type=_BIN_WIDTH, default=0.05)
+    p.add_argument("--bin-width", type=_POSITIVE_FINITE, default=0.05)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_predict)
 

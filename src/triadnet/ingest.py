@@ -44,8 +44,6 @@ class PricePanel:
         t, n = len(self.dates), len(self.assets)
         if self.prices.shape != (t, n) or self.present.shape != (t, n):
             raise DataError("panel shape mismatch between dates/assets and matrices")
-        if len(set(self.dates)) != t:
-            raise DataError("duplicate dates in panel")
         if any(self.dates[i] >= self.dates[i + 1] for i in range(t - 1)):
             raise DataError("panel dates are not strictly increasing")
         if len(set(self.assets)) != n:
@@ -97,8 +95,15 @@ def _read_rows(path) -> list:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from exc
+
+
+def _body(rows):
+    """(line number, cells) of each row after the header that has a non-blank cell."""
+    for lineno, row in enumerate(rows[1:], start=2):
+        if any(map(str.strip, row)):
+            yield lineno, row
 
 
 def load_sectors(path) -> dict:
@@ -107,9 +112,7 @@ def load_sectors(path) -> dict:
     if not rows:
         raise DataError(f"sectors file {path} is empty")
     sectors = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in _body(rows):
         if len(row) < 2:
             raise DataError(f"sectors file {path} line {lineno}: expected (ticker,sector)")
         ticker, sector = row[0].strip(), row[1].strip()
@@ -122,41 +125,27 @@ def load_sectors(path) -> dict:
 def _load_long(rows, path):
     header = [c.strip().lower() for c in rows[0]]
     try:
-        i_date = header.index("date")
-        i_tick = header.index("ticker")
-        i_price = header.index("adj_close")
+        cols = [header.index(name) for name in ("date", "ticker", "adj_close")]
     except ValueError:
         raise DataError(
             f"{path}: long format needs header columns date,ticker,adj_close; got {rows[0]}"
         ) from None
-    seen = set()
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) <= max(i_date, i_tick, i_price):
+    i_date, i_tick, i_price = cols
+    cells = {}  # (date, ticker) -> price
+    for lineno, row in _body(rows):
+        if len(row) <= max(cols):
             raise DataError(f"{path} line {lineno}: short row {row}")
         date, ticker = row[i_date].strip(), row[i_tick].strip()
         if not date or not ticker:
             raise DataError(f"{path} line {lineno}: empty date or ticker")
-        key = (date, ticker)
-        if key in seen:
-            raise DataError(f"{path} line {lineno}: duplicate (date,ticker) pair {key}")
-        seen.add(key)
-        price = _parse_price(row[i_price], f"{path} line {lineno} ({date},{ticker})")
-        records.append((date, ticker, price))
-    if not records:
-        raise DataError(f"{path}: no data rows")
-    dates = sorted({r[0] for r in records})
-    assets = sorted({r[1] for r in records})
-    d_ix = {d: i for i, d in enumerate(dates)}
-    a_ix = {a: i for i, a in enumerate(assets)}
-    prices = np.full((len(dates), len(assets)), np.nan)
-    present = np.zeros((len(dates), len(assets)), dtype=bool)
-    for date, ticker, price in records:
-        prices[d_ix[date], a_ix[ticker]] = price
-        present[d_ix[date], a_ix[ticker]] = True
-    return dates, assets, prices, present
+        if (date, ticker) in cells:
+            raise DataError(f"{path} line {lineno}: duplicate (date,ticker) pair {(date, ticker)}")
+        cells[date, ticker] = _parse_price(row[i_price], f"{path} line {lineno} ({date},{ticker})")
+    d_ix = {d: i for i, d in enumerate(sorted({d for d, _ in cells}))}
+    a_ix = {a: i for i, a in enumerate(sorted({a for _, a in cells}))}
+    prices = np.full((len(d_ix), len(a_ix)), np.nan)
+    prices[[d_ix[d] for d, _ in cells], [a_ix[a] for _, a in cells]] = list(cells.values())
+    return list(d_ix), list(a_ix), prices
 
 
 def _load_wide(rows, path):
@@ -166,10 +155,10 @@ def _load_wide(rows, path):
     assets = [c.strip() for c in header[1:]]
     if len(set(assets)) != len(assets):
         raise DataError(f"{path}: duplicate ticker columns")
+    if "" in assets:
+        raise DataError(f"{path}: empty ticker name in column {assets.index('') + 2}")
     records = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in _body(rows):
         if len(row) != len(header):
             raise DataError(f"{path} line {lineno}: expected {len(header)} cells, got {len(row)}")
         date = row[0].strip()
@@ -177,20 +166,13 @@ def _load_wide(rows, path):
             raise DataError(f"{path} line {lineno}: empty date")
         if date in records:
             raise DataError(f"{path} line {lineno}: duplicate date {date!r}")
-        cells = []
-        for ticker, cell in zip(assets, row[1:]):
-            text = cell.strip()
-            if text.lower() in _MISSING_STRINGS:
-                cells.append(np.nan)
-            else:
-                cells.append(_parse_price(text, f"{path} line {lineno} ({date},{ticker})"))
-        records[date] = cells
-    if not records:
-        raise DataError(f"{path}: no data rows")
+        records[date] = [
+            np.nan if text.lower() in _MISSING_STRINGS
+            else _parse_price(text, f"{path} line {lineno} ({date},{ticker})")
+            for ticker, text in zip(assets, map(str.strip, row[1:]))
+        ]
     dates = sorted(records)
-    prices = np.array([records[d] for d in dates], dtype=float)
-    present = np.isfinite(prices)
-    return dates, assets, prices, present
+    return dates, assets, np.array([records[d] for d in dates], dtype=float)
 
 
 def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
@@ -205,21 +187,23 @@ def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
         format: "long" or "wide".
 
     Raises:
-        DataError: unreadable file, duplicate (date,ticker), or a price that
-            is non-positive or non-finite (the message names the row).
+        DataError: unreadable or non-UTF-8 file, duplicate (date,ticker), or a
+            price that is non-positive or non-finite (the message names the row).
     """
     rows = _read_rows(prices_path)
     if not rows:
         raise DataError(f"{prices_path}: empty file")
     if format == "long":
-        dates, assets, prices, present = _load_long(rows, prices_path)
+        dates, assets, prices = _load_long(rows, prices_path)
     elif format == "wide":
-        dates, assets, prices, present = _load_wide(rows, prices_path)
+        dates, assets, prices = _load_wide(rows, prices_path)
     else:
         raise DataError(f"unknown panel format {format!r} (expected one of {PANEL_FORMATS})")
+    if not dates:
+        raise DataError(f"{prices_path}: no data rows")
     known = load_sectors(sectors_path)
     sectors = {a: known.get(a, UNKNOWN_SECTOR) for a in assets}
-    return PricePanel(tuple(dates), tuple(assets), prices, present, sectors)
+    return PricePanel(tuple(dates), tuple(assets), prices, np.isfinite(prices), sectors)
 
 
 def slice_window(panel: PricePanel, end_date: str, length: int) -> PricePanel:

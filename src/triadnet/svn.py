@@ -47,28 +47,21 @@ def _log_factorials(t: int) -> np.ndarray:
 
 
 def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
-                  lf: np.ndarray | None = None) -> np.ndarray:
+                  lf: np.ndarray) -> np.ndarray:
     """P(X >= c) for X hypergeometric with population t, successes ki, draws kj.
 
-    Vectorized over pairs; the summation runs in log space so that windows of
-    several thousand days cannot underflow.
+    The counts are int64 arrays with ki, kj in [0, t] and c in
+    [0, min(ki, kj)]; `lf` is `_log_factorials(t)`. Vectorized over pairs; the
+    summation runs in log space so that windows of several thousand days
+    cannot underflow.
     """
-    c = np.asarray(c, dtype=np.int64)
-    ki = np.asarray(ki, dtype=np.int64)
-    kj = np.asarray(kj, dtype=np.int64)
-    if (ki < 0).any() or (kj < 0).any() or (ki > t).any() or (kj > t).any():
-        raise DataError("per-asset counts must lie in [0, T]")
     xmax = np.minimum(ki, kj)
-    if (c < 0).any() or (c > xmax).any():
-        raise DataError("co-occurrence count outside [0, min(k_i, k_j)]")
     lower = np.maximum(0, ki + kj - t)
     full = c <= lower  # tail covers the whole support, exactly 1
     p = np.ones(c.shape, dtype=float)
     todo = ~full
     if not todo.any():
         return p
-    if lf is None:
-        lf = _log_factorials(t)
     log_denom = lf[t] - lf[kj] - lf[t - kj]
     width = int((xmax[todo] - c[todo]).max()) + 1
     x = c[todo, None] + np.arange(width)[None, :]
@@ -92,7 +85,13 @@ def link_pvalue(c: int, k_i: int, k_j: int, T: int) -> float:
     """Right-tail p-value of observing at least c joint days; see _tail_pvalues."""
     if T < 1:
         raise DataError("window length must be positive")
-    return float(_tail_pvalues(np.array([c]), np.array([k_i]), np.array([k_j]), T)[0])
+    c, k_i, k_j = int(c), int(k_i), int(k_j)
+    if not (0 <= k_i <= T and 0 <= k_j <= T):
+        raise DataError("per-asset counts must lie in [0, T]")
+    if not 0 <= c <= min(k_i, k_j):
+        raise DataError("co-occurrence count outside [0, min(k_i, k_j)]")
+    counts = (np.array([v], dtype=np.int64) for v in (c, k_i, k_j))
+    return float(_tail_pvalues(*counts, T, _log_factorials(T))[0])
 
 
 def bh_select(pvalues, alpha: float) -> set:

@@ -200,6 +200,7 @@ VALID_ARGS = {
     "balance": ["balance", *PANEL_ARGS, "--window", "60", "--out", "b.json"],
     "predict": ["predict", *PANEL_ARGS, "--tin", "20", "--tout", "20"],
     "grid": ["grid", "--config", "c.json"],
+    "synth": ["synth", "--n", "4", "--t", "10", "--out", "p.csv"],
 }
 
 # (subcommand, flag, value that must be a usage error naming the flag)
@@ -218,6 +219,10 @@ BAD_FLAGS = [
     ("predict", "--bin-width", "inf"),
     ("grid", "--jobs", "0"),
     ("grid", "--seed", "3"),
+    ("synth", "--n", "0"),
+    ("synth", "--t", "1"),
+    ("synth", "--noise-scale", "-1"),
+    ("synth", "--rho-in", "2"),
 ]
 
 
@@ -225,6 +230,23 @@ BAD_FLAGS = [
 def test_bad_flag_values_are_usage_errors(command, flag, value, capsys):
     code, _, err = run([*VALID_ARGS[command], flag, value], capsys)
     assert code == 1 and "usage error" in err and flag in err, err
+
+
+def test_prices_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    prices, sectors = make_market(tmp_path, capsys, n=4, t=10)
+    prices.write_bytes(prices.read_bytes() + b"2000-02-01,A0,\xff\n")
+    code, _, err = run(
+        ["ingest-check", "--prices", str(prices), "--sectors", str(sectors)], capsys
+    )
+    assert code == 2 and "data error:" in err and "Traceback" not in err, err
+    assert "prices.csv" in err
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b'{"prices": "\xff"}')
+    code, _, err = run(["grid", "--config", str(cfg)], capsys)
+    assert code == 1 and "usage error:" in err and "c.json" in err, err
 
 
 def test_synth_sector_block_cli(tmp_path, capsys):

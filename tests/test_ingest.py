@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from triadnet.errors import DataError
-from triadnet.ingest import load_panel, slice_window, write_panel_long
+from triadnet.ingest import PricePanel, load_panel, slice_window, write_panel_long
 
 from conftest import make_panel
 
@@ -138,3 +138,168 @@ def test_roundtrip_idempotent(tmp_path, rng):
     write_panel_long(loaded, p2, s2)
     assert p1.read_bytes() == p2.read_bytes()
     assert load_panel(p2, s2, "long") == loaded
+
+
+LONG = "date,ticker,adj_close\n"
+WIDE = "date,A,B\n"
+SECTORS = "ticker,sector\nA,X\nB,Y\n"
+
+# (format, prices file, sectors file, pattern naming the file and, where the
+# fault sits in a row, its line); blank rows still count as lines.
+SINGLE_FAULTS = {
+    "unparseable price": (
+        "long", LONG + "2020-01-02,A,1\n2020-01-03,A,abc\n", SECTORS,
+        r"unparseable price 'abc' at .*/p\.csv line 3 \(2020-01-03,A\)",
+    ),
+    "long header": (
+        "long", "date,tick,adj_close\n2020-01-02,A,1\n", SECTORS,
+        r"/p\.csv: long format needs header columns date,ticker,adj_close",
+    ),
+    "long short row": (
+        "long", LONG + "2020-01-02,A,1\n\n2020-01-03,A\n", SECTORS,
+        r"/p\.csv line 4: short row \['2020-01-03', 'A'\]",
+    ),
+    "long empty date": ("long", LONG + " ,A,1\n", SECTORS, r"/p\.csv line 2: empty date or ticker"),
+    "long empty ticker": (
+        "long", LONG + "2020-01-02,A,1\n2020-01-02, ,1\n", SECTORS,
+        r"/p\.csv line 3: empty date or ticker",
+    ),
+    "long no data rows": ("long", LONG + "\n , ,\n", SECTORS, r"/p\.csv: no data rows"),
+    "wide header": (
+        "wide", "date\n2020-01-02\n", SECTORS,
+        r"/p\.csv: wide format needs a date column plus ticker columns",
+    ),
+    "wide duplicate ticker columns": (
+        "wide", "date,A, A\n2020-01-02,1,2\n", SECTORS, r"/p\.csv: duplicate ticker columns",
+    ),
+    "wide cell count": (
+        "wide", WIDE + "2020-01-02,1,2\n2020-01-03,1\n", SECTORS,
+        r"/p\.csv line 3: expected 3 cells, got 2",
+    ),
+    "wide empty date": ("wide", WIDE + ",1,2\n", SECTORS, r"/p\.csv line 2: empty date$"),
+    "wide no data rows": ("wide", WIDE + ",,\n\n", SECTORS, r"/p\.csv: no data rows"),
+    "empty prices file": ("long", "", SECTORS, r"/p\.csv: empty file"),
+    "empty sectors file": ("long", LONG + "2020-01-02,A,1\n", "", r"sectors file .*/s\.csv is empty"),
+    "sectors short row": (
+        "long", LONG + "2020-01-02,A,1\n", "ticker,sector\nA,X\n\nB\n",
+        r"sectors file .*/s\.csv line 4: expected \(ticker,sector\)",
+    ),
+    "sectors duplicate ticker": (
+        "long", LONG + "2020-01-02,A,1\n", "ticker,sector\nA,X\nA,Y\n",
+        r"sectors file .*/s\.csv line 3: duplicate ticker 'A'",
+    ),
+    "long prices not utf-8": (
+        "long", LONG.encode() + b"2020-01-02,A,1\xff\n", SECTORS,
+        r"unreadable file .*/p\.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "wide prices not utf-8": (
+        "wide", WIDE.encode() + b"2020-01-02,1,\xff\n", SECTORS,
+        r"unreadable file .*/p\.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "sectors not utf-8": (
+        "long", LONG + "2020-01-02,A,1\n", b"ticker,sector\nA,\xff\n",
+        r"unreadable file .*/s\.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "oversized field": (
+        "long", LONG + '2020-01-02,A,"' + "1" * 200_000 + '"\n', SECTORS,
+        r"unreadable file .*/p\.csv: field larger than field limit \(131072\)",
+    ),
+    "wide empty ticker name": (
+        "wide", "date,,B\n2020-01-02,1,2\n", SECTORS, r"/p\.csv: empty ticker name in column 2",
+    ),
+    "first bad row in file order": (
+        "long", LONG + "2020-01-02,A,1\n2020-01-02,A,x\n2020-01-03,,1\n", SECTORS,
+        r"/p\.csv line 3: duplicate \(date,ticker\) pair \('2020-01-02', 'A'\)",
+    ),
+}
+
+
+def _write_bytes(path, body):
+    path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("fmt,prices,sectors,pattern", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS)
+def test_single_fault_files_name_the_file_and_row(tmp_path, fmt, prices, sectors, pattern):
+    p = _write_bytes(tmp_path / "p.csv", prices)
+    s = _write_bytes(tmp_path / "s.csv", sectors)
+    with pytest.raises(DataError, match=pattern):
+        load_panel(p, s, fmt)
+
+
+def test_load_wide_keeps_header_order_blank_rows_and_empty_dates(tmp_path):
+    prices = _write(
+        tmp_path / "p.csv",
+        "date,Z,A,M\n\n2020-01-05,1.5,,NaN\n2020-01-02,2,3,4\n , , ,\n"
+        "2020-01-03,,nan, \n2020-01-04,1e3,2.5,7\n",
+    )
+    panel = load_panel(prices, _sectors_file(tmp_path), "wide")
+    assert panel.assets == ("Z", "A", "M")
+    assert panel.dates == ("2020-01-02", "2020-01-03", "2020-01-04", "2020-01-05")
+    assert panel.present.tolist() == [
+        [True, True, True], [False, False, False], [True, True, True], [True, False, False],
+    ]
+    assert panel.prices[panel.present].tolist() == [2.0, 3.0, 4.0, 1e3, 2.5, 7.0, 1.5]
+    assert np.isnan(panel.prices[~panel.present]).all()
+
+
+def _panel_args(**changes):
+    args = {
+        "dates": ("2020-01-02", "2020-01-03"),
+        "assets": ("A", "B"),
+        "prices": np.ones((2, 2)),
+        "present": np.ones((2, 2), dtype=bool),
+        "sectors": {"A": "X", "B": "Y"},
+    }
+    args.update(changes)
+    return args
+
+
+@pytest.mark.parametrize(
+    "changes,pattern",
+    [
+        ({"prices": np.ones((3, 2))}, "shape mismatch"),
+        ({"dates": ("2020-01-02", "2020-01-02")}, "not strictly increasing"),
+        ({"dates": ("2020-01-03", "2020-01-02")}, "not strictly increasing"),
+        ({"assets": ("A", "A")}, "duplicate asset"),
+        ({"prices": np.array([[1.0, 0.0], [1.0, 1.0]])}, "finite and strictly positive"),
+        ({"sectors": {"A": "X"}}, r"sectors map does not cover assets: \['B'\]"),
+    ],
+)
+def test_price_panel_constructor_checks(changes, pattern):
+    PricePanel(**_panel_args())
+    with pytest.raises(DataError, match=pattern):
+        PricePanel(**_panel_args(**changes))
+
+
+_FUZZ_TOKENS = [
+    b"date", b"ticker", b"adj_close", b"A", b"B", b"2020-01-02", b"2020-01-03",
+    b",", b",", b",", b'"', b"\r\n", b"\n", b"\n", b"1.5", b"2", b"0", b"-1",
+    b"nan", b"inf", b" ", b"\xff", b"\x00",
+    b"2020-01-02,A,1.5\n", b"2020-01-03,B,2\n", b"2020-01-02,1.5,\n", b"2020-01-03,2,3\n",
+]
+_FUZZ_HEADERS = [b"", b"date,ticker,adj_close\n", b"date,A,B\n"]
+_FUZZ_SECTORS = [
+    b"ticker,sector\nA,X\nB,Y\n", b"ticker,sector\n", b"", b"ticker,sector\nA\n",
+    b"ticker,sector\nA,X\nA,Y\n", b"ticker,sector\n\xff\n", b"ticker,sector\n\nB,\n",
+]
+
+
+def test_load_panel_returns_a_panel_or_raises_data_error_on_arbitrary_bytes(tmp_path):
+    rng = np.random.default_rng(20201)
+    p, s = tmp_path / "p.csv", tmp_path / "s.csv"
+    loaded = 0
+    for _ in range(2000):
+        body = _FUZZ_HEADERS[rng.integers(len(_FUZZ_HEADERS))] + b"".join(
+            _FUZZ_TOKENS[i] for i in rng.integers(len(_FUZZ_TOKENS), size=rng.integers(0, 25))
+        )
+        p.write_bytes(body)
+        for fmt in ("long", "wide"):
+            s.write_bytes(_FUZZ_SECTORS[rng.integers(len(_FUZZ_SECTORS))])
+            try:
+                panel = load_panel(p, s, fmt)
+            except DataError:
+                continue
+            assert isinstance(panel, PricePanel)
+            loaded += 1
+    assert loaded > 0
