@@ -10,7 +10,6 @@ from .balance import (
     hamiltonian,
     pair_stability,
     spectral_summary,
-    triad_is_stable,
 )
 from .correlation import (
     CorrMatrix,
@@ -44,11 +43,10 @@ from .preprocess import (
     binarize,
     complete_case,
     log_returns,
-    market_mode,
     volatility,
 )
 from .svn import Svn, bh_select, build_svn, link_pvalue
-from .synth import SynthSpec, generate, implied_correlation
+from .synth import SynthSpec, generate
 
 __all__ = [
     "BalanceReport",
@@ -79,12 +77,10 @@ __all__ = [
     "generate",
     "h_auc_association",
     "hamiltonian",
-    "implied_correlation",
     "link_density",
     "link_pvalue",
     "load_panel",
     "log_returns",
-    "market_mode",
     "pair_stability",
     "partial_pearson",
     "pearson_matrix",
@@ -96,7 +92,6 @@ __all__ = [
     "spectral_summary",
     "stability_profile",
     "timeseries_rows",
-    "triad_is_stable",
     "volatility",
     "window_correlation",
     "write_panel_long",

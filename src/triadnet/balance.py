@@ -42,14 +42,6 @@ def _signed_values(s, what: str) -> np.ndarray:
     return s.values
 
 
-def triad_is_stable(s_ij: int, s_ik: int, s_jk: int) -> bool:
-    """True when the triad's sign product is +1."""
-    for s in (s_ij, s_ik, s_jk):
-        if s not in (-1, 1):
-            raise DataError(f"triad signs must be -1 or +1, got {s!r}")
-    return s_ij * s_ik * s_jk == 1
-
-
 def _triad_products(values: np.ndarray) -> np.ndarray:
     """S * S^2 (elementwise) of a validated signed matrix: the summed sign
     product of the triads through each pair, exact while N^3 < 2**53."""
@@ -92,8 +84,8 @@ def spectral_summary(corr: CorrMatrix, k: int = 2):
     eigenvector is unit norm with its largest-magnitude component positive,
     so repeated runs agree on its direction.
     """
-    if not np.isfinite(corr.values).all():
-        raise DataError("correlation matrix has non-finite entries")
+    if corr.n == 0:
+        raise DataError("spectral summary needs at least 1 asset")
     w, v = np.linalg.eigh(corr.values)
     w, v = w[::-1], v[:, ::-1]
     fracs = w[: min(k, len(w))] / corr.n
@@ -114,18 +106,13 @@ def eigvec_overlap(v_in: np.ndarray, v_out: np.ndarray) -> float:
 
 
 def balance_report(signed: SignedMatrix, corr: CorrMatrix) -> BalanceReport:
-    """Bundle the balance index, pair stabilities and spectral fractions."""
+    """Bundle the balance index, pair stabilities and spectral fractions.
+
+    H and the pair stabilities come first, so a network of fewer than 3
+    nodes is rejected before the spectrum is taken.
+    """
+    h, delta = hamiltonian(signed), pair_stability(signed)
     fracs, v1 = spectral_summary(corr, k=2)
-    cleaned = []
-    for f in fracs:
-        if f < -1e-8:
-            raise DataError("eigenvalue fraction is negative beyond tolerance")
-        cleaned.append(max(float(f), 0.0))
-    while len(cleaned) < 2:
-        cleaned.append(0.0)
-    return BalanceReport(
-        h=hamiltonian(signed),
-        delta=pair_stability(signed),
-        eig_fracs=tuple(cleaned[:2]),
-        v1=v1,
-    )
+    if (fracs < -1e-8).any():
+        raise DataError("eigenvalue fraction is negative beyond tolerance")
+    return BalanceReport(h=h, delta=delta, eig_fracs=tuple(max(float(f), 0.0) for f in fracs), v1=v1)

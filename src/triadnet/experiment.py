@@ -61,12 +61,6 @@ class SignChangeDataset:
     labels: np.ndarray
     scores_delta: np.ndarray
     scores_absphi: np.ndarray
-    s_in: np.ndarray
-    s_out: np.ndarray
-
-    @property
-    def pairs(self) -> list:
-        return list(zip(self.iu.tolist(), self.ju.tolist()))
 
     @property
     def n_pairs(self) -> int:
@@ -178,8 +172,6 @@ def _dataset(w_in, w_out, corr_kind: str, median_scope: str):
         labels=s_in[iu, ju] != signed_out.values[iu, ju],
         scores_delta=-(products[iu, ju] / (len(common) - 2)),
         scores_absphi=-np.abs(corr_in.values[iu, ju]),
-        s_in=s_in,
-        s_out=signed_out.values,
     )
     return dataset, _balance_index(products), signed_out
 
@@ -304,14 +296,12 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
 
 # Worker state for process pools: the panel is shipped once per worker and its
 # returns and universe market mode are computed there once; every window is a
-# row slice of them.
+# row slice of them. A serial run keeps them local instead.
 _GRID_STATE = {}
 
 
 def _grid_init(panel, corr_kind, median_scope):
-    _GRID_STATE["full"] = _with_mode(log_returns(panel))
-    _GRID_STATE["corr_kind"] = corr_kind
-    _GRID_STATE["median_scope"] = median_scope
+    _GRID_STATE.update(full=_with_mode(log_returns(panel)), kinds=(corr_kind, median_scope))
 
 
 def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
@@ -341,8 +331,7 @@ def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
 
 
 def _grid_task(task):
-    state = _GRID_STATE
-    return task, _evaluate_window(state["full"], *task, state["corr_kind"], state["median_scope"])
+    return task, _evaluate_window(_GRID_STATE["full"], *task, *_GRID_STATE["kinds"])
 
 
 def grid_tasks(panel: PricePanel, t_values, step: int):
@@ -385,8 +374,8 @@ def run_grid(
             chunk = max(1, len(tasks) // (jobs * 8))
             results = list(pool.map(_grid_task, tasks, chunksize=chunk))
     else:
-        _grid_init(panel, corr_kind, median_scope)
-        results = [_grid_task(t) for t in tasks]
+        full = _with_mode(log_returns(panel))
+        results = [(t, _evaluate_window(full, *t, corr_kind, median_scope)) for t in tasks]
     records = []
     skipped = 0
     for task, (record, reason) in results:
@@ -471,7 +460,7 @@ def timeseries_rows(
                 "date": panel.dates[end_idx],
                 "h": hamiltonian(sign_matrix(corr_in)),
                 "g": g_value,
-                "density": link_density(graph, len(net.assets)) if len(net.assets) >= 2 else None,
+                "density": link_density(graph) if graph.n_nodes >= 2 else None,
                 "volatility": volatility(w_in[0]),
                 "lambda1_frac": max(float(fracs[0]), 0.0),
                 "v1_overlap": overlap,

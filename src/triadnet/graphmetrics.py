@@ -66,8 +66,9 @@ def assortativity(g: LabeledGraph) -> float:
     return (intra - expected) / denominator
 
 
-def link_density(g: LabeledGraph, n: int) -> float:
-    """Fraction of the n*(n-1)/2 possible links that are present."""
+def link_density(g: LabeledGraph) -> float:
+    """Fraction of the n*(n-1)/2 possible links among the graph's n nodes that are present."""
+    n = g.n_nodes
     if n < 2:
         raise DataError("link density needs at least 2 nodes")
     return g.m / (n * (n - 1) / 2)

@@ -69,17 +69,6 @@ class PricePanel:
         except ValueError:
             raise DataError(f"date {date!r} not in panel") from None
 
-    def __eq__(self, other):
-        if not isinstance(other, PricePanel):
-            return NotImplemented
-        return (
-            self.dates == other.dates
-            and self.assets == other.assets
-            and self.sectors == {a: other.sectors[a] for a in other.assets}
-            and np.array_equal(self.present, other.present)
-            and np.array_equal(self.prices[self.present], other.prices[other.present])
-        )
-
 
 def _parse_price(text: str, where: str) -> float:
     try:
@@ -91,28 +80,35 @@ def _parse_price(text: str, where: str) -> float:
     return value
 
 
-def _read_rows(path) -> list:
+def _read_rows(path):
+    """(records, first physical line of each record); a quoted field may span lines."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
+            if reader.line_num == len(rows):
+                return rows, range(1, len(rows) + 1)
+            fh.seek(0)  # a record spans lines: find the line each one starts on
+            reader = csv.reader(fh)
+            return rows, [1] + [reader.line_num + 1 for _ in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from exc
 
 
-def _body(rows):
-    """(line number, cells) of each row after the header that has a non-blank cell."""
-    for lineno, row in enumerate(rows[1:], start=2):
+def _body(rows, starts):
+    """(physical line number, cells) of each row after the header that has a non-blank cell."""
+    for lineno, row in zip(starts[1:], rows[1:]):
         if any(map(str.strip, row)):
             yield lineno, row
 
 
 def load_sectors(path) -> dict:
     """Read a (ticker,sector) CSV with a header row into a dict."""
-    rows = _read_rows(path)
+    rows, starts = _read_rows(path)
     if not rows:
         raise DataError(f"sectors file {path} is empty")
     sectors = {}
-    for lineno, row in _body(rows):
+    for lineno, row in _body(rows, starts):
         if len(row) < 2:
             raise DataError(f"sectors file {path} line {lineno}: expected (ticker,sector)")
         ticker, sector = row[0].strip(), row[1].strip()
@@ -122,17 +118,17 @@ def load_sectors(path) -> dict:
     return sectors
 
 
-def _load_long(rows, path):
-    header = [c.strip().lower() for c in rows[0]]
+def _load_long(header, body, path):
+    columns = [c.strip().lower() for c in header]
     try:
-        cols = [header.index(name) for name in ("date", "ticker", "adj_close")]
+        cols = [columns.index(name) for name in ("date", "ticker", "adj_close")]
     except ValueError:
         raise DataError(
-            f"{path}: long format needs header columns date,ticker,adj_close; got {rows[0]}"
+            f"{path}: long format needs header columns date,ticker,adj_close; got {header}"
         ) from None
     i_date, i_tick, i_price = cols
     cells = {}  # (date, ticker) -> price
-    for lineno, row in _body(rows):
+    for lineno, row in body:
         if len(row) <= max(cols):
             raise DataError(f"{path} line {lineno}: short row {row}")
         date, ticker = row[i_date].strip(), row[i_tick].strip()
@@ -148,8 +144,7 @@ def _load_long(rows, path):
     return list(d_ix), list(a_ix), prices
 
 
-def _load_wide(rows, path):
-    header = rows[0]
+def _load_wide(header, body, path):
     if len(header) < 2:
         raise DataError(f"{path}: wide format needs a date column plus ticker columns")
     assets = [c.strip() for c in header[1:]]
@@ -158,7 +153,7 @@ def _load_wide(rows, path):
     if "" in assets:
         raise DataError(f"{path}: empty ticker name in column {assets.index('') + 2}")
     records = {}
-    for lineno, row in _body(rows):
+    for lineno, row in body:
         if len(row) != len(header):
             raise DataError(f"{path} line {lineno}: expected {len(header)} cells, got {len(row)}")
         date = row[0].strip()
@@ -190,13 +185,13 @@ def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
         DataError: unreadable or non-UTF-8 file, duplicate (date,ticker), or a
             price that is non-positive or non-finite (the message names the row).
     """
-    rows = _read_rows(prices_path)
+    rows, starts = _read_rows(prices_path)
     if not rows:
         raise DataError(f"{prices_path}: empty file")
     if format == "long":
-        dates, assets, prices = _load_long(rows, prices_path)
+        dates, assets, prices = _load_long(rows[0], _body(rows, starts), prices_path)
     elif format == "wide":
-        dates, assets, prices = _load_wide(rows, prices_path)
+        dates, assets, prices = _load_wide(rows[0], _body(rows, starts), prices_path)
     else:
         raise DataError(f"unknown panel format {format!r} (expected one of {PANEL_FORMATS})")
     if not dates:

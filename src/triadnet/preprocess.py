@@ -68,21 +68,9 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
     return ReturnPanel(panel.dates[1:], panel.assets, r, present)
 
 
-def market_mode(returns: ReturnPanel) -> np.ndarray:
-    """Per-date median over the returns present that day.
-
-    Even counts use the standard sample median (mean of the two central order
-    statistics). A date with no present return at all is an error.
-    """
-    counts = returns.present.sum(axis=1)
-    if (counts == 0).any():
-        bad = returns.dates[int(np.argmin(counts))]
-        raise DataError(f"date {bad} has no present returns")
-    return _universe_mode(returns)
-
-
 def _universe_mode(returns: ReturnPanel) -> np.ndarray:
-    """`market_mode` of every date, NaN on a date with no present return."""
+    """Per-date median over the returns present that day, NaN on a date with none;
+    even counts use the mean of the two central order statistics."""
     some = returns.present.any(axis=1)
     mode = np.full(len(some), np.nan)
     with np.errstate(invalid="ignore"):

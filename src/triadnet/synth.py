@@ -94,15 +94,6 @@ def _block_ids(spec: SynthSpec) -> np.ndarray:
     return np.repeat(np.arange(spec.n_blocks), spec.block_sizes)
 
 
-def implied_correlation(spec: SynthSpec) -> np.ndarray:
-    """The exact correlation matrix the generator draws from."""
-    blocks = _block_ids(spec)
-    same = blocks[:, None] == blocks[None, :]
-    values = np.where(same, spec.rho_in, spec.rho_out).astype(float)
-    np.fill_diagonal(values, 1.0)
-    return values
-
-
 def _trading_dates(count: int) -> tuple:
     dates = []
     day = _START_DATE

@@ -10,7 +10,6 @@ from triadnet.balance import (
     hamiltonian,
     pair_stability,
     spectral_summary,
-    triad_is_stable,
 )
 from triadnet.correlation import CorrMatrix, SignedMatrix, phi_matrix, sign_matrix
 from triadnet.errors import DataError
@@ -53,15 +52,6 @@ def bipolar(n, split, flip_first=False):
     s = np.where(group[:, None] == group[None, :], 1, -1).astype(np.int8)
     np.fill_diagonal(s, 0)
     return s
-
-
-def test_triad_classification_table():
-    assert triad_is_stable(1, 1, 1)
-    assert triad_is_stable(1, -1, -1)
-    assert not triad_is_stable(1, 1, -1)
-    assert not triad_is_stable(-1, -1, -1)
-    with pytest.raises(DataError):
-        triad_is_stable(0, 1, 1)
 
 
 def test_paradise_is_exactly_minus_one():
@@ -131,6 +121,11 @@ def test_small_matrices_rejected():
         hamiltonian(all_positive(2))
     with pytest.raises(DataError):
         pair_stability(all_positive(2))
+    empty = CorrMatrix((), np.zeros((0, 0)), "phi")
+    with pytest.raises(DataError, match="at least 1 asset"):
+        spectral_summary(empty)
+    with pytest.raises(DataError, match="at least 3 nodes"):
+        balance_report(sign_matrix(empty), empty)
 
 
 def test_accepts_signed_matrix_wrapper(rng):

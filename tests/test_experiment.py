@@ -3,6 +3,7 @@ import pytest
 
 from triadnet.errors import DataError
 from triadnet.experiment import (
+    _GRID_STATE,
     ExperimentRecord,
     aggregate_cells,
     build_dataset,
@@ -110,7 +111,7 @@ def test_build_dataset_negated_group_switches_cross_pairs(rng):
     ds = build_dataset(panel, panel.dates[t], t, t, corr_kind="partial_pearson")
     assert ds.assets == panel.assets
     idx = {a: i for i, a in enumerate(panel.assets)}
-    for (i, j), label in zip(ds.pairs, ds.labels):
+    for i, j, label in zip(ds.iu, ds.ju, ds.labels):
         expected = group_b[idx[ds.assets[i]]] != group_b[idx[ds.assets[j]]]
         assert label == expected
 
@@ -131,7 +132,7 @@ def test_build_dataset_deterministic(rng):
     a = build_dataset(panel, panel.dates[40], 40, 40)
     b = build_dataset(panel, panel.dates[40], 40, 40)
     assert a.assets == b.assets
-    assert a.pairs == b.pairs
+    assert np.array_equal(a.iu, b.iu) and np.array_equal(a.ju, b.ju)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.scores_delta, b.scores_delta)
     assert np.array_equal(a.scores_absphi, b.scores_absphi)
@@ -195,6 +196,12 @@ def test_run_grid_sorted_and_parallel_identical():
     keys = [(r.t_in, r.t_out, r.end_date) for r in serial]
     assert keys == sorted(keys)
     assert [vars(r) for r in serial] == [vars(r) for r in parallel]
+
+
+def test_serial_run_grid_leaves_no_worker_state():
+    panel = generate(SynthSpec(n_assets=8, n_days=50, model="bipolar", seed=3))
+    assert run_grid(panel, [10, 20], 5, jobs=1)
+    assert _GRID_STATE == {}
 
 
 def test_run_grid_infeasible_windows_give_empty_list(rng):

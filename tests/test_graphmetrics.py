@@ -76,13 +76,13 @@ def test_assortativity_always_finite_with_two_labels(rng):
 
 def test_link_density():
     complete = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], ["a"] * 4)
-    assert link_density(complete, 4) == 1.0
+    assert link_density(complete) == 1.0
     empty = graph_from_edges(4, [], ["a"] * 4)
-    assert link_density(empty, 4) == 0.0
+    assert link_density(empty) == 0.0
     three = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], ["a"] * 4)
-    assert link_density(three, 4) == 0.5
+    assert link_density(three) == 0.5
     with pytest.raises(DataError):
-        link_density(empty, 1)
+        link_density(graph_from_edges(1, [], ["a"]))
 
 
 def test_labeled_graph_validation():

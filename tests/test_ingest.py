@@ -133,11 +133,13 @@ def test_roundtrip_idempotent(tmp_path, rng):
     p1, s1 = tmp_path / "p1.csv", tmp_path / "s1.csv"
     write_panel_long(panel, p1, s1)
     loaded = load_panel(p1, s1, "long")
-    assert loaded == panel
     p2, s2 = tmp_path / "p2.csv", tmp_path / "s2.csv"
     write_panel_long(loaded, p2, s2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert load_panel(p2, s2, "long") == loaded
+    for a, b in [(loaded, panel), (load_panel(p2, s2, "long"), loaded)]:
+        assert a.dates == b.dates and a.assets == b.assets and a.sectors == b.sectors
+        assert np.array_equal(a.present, b.present)
+        assert np.array_equal(a.prices[a.present], b.prices[b.present])
 
 
 LONG = "date,ticker,adj_close\n"
@@ -145,7 +147,8 @@ WIDE = "date,A,B\n"
 SECTORS = "ticker,sector\nA,X\nB,Y\n"
 
 # (format, prices file, sectors file, pattern naming the file and, where the
-# fault sits in a row, its line); blank rows still count as lines.
+# fault sits in a row, the physical line it starts on); blank rows and the
+# extra lines of a quoted field that spans lines still count.
 SINGLE_FAULTS = {
     "unparseable price": (
         "long", LONG + "2020-01-02,A,1\n2020-01-03,A,abc\n", SECTORS,
@@ -206,6 +209,10 @@ SINGLE_FAULTS = {
     ),
     "wide empty ticker name": (
         "wide", "date,,B\n2020-01-02,1,2\n", SECTORS, r"/p\.csv: empty ticker name in column 2",
+    ),
+    "line after a field spanning lines": (
+        "long", LONG + '2020-01-02,"A\nB",1\n2020-01-03,A,abc\n', SECTORS,
+        r"unparseable price 'abc' at .*/p\.csv line 4 \(2020-01-03,A\)",
     ),
     "first bad row in file order": (
         "long", LONG + "2020-01-02,A,1\n2020-01-02,A,x\n2020-01-03,,1\n", SECTORS,

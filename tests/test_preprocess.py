@@ -5,10 +5,10 @@ import pytest
 
 from triadnet.errors import DataError
 from triadnet.preprocess import (
+    _universe_mode,
     binarize,
     complete_case,
     log_returns,
-    market_mode,
     volatility,
 )
 
@@ -36,17 +36,17 @@ def test_log_returns_needs_two_dates():
         log_returns(make_panel([[100.0]]))
 
 
-def test_market_mode_odd_even_constant():
-    assert market_mode(make_returns([[1.0, 2.0, 3.0]]))[0] == 2.0
-    assert market_mode(make_returns([[1.0, 2.0, 3.0, 10.0]]))[0] == 2.5
-    assert market_mode(make_returns([[0.7, 0.7, 0.7]]))[0] == pytest.approx(0.7)
+def test_universe_mode_odd_even_constant():
+    assert _universe_mode(make_returns([[1.0, 2.0, 3.0]]))[0] == 2.0
+    assert _universe_mode(make_returns([[1.0, 2.0, 3.0, 10.0]]))[0] == 2.5
+    assert _universe_mode(make_returns([[0.7, 0.7, 0.7]]))[0] == pytest.approx(0.7)
 
 
-def test_market_mode_ignores_missing_and_errors_on_empty_date():
+def test_universe_mode_ignores_missing_and_is_nan_on_empty_date():
     r = make_returns([[1.0, np.nan, 3.0], [np.nan, np.nan, np.nan]])
-    with pytest.raises(DataError, match="no present returns"):
-        market_mode(r)
-    assert market_mode(make_returns([[1.0, np.nan, 3.0]]))[0] == 2.0
+    mode = _universe_mode(r)
+    assert mode[0] == 2.0 and np.isnan(mode[1])
+    assert _universe_mode(make_returns([[1.0, np.nan, 3.0]]))[0] == 2.0
 
 
 def test_binarize_signs_and_tie_rule():

@@ -5,7 +5,15 @@ from triadnet.balance import hamiltonian
 from triadnet.correlation import pearson_matrix, phi_matrix, sign_matrix
 from triadnet.errors import DataError
 from triadnet.preprocess import binarize, complete_case, log_returns
-from triadnet.synth import SynthSpec, generate, implied_correlation
+from triadnet.synth import SynthSpec, generate
+
+
+def implied_correlation(spec):
+    """The exact correlation matrix the generator draws from."""
+    blocks = np.repeat(np.arange(spec.n_blocks), spec.block_sizes)
+    values = np.where(blocks[:, None] == blocks[None, :], spec.rho_in, spec.rho_out).astype(float)
+    np.fill_diagonal(values, 1.0)
+    return values
 
 
 def test_same_seed_identical_panels():

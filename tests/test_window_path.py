@@ -50,7 +50,6 @@ from triadnet.preprocess import (
     binarize,
     complete_case,
     log_returns,
-    market_mode,
     volatility,
 )
 from triadnet.svn import build_svn
@@ -84,6 +83,15 @@ def gappy_panel(seed, n=12, t=80):
 @pytest.fixture(scope="module", params=[14, 15])
 def panel(request):
     return gappy_panel(request.param)
+
+
+def market_mode(returns):
+    """Per-date median over the returns present that day; a date with none is an error."""
+    counts = returns.present.sum(axis=1)
+    if (counts == 0).any():
+        bad = returns.dates[int(np.argmin(counts))]
+        raise DataError(f"date {bad} has no present returns")
+    return _universe_mode(returns)
 
 
 def ref_survivors(panel, end_idx, t, kind, scope):
@@ -130,14 +138,11 @@ def ref_dataset(panel, end_idx, t_in, t_out, kind, scope):
         "assets": common,
         "iu": iu,
         "ju": ju,
-        "pairs": list(zip(iu.tolist(), ju.tolist())),
         "labels": s_in[iu, ju] != s_out[iu, ju],
         "scores_delta": -delta[iu, ju],
         "scores_absphi": -np.abs(c_in.values[iu, ju]),
-        "s_in": s_in,
-        "s_out": s_out,
     }
-    return fields, r_in
+    return fields, r_in, (s_in, s_out)
 
 
 def ref_grid(panel, kind, scope):
@@ -146,7 +151,7 @@ def ref_grid(panel, kind, scope):
     for task in grid_tasks(panel, T_VALUES, STEP):
         t_in, t_out, end_idx = task
         try:
-            ds, r_in = ref_dataset(panel, end_idx, t_in, t_out, kind, scope)
+            ds, r_in, (s_in, s_out) = ref_dataset(panel, end_idx, t_in, t_out, kind, scope)
         except DataError:
             skips[task] = "infeasible"
             continue
@@ -164,10 +169,10 @@ def ref_grid(panel, kind, scope):
                 q_out=t_out / n,
                 auc_delta=roc(labels, ds["scores_delta"]).auc,
                 auc_absphi=roc(labels, ds["scores_absphi"]).auc,
-                h_in=ref_h(ds["s_in"]),
-                h_out=ref_h(ds["s_out"]),
+                h_in=ref_h(s_in),
+                h_out=ref_h(s_out),
                 volatility=volatility(r_in),
-                n_pairs=len(ds["pairs"]),
+                n_pairs=len(ds["iu"]),
             )
         )
     records.sort(key=lambda r: (r.t_in, r.t_out, r.end_date))
@@ -211,7 +216,7 @@ def ref_timeseries(panel, kind, scope):
                 "date": panel.dates[end_idx],
                 "h": ref_h(sign_matrix(corr_in).values),
                 "g": g,
-                "density": link_density(graph, len(net.assets)) if len(net.assets) >= 2 else None,
+                "density": link_density(graph) if len(net.assets) >= 2 else None,
                 "volatility": volatility(r_in),
                 "lambda1_frac": max(float(spectral_summary(corr_in, k=1)[0][0]), 0.0),
                 "v1_overlap": overlap,
@@ -242,7 +247,7 @@ def test_build_dataset_matches_per_window_reference(panel, kind, scope):
     compared = 0
     for end_idx in range(t_in, panel.n_dates - t_out):
         try:
-            expected, _ = ref_dataset(panel, end_idx, t_in, t_out, kind, scope)
+            expected = ref_dataset(panel, end_idx, t_in, t_out, kind, scope)[0]
         except DataError:
             with pytest.raises(DataError):
                 build_dataset(panel, panel.dates[end_idx], t_in, t_out, kind, scope)
