@@ -108,9 +108,15 @@ def eigvec_overlap(v_in: np.ndarray, v_out: np.ndarray) -> float:
 def balance_report(signed: SignedMatrix, corr: CorrMatrix) -> BalanceReport:
     """Bundle the balance index, pair stabilities and spectral fractions.
 
-    H and the pair stabilities come first, so a network of fewer than 3
-    nodes is rejected before the spectrum is taken.
+    Both matrices must cover the same assets. H and the pair stabilities
+    come first, so a network of fewer than 3 nodes is rejected before the
+    spectrum is taken.
     """
+    if signed.assets != corr.assets:
+        raise DataError(
+            f"signed matrix assets ({signed.n}) differ from "
+            f"correlation matrix assets ({corr.n})"
+        )
     h, delta = hamiltonian(signed), pair_stability(signed)
     fracs, v1 = spectral_summary(corr, k=2)
     if (fracs < -1e-8).any():

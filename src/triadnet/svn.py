@@ -42,6 +42,10 @@ class Svn:
         return int(self.adjacency.sum()) // 2
 
 
+_CHUNK_ELEMS = 1 << 17  # float64 entries per (rows x width) array: 1 MB
+_MAX_T = 1 << 21  # c, ki and kj each take 21 bits of the int64 dedup key
+
+
 def _log_factorials(t: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1) for i in range(t + 1)])
 
@@ -54,30 +58,46 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
     [0, min(ki, kj)]; `lf` is `_log_factorials(t)`. Vectorized over pairs; the
     summation runs in log space so that windows of several thousand days
     cannot underflow.
+
+    Each distinct (c, ki, kj) triple is evaluated once. Its terms are padded
+    to one width, the longest tail of the call, and evaluated
+    `_CHUNK_ELEMS // width` rows at a time, so memory is O(pairs + chunk),
+    O(N^2 + chunk) for a window of N assets, not O(pairs x tail width). The
+    dedup key packs each count into 21 bits, hence t < 2**21. The width must
+    stay global: numpy's pairwise sum groups a row's terms by the row length,
+    so a chunk-local width would move the last bits of the p-values.
     """
+    if t >= _MAX_T:
+        raise DataError(f"window length must be below {_MAX_T} days")
     xmax = np.minimum(ki, kj)
     lower = np.maximum(0, ki + kj - t)
-    full = c <= lower  # tail covers the whole support, exactly 1
     p = np.ones(c.shape, dtype=float)
-    todo = ~full
-    if not todo.any():
+    todo = np.flatnonzero(c > lower)  # c <= lower: the whole support, exactly 1
+    if todo.size == 0:
         return p
-    log_denom = lf[t] - lf[kj] - lf[t - kj]
     width = int((xmax[todo] - c[todo]).max()) + 1
-    x = c[todo, None] + np.arange(width)[None, :]
-    valid = x <= xmax[todo, None]
-    xc = np.where(valid, x, 0)
-    a = ki[todo, None]
-    b = kj[todo, None]
-    terms = (
-        lf[a] - lf[xc] - lf[a - xc]
-        + lf[t - a] - lf[b - xc] - lf[(t - a) - (b - xc)]
-        - log_denom[todo, None]
-    )
-    terms = np.where(valid, terms, -np.inf)
-    peak = terms.max(axis=1)
-    tail = np.exp(peak) * np.exp(terms - peak[:, None]).sum(axis=1)
-    p[todo] = np.minimum(tail, 1.0)
+    key = (c[todo] << 42) | (ki[todo] << 21) | kj[todo]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows = todo[first]
+    tail = np.empty(rows.size)
+    step = max(1, _CHUNK_ELEMS // width)
+    for start in range(0, rows.size, step):
+        r = rows[start:start + step]
+        a = ki[r, None]
+        b = kj[r, None]
+        log_denom = lf[t] - lf[b] - lf[t - b]
+        x = c[r, None] + np.arange(width)[None, :]
+        valid = x <= xmax[r, None]
+        xc = np.where(valid, x, 0)
+        terms = (
+            lf[a] - lf[xc] - lf[a - xc]
+            + lf[t - a] - lf[b - xc] - lf[(t - a) - (b - xc)]
+            - log_denom
+        )
+        terms = np.where(valid, terms, -np.inf)
+        peak = terms.max(axis=1)
+        tail[start:start + step] = np.exp(peak) * np.exp(terms - peak[:, None]).sum(axis=1)
+    p[todo] = np.minimum(tail, 1.0)[inverse]
     return p
 
 
@@ -123,7 +143,9 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
     Negative polarity counts up/down disagreement days in both directions,
     takes the smaller of the two tail p-values and doubles it before the
     step-up selection. The counts come from one exact float64 BLAS product
-    (see `util.count_product`).
+    (see `util.count_product`). Memory is O(N^2 + chunk): the tail p-values
+    are evaluated in fixed-size row chunks (see `_tail_pvalues`), never as
+    one pairs x tail-width array.
     """
     if polarity not in POLARITIES:
         raise DataError(f"polarity must be one of {POLARITIES}")

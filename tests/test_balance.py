@@ -182,3 +182,14 @@ def test_balance_report_bundle(rng):
     assert report.delta.shape == (8, 8)
     assert 0 <= report.eig_fracs[1] <= report.eig_fracs[0] <= 1
     assert report.v1.shape == (8,)
+
+
+def test_balance_report_rejects_mismatched_assets(rng):
+    c5 = phi_matrix(random_binary(rng, t=30, n=5))
+    c3 = phi_matrix(random_binary(rng, t=30, n=3))
+    message = r"signed matrix assets \(5\) differ from correlation matrix assets \(3\)"
+    with pytest.raises(DataError, match=message):
+        balance_report(sign_matrix(c5), c3)
+    renamed = CorrMatrix(("X", "Y", "Z", "U", "V"), c5.values, c5.kind)
+    with pytest.raises(DataError, match=r"\(5\) differ .* \(5\)"):
+        balance_report(sign_matrix(c5), renamed)

@@ -2,7 +2,9 @@
 
 The count kernels (phi's co-occurrence counts, the SVN counts and S * S^2 for
 H and pair stability) run as float64 BLAS products; with the int64 matmul
-swapped back in, every output must be bitwise identical. The single-sort AUC
+swapped back in, every output must be bitwise identical. The chunked,
+deduplicated SVN tail kernel must give the same bytes as the one-shot kernel
+it replaces, wherever the chunks break. The single-sort AUC
 must equal the average-rank formula bitwise, `roc` must sort once, and the
 membership checks of the validating wrappers, which also guard the raw arrays
 that `hamiltonian` and `pair_stability` accept, must still reject every value
@@ -177,3 +179,105 @@ def test_roc_sorts_once(monkeypatch):
     result = roc([True, False, True, False], [0.9, 0.1, 0.5, 0.5])
     assert len(calls) == 1
     assert result.auc == auc([True, False, True, False], [0.9, 0.1, 0.5, 0.5]) == 0.875
+
+
+def one_shot_tail_pvalues(c, ki, kj, t, lf):
+    """The SVN tail kernel before chunking: every pair at once, pairs x width."""
+    xmax = np.minimum(ki, kj)
+    lower = np.maximum(0, ki + kj - t)
+    full = c <= lower
+    p = np.ones(c.shape, dtype=float)
+    todo = ~full
+    if not todo.any():
+        return p
+    log_denom = lf[t] - lf[kj] - lf[t - kj]
+    width = int((xmax[todo] - c[todo]).max()) + 1
+    x = c[todo, None] + np.arange(width)[None, :]
+    valid = x <= xmax[todo, None]
+    xc = np.where(valid, x, 0)
+    a = ki[todo, None]
+    b = kj[todo, None]
+    terms = (
+        lf[a] - lf[xc] - lf[a - xc]
+        + lf[t - a] - lf[b - xc] - lf[(t - a) - (b - xc)]
+        - log_denom[todo, None]
+    )
+    terms = np.where(valid, terms, -np.inf)
+    peak = terms.max(axis=1)
+    tail = np.exp(peak) * np.exp(terms - peak[:, None]).sum(axis=1)
+    p[todo] = np.minimum(tail, 1.0)
+    return p
+
+
+def random_triples(rng, t, size):
+    """Counts (c, ki, kj) with c anywhere on the support [max(0, ki+kj-t), min(ki, kj)]."""
+    ki = rng.integers(0, t + 1, size)
+    kj = rng.integers(0, t + 1, size)
+    lower = np.maximum(0, ki + kj - t)
+    c = lower + (rng.random(size) * (np.minimum(ki, kj) - lower + 1)).astype(np.int64)
+    return c, ki, kj
+
+
+def tail_cases():
+    rng = np.random.default_rng(17)
+    for t in (1, 2, 7, 40, 400, 3000):
+        # fewer pairs on long windows keep the one-shot reference near 40 MB
+        counts = random_triples(rng, t, min(5000, 1_000_000 // (t + 1)))
+        yield pytest.param(f"random-t{t}", counts, t, id=f"random-t{t}")
+    c, ki, kj = random_triples(rng, 400, 60)
+    pick = rng.integers(0, 60, 4000)
+    yield pytest.param("repeated", (c[pick], ki[pick], kj[pick]), 400, id="repeated")
+    ki = rng.integers(1, 301, 3000)
+    kj = rng.integers(1, 301, 3000)
+    yield pytest.param("width-1", (np.minimum(ki, kj), ki, kj), 600, id="width-1")
+    full = (np.maximum(0, ki + kj - 600), ki, kj)
+    yield pytest.param("all-full-support", full, 600, id="all-full-support")
+
+
+def chunk_sizes(c, ki, kj, t):
+    """Chunk settings in float64 entries: the default, one row, a non-divisor."""
+    todo = c > np.maximum(0, ki + kj - t)
+    if not todo.any():
+        return [svn._CHUNK_ELEMS, 1]
+    width = int((np.minimum(ki, kj) - c)[todo].max()) + 1
+    key = np.stack([c[todo], ki[todo], kj[todo]], axis=1)
+    rows = len(np.unique(key, axis=0))
+    step = next(k for k in range(2, rows + 2) if rows % k)
+    return [svn._CHUNK_ELEMS, 1, width * step]
+
+
+@pytest.mark.parametrize("name,counts,t", list(tail_cases()))
+def test_chunked_tail_pvalues_match_one_shot_kernel_bytewise(name, counts, t, monkeypatch):
+    c, ki, kj = (np.asarray(v, dtype=np.int64) for v in counts)
+    lf = svn._log_factorials(t)
+    expected = one_shot_tail_pvalues(c, ki, kj, t, lf)
+    if name == "all-full-support":
+        assert (expected == 1.0).all()
+    for chunk in chunk_sizes(c, ki, kj, t):
+        monkeypatch.setattr(svn, "_CHUNK_ELEMS", chunk)
+        got = svn._tail_pvalues(c, ki, kj, t, lf)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), (name, chunk)
+
+
+@pytest.mark.parametrize("polarity", svn.POLARITIES)
+def test_build_svn_under_forced_chunks_matches_one_shot_kernel(polarity, monkeypatch):
+    rng = np.random.default_rng(29)
+    driver = rng.choice([-1, 1], size=300)
+    # followers of the driver and of its opposite give links at both polarities
+    cols = [sign * np.where(rng.random(300) < 0.2, -driver, driver) for sign in (1, -1) * 6]
+    cols += [rng.choice([-1, 1], size=300) for _ in range(28)]
+    b = BinaryPanel(
+        tuple(range(300)), tuple(range(40)), np.column_stack(cols).astype(np.int8)
+    )
+    results = []
+    # the default, one row per chunk, and chunks of a few rows
+    for chunk in (svn._CHUNK_ELEMS, 1, 7 * 301):
+        monkeypatch.setattr(svn, "_CHUNK_ELEMS", chunk)
+        results.append(build_svn(b, alpha=0.1, polarity=polarity))
+    monkeypatch.setattr(svn, "_tail_pvalues", one_shot_tail_pvalues)
+    reference = build_svn(b, alpha=0.1, polarity=polarity)
+    assert reference.n_links > 0
+    for net in results:
+        assert np.array_equal(net.adjacency, reference.adjacency)
+        assert net.pvalues == reference.pvalues

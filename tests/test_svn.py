@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from triadnet.correlation import phi_matrix
 from triadnet.errors import DataError
-from triadnet.svn import bh_select, build_svn, link_pvalue
+from triadnet.svn import _tail_pvalues, bh_select, build_svn, link_pvalue
 
 from conftest import make_binary, random_binary
 
@@ -51,6 +52,12 @@ def test_link_pvalue_bound_errors():
         link_pvalue(0, 11, 5, 10)
     with pytest.raises(DataError):
         link_pvalue(-1, 5, 5, 10)
+
+
+def test_tail_pvalues_reject_windows_beyond_the_dedup_key():
+    one = np.ones(1, dtype=np.int64)
+    with pytest.raises(DataError, match="below 2097152 days"):
+        _tail_pvalues(one, one, one, 2**21, np.empty(0))
 
 
 def test_bh_select_examples():
@@ -155,3 +162,17 @@ def test_link_pvalue_stable_for_long_windows():
 def test_build_svn_rejects_bad_polarity(rng):
     with pytest.raises(DataError):
         build_svn(random_binary(rng, 10, 3), alpha=0.1, polarity="both")
+
+
+@pytest.mark.parametrize("polarity", ["positive", "negative"])
+def test_build_svn_memory_is_bounded_at_paper_scale(polarity):
+    # 400 assets over 1,200 days: pairs x tail width would be about 1 GB
+    rng = np.random.default_rng(5)
+    b = make_binary(rng.choice(np.array([-1, 1], dtype=np.int8), size=(1200, 400)))
+    tracemalloc.start()
+    try:
+        build_svn(b, alpha=0.1, polarity=polarity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
