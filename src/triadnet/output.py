@@ -17,11 +17,8 @@ def _write_rows(path, header, rows) -> None:
     String cells are written as they are; every other cell goes through
     `fmt`, which prints an integer below 10**12 as `str` would.
     """
-    text = "".join(
-        ",".join(c if isinstance(c, str) else fmt(c) for c in row) + "\n"
-        for row in chain([header], rows)
-    )
-    atomic_write_text(path, text)
+    cells = ((c if isinstance(c, str) else fmt(c) for c in row) for row in chain([header], rows))
+    atomic_write_text(path, (",".join(row) + "\n" for row in cells))
 
 
 def write_records_csv(records, path) -> None:

@@ -63,14 +63,17 @@ def fmt(x) -> str:
     return f"{xf:.12g}"
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write `text` to `path` via a temp file in the same directory plus rename."""
+def atomic_write_text(path, text) -> None:
+    """Write `text` (a string, or strings written as they come) to `path` via a temp file in
+    the same directory plus rename. The file gets open()'s mode, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            os.umask(umask := os.umask(0))  # reading the umask means setting it
+            os.fchmod(fd, 0o666 & ~umask)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:

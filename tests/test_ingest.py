@@ -1,8 +1,12 @@
+import csv
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from triadnet.errors import DataError
-from triadnet.ingest import PricePanel, load_panel, slice_window, write_panel_long
+from triadnet.ingest import UNKNOWN_SECTOR, PricePanel, load_panel, slice_window, write_panel_long
 
 from conftest import make_panel
 
@@ -218,6 +222,59 @@ SINGLE_FAULTS = {
         "long", LONG + "2020-01-02,A,1\n2020-01-02,A,x\n2020-01-03,,1\n", SECTORS,
         r"/p\.csv line 3: duplicate \(date,ticker\) pair \('2020-01-02', 'A'\)",
     ),
+    # A quoted field that spans lines comes before the fault, so the message
+    # needs the line lookup of the error path, at every site that raises.
+    "long short row after a field spanning lines": (
+        "long", LONG + '2020-01-02,"A\nB",1\n\n2020-01-03,A\n', SECTORS,
+        r"/p\.csv line 5: short row \['2020-01-03', 'A'\]",
+    ),
+    "long short row that itself spans lines": (
+        "long", LONG + '2020-01-02,A,1\n2020-01-03,"A\nB"\n', SECTORS,
+        r"/p\.csv line 3: short row \['2020-01-03', 'A\\nB'\]",
+    ),
+    "long empty ticker after a field spanning lines": (
+        "long", LONG + '2020-01-02,"A\nB",1\n2020-01-02, ,1\n', SECTORS,
+        r"/p\.csv line 4: empty date or ticker",
+    ),
+    "long duplicate pair after a field spanning lines": (
+        "long", LONG + '2020-01-02,"A\nB",1\n2020-01-02,A,1\n2020-01-02,A,2\n', SECTORS,
+        r"/p\.csv line 5: duplicate \(date,ticker\) pair \('2020-01-02', 'A'\)",
+    ),
+    "long non-positive price after a field spanning lines": (
+        "long", LONG + '2020-01-02,A,"1\n"\n2020-01-03,A,-1\n', SECTORS,
+        r"non-positive or non-finite price '-1' at .*/p\.csv line 4 \(2020-01-03,A\)",
+    ),
+    "wide cell count after a field spanning lines": (
+        "wide", WIDE + '2020-01-02,"1\n",2\n2020-01-03,1\n', SECTORS,
+        r"/p\.csv line 4: expected 3 cells, got 2",
+    ),
+    "wide empty date after a field spanning lines": (
+        "wide", WIDE + '2020-01-02,1,"\n2"\n\n ,1,2\n', SECTORS, r"/p\.csv line 5: empty date$",
+    ),
+    "wide duplicate date after a field spanning lines": (
+        "wide", WIDE + '"2020-01-02\n",1,2\n2020-01-02,1,2\n', SECTORS,
+        r"/p\.csv line 4: duplicate date '2020-01-02'",
+    ),
+    "wide bad price after a field spanning lines": (
+        "wide", WIDE + '2020-01-02,"1\n\n",2\n2020-01-03,1,x\n', SECTORS,
+        r"unparseable price 'x' at .*/p\.csv line 5 \(2020-01-03,B\)",
+    ),
+    "sectors short row after a field spanning lines": (
+        "long", LONG + "2020-01-02,A,1\n", 'ticker,sector\nA,"X\nY"\nB\n',
+        r"sectors file .*/s\.csv line 4: expected \(ticker,sector\)",
+    ),
+    "sectors duplicate ticker after a field spanning lines": (
+        "long", LONG + "2020-01-02,A,1\n", 'ticker,sector\nA,X\nB,"Y\nZ"\nA,Y\n',
+        r"sectors file .*/s\.csv line 5: duplicate ticker 'A'",
+    ),
+    # The reader meets the bad price before it decodes the chunk, more than
+    # 8 KB later, that holds the byte that is not UTF-8.
+    "bad price before an undecodable byte": (
+        "long",
+        (LONG + "2020-01-02,A,1\n2020-01-03,A,abc\n" + "2020-01-04,A,1\n" * 700).encode() + b"\xff\n",
+        SECTORS,
+        r"unparseable price 'abc' at .*/p\.csv line 3 \(2020-01-03,A\)",
+    ),
 }
 
 
@@ -310,3 +367,229 @@ def test_load_panel_returns_a_panel_or_raises_data_error_on_arbitrary_bytes(tmp_
             assert isinstance(panel, PricePanel)
             loaded += 1
     assert loaded > 0
+
+
+# --- reference loader: the list-based reader the streaming one replaced ------
+# It reads every record into a list before it parses any, then builds a
+# (date, ticker) -> price dict (long) or a date -> row dict (wide).
+
+
+def _ref_rows(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+            if reader.line_num == len(rows):
+                return rows, range(1, len(rows) + 1)
+            fh.seek(0)
+            reader = csv.reader(fh)
+            return rows, [1] + [reader.line_num + 1 for _ in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"unreadable file {path}: {exc}") from exc
+
+
+def _ref_body(rows, starts):
+    for lineno, row in zip(starts[1:], rows[1:]):
+        if any(map(str.strip, row)):
+            yield lineno, row
+
+
+def _ref_price(text, where):
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"unparseable price {text!r} at {where}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise DataError(f"non-positive or non-finite price {text!r} at {where}")
+    return value
+
+
+def _ref_sectors(path):
+    rows, starts = _ref_rows(path)
+    if not rows:
+        raise DataError(f"sectors file {path} is empty")
+    sectors = {}
+    for lineno, row in _ref_body(rows, starts):
+        if len(row) < 2:
+            raise DataError(f"sectors file {path} line {lineno}: expected (ticker,sector)")
+        ticker, sector = row[0].strip(), row[1].strip()
+        if ticker in sectors:
+            raise DataError(f"sectors file {path} line {lineno}: duplicate ticker {ticker!r}")
+        sectors[ticker] = sector or UNKNOWN_SECTOR
+    return sectors
+
+
+def _ref_long(header, body, path):
+    columns = [c.strip().lower() for c in header]
+    try:
+        cols = [columns.index(name) for name in ("date", "ticker", "adj_close")]
+    except ValueError:
+        raise DataError(
+            f"{path}: long format needs header columns date,ticker,adj_close; got {header}"
+        ) from None
+    i_date, i_tick, i_price = cols
+    cells = {}
+    for lineno, row in body:
+        if len(row) <= max(cols):
+            raise DataError(f"{path} line {lineno}: short row {row}")
+        date, ticker = row[i_date].strip(), row[i_tick].strip()
+        if not date or not ticker:
+            raise DataError(f"{path} line {lineno}: empty date or ticker")
+        if (date, ticker) in cells:
+            raise DataError(f"{path} line {lineno}: duplicate (date,ticker) pair {(date, ticker)}")
+        cells[date, ticker] = _ref_price(row[i_price], f"{path} line {lineno} ({date},{ticker})")
+    d_ix = {d: i for i, d in enumerate(sorted({d for d, _ in cells}))}
+    a_ix = {a: i for i, a in enumerate(sorted({a for _, a in cells}))}
+    prices = np.full((len(d_ix), len(a_ix)), np.nan)
+    prices[[d_ix[d] for d, _ in cells], [a_ix[a] for _, a in cells]] = list(cells.values())
+    return list(d_ix), list(a_ix), prices
+
+
+def _ref_wide(header, body, path):
+    if len(header) < 2:
+        raise DataError(f"{path}: wide format needs a date column plus ticker columns")
+    assets = [c.strip() for c in header[1:]]
+    if len(set(assets)) != len(assets):
+        raise DataError(f"{path}: duplicate ticker columns")
+    if "" in assets:
+        raise DataError(f"{path}: empty ticker name in column {assets.index('') + 2}")
+    records = {}
+    for lineno, row in body:
+        if len(row) != len(header):
+            raise DataError(f"{path} line {lineno}: expected {len(header)} cells, got {len(row)}")
+        date = row[0].strip()
+        if not date:
+            raise DataError(f"{path} line {lineno}: empty date")
+        if date in records:
+            raise DataError(f"{path} line {lineno}: duplicate date {date!r}")
+        records[date] = [
+            np.nan if text.lower() in {"", "nan"}
+            else _ref_price(text, f"{path} line {lineno} ({date},{ticker})")
+            for ticker, text in zip(assets, map(str.strip, row[1:]))
+        ]
+    dates = sorted(records)
+    return dates, assets, np.array([records[d] for d in dates], dtype=float)
+
+
+def ref_load_panel(prices_path, sectors_path, fmt):
+    rows, starts = _ref_rows(prices_path)
+    if not rows:
+        raise DataError(f"{prices_path}: empty file")
+    load = {"long": _ref_long, "wide": _ref_wide}[fmt]
+    dates, assets, prices = load(rows[0], _ref_body(rows, starts), prices_path)
+    if not dates:
+        raise DataError(f"{prices_path}: no data rows")
+    known = _ref_sectors(sectors_path)
+    sectors = {a: known.get(a, UNKNOWN_SECTOR) for a in assets}
+    return PricePanel(tuple(dates), tuple(assets), prices, np.isfinite(prices), sectors)
+
+
+def _outcome(load, p, s, fmt):
+    """The loaded panel's fields as bytes, or the DataError message."""
+    try:
+        panel = load(p, s, fmt)
+    except DataError as exc:
+        return str(exc)
+    return (panel.dates, panel.assets, panel.sectors, panel.prices.tobytes(), panel.present.tobytes())
+
+
+def _random_long(rng):
+    """Long file: shuffled rows under a reordered header with an extra column,
+    blank rows, quoted fields that span lines and, sometimes, one bad row."""
+    n_dates, n_assets = rng.integers(1, 30), rng.integers(1, 9)
+    header = ["date", "ticker", "adj_close", "note"]
+    order = rng.permutation(4)
+    rows = []
+    for d in range(n_dates):
+        for a in range(n_assets):
+            if rng.random() < 0.2:
+                continue  # an absent cell
+            price = repr(float(rng.uniform(0.5, 200)))
+            date, ticker = f"2020-{d // 28 + 1:02d}-{d % 28 + 1:02d}", f"T{a}"
+            if rng.random() < 0.1:  # a quoted field that spans lines: the cell still parses
+                date, price = date + "\n", "\n" + price
+            note = "a\nnote" if rng.random() < 0.1 else ""
+            rows.append([date, ticker, price, note])
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    fault = rng.integers(6) if rows else 0
+    if fault == 1:  # a duplicate (date, ticker) pair
+        rows.insert(rng.integers(len(rows) + 1), list(rows[rng.integers(len(rows))]))
+    elif fault == 2:  # a bad price
+        rows[rng.integers(len(rows))][2] = ["abc", "0", "-1.5", "inf", "nan", ""][rng.integers(6)]
+    elif fault == 3:  # an empty ticker
+        rows[rng.integers(len(rows))][1] = " "
+    lines = [[header[i] for i in order]] + [[row[i] for i in order] for row in rows]
+    for _ in range(rng.integers(0, 4)):  # blank rows, empty or all-blank cells
+        lines.insert(rng.integers(1, len(lines) + 1), [] if rng.random() < 0.5 else [" ", "", " ", ""])
+    if fault == 4 and len(lines) > 1:  # a short row
+        lines[rng.integers(1, len(lines))] = ["2020-01-01", "T0"]
+    return lines
+
+
+def _random_wide(rng):
+    """Wide file: shuffled dates, empty, blank and NaN cells, a date with no
+    prices, quoted fields that span lines and, sometimes, one bad row."""
+    n_dates, n_assets = rng.integers(1, 30), rng.integers(1, 9)
+    tickers = [f"T{a}" for a in rng.permutation(n_assets)]
+    rows = []
+    for d in rng.permutation(n_dates):
+        cells = [repr(float(rng.uniform(0.5, 200))) for _ in range(n_assets)]
+        for a in range(n_assets):
+            r = rng.random()
+            if r < 0.15:
+                cells[a] = ["", " ", "NaN", "nan", " NAN "][rng.integers(5)]
+            elif r < 0.2:
+                cells[a] = cells[a] + "\n"
+        if rng.random() < 0.1:
+            cells = [""] * n_assets  # a date with no prices
+        date = f"2020-{d // 28 + 1:02d}-{d % 28 + 1:02d}"
+        rows.append([date + "\n" if rng.random() < 0.1 else date] + cells)
+    fault = rng.integers(6)
+    if fault == 1:  # a duplicate date
+        rows.insert(rng.integers(len(rows) + 1), list(rows[rng.integers(len(rows))]))
+    elif fault == 2:  # a bad price
+        rows[rng.integers(len(rows))][1 + rng.integers(n_assets)] = ["x", "0", "-2", "-inf"][rng.integers(4)]
+    elif fault == 3:  # a cell count that differs from the header's
+        rows[rng.integers(len(rows))].append("1.5")
+    lines = [["date"] + tickers] + rows
+    for _ in range(rng.integers(0, 4)):
+        lines.insert(rng.integers(1, len(lines) + 1), [] if rng.random() < 0.5 else [" "] * (n_assets + 1))
+    return lines
+
+
+@pytest.mark.parametrize("fmt,make", [("long", _random_long), ("wide", _random_wide)])
+def test_streaming_loader_matches_the_list_based_reference(tmp_path, fmt, make):
+    rng = np.random.default_rng(8080)
+    p, s = tmp_path / "p.csv", tmp_path / "s.csv"
+    s.write_text("ticker,sector\nT0,X\nT1,Y\n\nT3,\n", encoding="utf-8")
+    loaded = spanned = 0
+    for _ in range(150):
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(make(rng))
+        want = _outcome(ref_load_panel, p, s, fmt)
+        assert _outcome(load_panel, p, s, fmt) == want
+        loaded += not isinstance(want, str)
+        spanned += '"' in p.read_text(encoding="utf-8")
+    assert 30 <= loaded <= 120 and spanned > 50
+
+
+def test_load_panel_memory_does_not_grow_with_the_file(tmp_path):
+    """Writing and loading a long file of 100,000 rows (400 dates x 250 assets,
+    3.6 MB) trace peaks of about 0.05 and 2 MB. The writer that joined every
+    line first peaked at 15 MB, the reader that held every record at 44 MB."""
+    rng = np.random.default_rng(5)
+    dates, assets = [f"2020-{i:04d}" for i in range(400)], [f"A{i:03d}" for i in range(250)]
+    panel = make_panel(rng.uniform(1, 100, size=(400, 250)), dates=dates, assets=assets)
+    p, s = tmp_path / "p.csv", tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        write_panel_long(panel, p, s)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_panel(p, s, "long")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.prices, panel.prices)
+    assert written < 2 * 2**20, written
+    assert peak < 16 * 2**20, peak

@@ -5,6 +5,9 @@ column order, 12 significant digits, integers printed without a decimal point
 and null cells left empty.
 """
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from triadnet import output
 from triadnet.balance import BalanceReport
 from triadnet.experiment import ExperimentRecord, RocResult
 from triadnet.svn import Svn
+from triadnet.util import atomic_write_text
 
 RECORDS = [
     ExperimentRecord("2020-01-02", 20, 33, 0.5, 0.825, 0.6123456789012345, 0.5, -0.2, -1 / 3, 0.0123, 190),
@@ -115,3 +119,35 @@ def test_writer_text_is_exact(name, write, expected, tmp_path):
     write(path)
     assert path.read_text(encoding="utf-8") == expected
 
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    """0o666 less the umask, as a plain open() gives, not the temp file's 0o600."""
+    for umask, mode in [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)]:
+        for name, write, _ in WRITES:
+            path = tmp_path / f"{name}-{umask:o}"
+            old = os.umask(umask)
+            try:
+                write(path)
+            finally:
+                os.umask(old)
+            assert stat.S_IMODE(path.stat().st_mode) == mode, (name, oct(umask))
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_takes_a_string_or_lines_as_they_come(tmp_path):
+    lines = (f"{i},{i * i}\n" for i in range(1000))
+    atomic_write_text(tmp_path / "lines", lines)
+    atomic_write_text(tmp_path / "text", "".join(f"{i},{i * i}\n" for i in range(1000)))
+    assert (tmp_path / "lines").read_bytes() == (tmp_path / "text").read_bytes()
+    assert next(lines, None) is None
+
+
+def test_atomic_write_leaves_no_file_when_the_lines_fail(tmp_path):
+    def lines():
+        yield "a\n"
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        atomic_write_text(tmp_path / "out", lines())
+    assert list(tmp_path.iterdir()) == []
