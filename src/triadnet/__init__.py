@@ -13,7 +13,6 @@ from .balance import (
 )
 from .correlation import (
     CorrMatrix,
-    SignedMatrix,
     partial_pearson,
     pearson_matrix,
     phi_matrix,
@@ -59,7 +58,6 @@ __all__ = [
     "ReturnPanel",
     "RocResult",
     "SignChangeDataset",
-    "SignedMatrix",
     "Svn",
     "SynthSpec",
     "UndefinedMetricError",

@@ -15,9 +15,9 @@ from math import comb
 
 import numpy as np
 
-from .correlation import CorrMatrix, SignedMatrix
+from .correlation import CorrMatrix, sign_matrix
 from .errors import DataError
-from .util import _pearson, count_product
+from .util import _check_symmetric, _pearson, count_product
 
 
 @dataclass(eq=False)
@@ -31,15 +31,18 @@ class BalanceReport:
 
 
 def _signed_values(s, what: str) -> np.ndarray:
-    """Values of a SignedMatrix of at least 3 nodes; a raw array is checked as one first."""
-    if not isinstance(s, SignedMatrix):
-        values = np.asarray(s)
-        if values.ndim != 2:
-            raise DataError("signed matrix must be 2-D")
-        s = SignedMatrix(range(len(values)), values)
-    if s.n < 3:
+    """`s` as an array, checked: 2-D, symmetric, 0 on the diagonal, +/-1 off it, N >= 3."""
+    values = np.asarray(s)
+    if values.ndim != 2:
+        raise DataError("signed matrix must be 2-D")
+    n = len(values)
+    _check_symmetric(values, n, "signed matrix", 0)
+    off = values[~np.eye(n, dtype=bool)]
+    if not ((off == -1) | (off == 1)).all():
+        raise DataError("signed matrix off-diagonal entries must be -1 or +1")
+    if n < 3:
         raise DataError(f"{what} needs at least 3 nodes")
-    return s.values
+    return values
 
 
 def _triad_products(values: np.ndarray) -> np.ndarray:
@@ -54,13 +57,13 @@ def _balance_index(products: np.ndarray) -> float:
 
 
 def hamiltonian(s) -> float:
-    """Minus the average sign product over all unordered triples.
+    """Minus the average sign product over all unordered triples of the sign matrix `s`.
 
-    Computed as -trace(S^3) / (6 * C(N,3)) with one product: S^2 is
-    symmetric, so trace(S^3) = sum of S * S^2 (elementwise), the product
-    `pair_stability` forms. S^2 is a float64 BLAS product of integers, exact
-    while N^3 < 2**53, so the value is exact. `s` is a SignedMatrix, or a
-    raw array that is checked like one.
+    `s` is a 2-D array as `sign_matrix` returns, checked on entry: symmetric,
+    0 on the diagonal, +/-1 off it, at least 3 nodes. Computed as
+    -trace(S^3) / (6 * C(N,3)) with one product: S^2 is symmetric, so
+    trace(S^3) = sum of S * S^2 (elementwise), the product `pair_stability`
+    forms. S^2 is a float64 BLAS product of integers, exact while N^3 < 2**53.
     """
     return _balance_index(_triad_products(_signed_values(s, "balance index")))
 
@@ -68,10 +71,9 @@ def hamiltonian(s) -> float:
 def pair_stability(s) -> np.ndarray:
     """Per-pair average sign product over the N-2 triads through each pair.
 
-    Entry (i,j) is S_ij * (S^2)_ij / (N-2): +1 when the pair forms stable
-    triads with every other node, -1 when none. Diagonal is 0. S^2 is a
-    float64 BLAS product, exact while N^3 < 2**53. `s` is a SignedMatrix, or
-    a raw array that is checked like one.
+    `s` is checked as in `hamiltonian`. Entry (i,j) is S_ij * (S^2)_ij / (N-2):
+    +1 when the pair forms stable triads with every other node, -1 when none.
+    Diagonal is 0. S^2 is a float64 BLAS product, exact while N^3 < 2**53.
     """
     values = _signed_values(s, "pair stability")
     return _triad_products(values) / (len(values) - 2)
@@ -105,20 +107,18 @@ def eigvec_overlap(v_in: np.ndarray, v_out: np.ndarray) -> float:
     return abs(_pearson(v_in, v_out))
 
 
-def balance_report(signed: SignedMatrix, corr: CorrMatrix) -> BalanceReport:
-    """Bundle the balance index, pair stabilities and spectral fractions.
+def balance_report(corr: CorrMatrix) -> BalanceReport:
+    """Balance index, pair stabilities and spectral fractions of one correlation matrix.
 
-    Both matrices must cover the same assets. H and the pair stabilities
-    come first, so a network of fewer than 3 nodes is rejected before the
-    spectrum is taken.
+    H and the pair stabilities, rows and columns in `corr.assets` order, both
+    come from one S * S^2 product of its sign matrix S. They come first, so a
+    network of fewer than 3 nodes is rejected before the spectrum is taken.
     """
-    if signed.assets != corr.assets:
-        raise DataError(
-            f"signed matrix assets ({signed.n}) differ from "
-            f"correlation matrix assets ({corr.n})"
-        )
-    h, delta = hamiltonian(signed), pair_stability(signed)
+    if corr.n < 3:
+        raise DataError("balance index needs at least 3 nodes")
+    products = _triad_products(sign_matrix(corr))
     fracs, v1 = spectral_summary(corr, k=2)
     if (fracs < -1e-8).any():
         raise DataError("eigenvalue fraction is negative beyond tolerance")
+    h, delta = _balance_index(products), products / (corr.n - 2)
     return BalanceReport(h=h, delta=delta, eig_fracs=tuple(max(float(f), 0.0) for f in fracs), v1=v1)

@@ -18,13 +18,12 @@ from pathlib import Path
 
 from . import __version__
 from .balance import balance_report
-from .correlation import CORR_KINDS, sign_matrix
+from .correlation import CORR_KINDS
 from .errors import DataError
 from .experiment import (
     aggregate_cells,
     build_dataset,
     default_t_values,
-    grid_tasks,
     roc,
     run_grid,
     stability_profile,
@@ -152,6 +151,7 @@ def _checked(convert, ok, expected):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _WINDOW = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _ALPHA = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _POSITIVE_FINITE = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
@@ -187,7 +187,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rho-out", type=float, default=-0.1)
     p.add_argument("--noise-scale", type=_POSITIVE_FINITE, default=0.02)
     p.add_argument("--blocks", help="comma-separated block sizes (sector_block model)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="long-format prices CSV to write")
     p.add_argument("--sectors-out", help="sectors CSV (default: <out stem>_sectors.csv)")
     p.set_defaults(func=cmd_synth)
@@ -285,7 +285,7 @@ def cmd_svn(args) -> int:
 
 def cmd_balance(args) -> int:
     corr = window_correlation(_window_returns(args), args.corr_kind, args.median_scope)
-    report = balance_report(sign_matrix(corr), corr)
+    report = balance_report(corr)
     write_balance_json(args.end_date, report, args.out)
     if args.delta_out:
         write_matrix_csv(corr.assets, report.delta, args.delta_out)
@@ -320,7 +320,7 @@ def cmd_predict(args) -> int:
 def cmd_grid(args) -> int:
     cfg = RunConfig.from_file(args.config)
     panel = load_panel(cfg.prices, cfg.sectors, cfg.format)
-    records = run_grid(
+    records, skipped = run_grid(
         panel,
         cfg.t_values,
         cfg.step,
@@ -343,12 +343,12 @@ def cmd_grid(args) -> int:
         alpha=cfg.alpha,
     )
     write_timeseries_csv(rows, outdir / "timeseries.csv")
-    n_tasks = len(grid_tasks(panel, cfg.t_values, cfg.step))
+    n_skipped = sum(skipped.values())
     write_json(
         {
             "records": len(records),
-            "windows_attempted": n_tasks,
-            "windows_skipped": n_tasks - len(records),
+            "windows_attempted": len(records) + n_skipped,
+            "windows_skipped": n_skipped,
             "timeseries_rows": len(rows),
             "seed": cfg.seed,
             "corr_kind": cfg.corr_kind,
@@ -359,7 +359,8 @@ def cmd_grid(args) -> int:
         },
         outdir / "run_summary.json",
     )
-    print(f"wrote {len(records)} records ({n_tasks - len(records)} windows skipped) to {outdir}")
+    print(f"wrote {len(records)} records to {outdir} ({skipped['infeasible']} windows skipped as "
+          f"infeasible, {skipped['single_class']} as single-class)")
     return 0
 
 

@@ -45,26 +45,6 @@ class CorrMatrix:
         return len(self.assets)
 
 
-@dataclass(eq=False)
-class SignedMatrix:
-    """Sign structure of a correlation matrix: +/-1 off the diagonal, 0 on it."""
-
-    assets: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.assets = tuple(self.assets)
-        n = len(self.assets)
-        _check_symmetric(self.values, n, "signed matrix", 0)
-        off = self.values[~np.eye(n, dtype=bool)]
-        if not ((off == -1) | (off == 1)).all():
-            raise DataError("signed matrix off-diagonal entries must be -1 or +1")
-
-    @property
-    def n(self) -> int:
-        return len(self.assets)
-
-
 def _symmetrize(values: np.ndarray) -> np.ndarray:
     return (values + values.T) / 2.0
 
@@ -134,8 +114,9 @@ def partial_pearson(r: ReturnPanel) -> CorrMatrix:
     return CorrMatrix(r.assets, values, "partial_pearson")
 
 
-def sign_matrix(corr: CorrMatrix) -> SignedMatrix:
-    """+1 where the correlation is nonnegative, -1 where negative, 0 diagonal."""
+def sign_matrix(corr: CorrMatrix) -> np.ndarray:
+    """int8 sign matrix S of `corr`, rows and columns in `corr.assets` order:
+    +1 where the correlation is nonnegative, -1 where negative, 0 on the diagonal."""
     s = np.where(corr.values >= 0, 1, -1).astype(np.int8)
     np.fill_diagonal(s, 0)
-    return SignedMatrix(corr.assets, s)
+    return s

@@ -153,7 +153,7 @@ def window_correlation(
 
 
 def _dataset(w_in, w_out, corr_kind: str, median_scope: str):
-    """(sign-switch dataset, in-sample H, out-of-sample SignedMatrix); one S^2
+    """(sign-switch dataset, in-sample H, out-of-sample sign matrix); one S^2
     product of the in-window gives both H and pair stability."""
     common, corr_in, corr_out = _common_corrs(
         _survivors(*w_in, corr_kind, median_scope),
@@ -161,19 +161,18 @@ def _dataset(w_in, w_out, corr_kind: str, median_scope: str):
         corr_kind,
         3,
     )
-    s_in = sign_matrix(corr_in).values
-    signed_out = sign_matrix(corr_out)
+    s_in, s_out = sign_matrix(corr_in), sign_matrix(corr_out)
     iu, ju = np.triu_indices(len(common), k=1)
     products = _triad_products(s_in)
     dataset = SignChangeDataset(
         assets=common,
         iu=iu,
         ju=ju,
-        labels=s_in[iu, ju] != signed_out.values[iu, ju],
+        labels=s_in[iu, ju] != s_out[iu, ju],
         scores_delta=-(products[iu, ju] / (len(common) - 2)),
         scores_absphi=-np.abs(corr_in.values[iu, ju]),
     )
-    return dataset, _balance_index(products), signed_out
+    return dataset, _balance_index(products), s_out
 
 
 def build_dataset(
@@ -305,14 +304,14 @@ def _grid_init(panel, corr_kind, median_scope):
 
 
 def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
-    """One grid cell evaluation; returns (record | None, skip reason | None)."""
+    """One grid cell: (record, None), or (None, ("infeasible" | "single_class", message))."""
     w_in, w_out = _window(full, end_idx, t_in), _window(full, end_idx + t_out, t_out)
     try:
-        ds, h_in, signed_out = _dataset(w_in, w_out, corr_kind, median_scope)
+        ds, h_in, s_out = _dataset(w_in, w_out, corr_kind, median_scope)
     except DataError as exc:
-        return None, f"window infeasible: {exc}"
+        return None, ("infeasible", f"window infeasible: {exc}")
     if ds.labels.all() or not ds.labels.any():
-        return None, "single-class window (no switch variation)"
+        return None, ("single_class", "single-class window (no switch variation)")
     n = len(ds.assets)
     record = ExperimentRecord(
         end_date=full[0].dates[end_idx - 1],
@@ -323,7 +322,7 @@ def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
         auc_delta=auc(ds.labels, ds.scores_delta),
         auc_absphi=auc(ds.labels, ds.scores_absphi),
         h_in=h_in,
-        h_out=hamiltonian(signed_out),
+        h_out=hamiltonian(s_out),
         volatility=volatility(w_in[0]),
         n_pairs=ds.n_pairs,
     )
@@ -351,12 +350,13 @@ def run_grid(
     corr_kind: str = "phi",
     median_scope: str = "universe",
     jobs: int = 1,
-) -> list:
+) -> tuple:
     """Evaluate every (t_in, t_out) cell on rolling end dates.
 
-    Window pairs that fail preprocessing or have no class variation are
-    skipped (and logged), not errors. Records come back sorted by
-    (t_in, t_out, end_date) regardless of the degree of parallelism.
+    Returns (records, {"infeasible": n, "single_class": m}): window pairs that
+    fail preprocessing or have no class variation are skipped, counted and
+    logged, not errors. Records come back sorted by (t_in, t_out, end_date)
+    regardless of the degree of parallelism.
     """
     _check_kinds(corr_kind, median_scope)
     t_values = list(t_values)
@@ -377,17 +377,18 @@ def run_grid(
         full = _with_mode(log_returns(panel))
         results = [(t, _evaluate_window(full, *t, corr_kind, median_scope)) for t in tasks]
     records = []
-    skipped = 0
-    for task, (record, reason) in results:
+    skipped = {"infeasible": 0, "single_class": 0}
+    for task, (record, skip) in results:
         if record is None:
-            skipped += 1
-            logger.debug("skipping t_in=%d t_out=%d end_idx=%d: %s", *task, reason)
+            skipped[skip[0]] += 1
+            logger.debug("skipping t_in=%d t_out=%d end_idx=%d: %s", *task, skip[1])
         else:
             records.append(record)
-    if skipped:
-        logger.info("grid skipped %d of %d windows", skipped, len(tasks))
+    if len(records) < len(tasks):
+        logger.info("grid skipped %d infeasible and %d single-class of %d windows",
+                    skipped["infeasible"], skipped["single_class"], len(tasks))
     records.sort(key=lambda r: (r.t_in, r.t_out, r.end_date))
-    return records
+    return records, skipped
 
 
 def aggregate_cells(records) -> dict:

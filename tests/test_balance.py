@@ -11,10 +11,10 @@ from triadnet.balance import (
     pair_stability,
     spectral_summary,
 )
-from triadnet.correlation import CorrMatrix, SignedMatrix, phi_matrix, sign_matrix
+from triadnet.correlation import CorrMatrix, partial_pearson, pearson_matrix, phi_matrix, sign_matrix
 from triadnet.errors import DataError
 
-from conftest import random_binary, random_signed
+from conftest import make_returns, random_binary, random_signed
 
 
 def brute_force_h(s):
@@ -125,13 +125,7 @@ def test_small_matrices_rejected():
     with pytest.raises(DataError, match="at least 1 asset"):
         spectral_summary(empty)
     with pytest.raises(DataError, match="at least 3 nodes"):
-        balance_report(sign_matrix(empty), empty)
-
-
-def test_accepts_signed_matrix_wrapper(rng):
-    b = random_binary(rng, t=20, n=6)
-    signed = sign_matrix(phi_matrix(b))
-    assert hamiltonian(signed) == hamiltonian(signed.values)
+        balance_report(empty)
 
 
 def test_spectral_summary_identity_and_ones():
@@ -177,19 +171,29 @@ def test_eigvec_overlap():
 def test_balance_report_bundle(rng):
     b = random_binary(rng, t=30, n=8)
     corr = phi_matrix(b)
-    report = balance_report(sign_matrix(corr), corr)
+    report = balance_report(corr)
     assert -1 <= report.h <= 1
     assert report.delta.shape == (8, 8)
     assert 0 <= report.eig_fracs[1] <= report.eig_fracs[0] <= 1
     assert report.v1.shape == (8,)
 
 
-def test_balance_report_rejects_mismatched_assets(rng):
-    c5 = phi_matrix(random_binary(rng, t=30, n=5))
-    c3 = phi_matrix(random_binary(rng, t=30, n=3))
-    message = r"signed matrix assets \(5\) differ from correlation matrix assets \(3\)"
-    with pytest.raises(DataError, match=message):
-        balance_report(sign_matrix(c5), c3)
-    renamed = CorrMatrix(("X", "Y", "Z", "U", "V"), c5.values, c5.kind)
-    with pytest.raises(DataError, match=r"\(5\) differ .* \(5\)"):
-        balance_report(sign_matrix(c5), renamed)
+def random_corr(rng, kind, t, n):
+    if kind == "phi":
+        return phi_matrix(random_binary(rng, t, n))
+    returns = make_returns(rng.standard_normal((t, n)) + 0.3 * rng.standard_normal((t, 1)))
+    return pearson_matrix(returns) if kind == "pearson" else partial_pearson(returns)
+
+
+@pytest.mark.parametrize("kind", ["phi", "pearson", "partial_pearson"])
+def test_balance_report_equals_the_public_kernels_on_its_sign_matrix(kind, rng):
+    """One S * S^2 product in the report gives the same bits as the two kernels."""
+    for _ in range(30):
+        n = int(rng.integers(3, 40))
+        corr = random_corr(rng, kind, int(rng.integers(n // 2 + 2, 2 * n + 5)), n)
+        s = sign_matrix(corr)
+        assert isinstance(s, np.ndarray) and s.dtype == np.int8
+        report = balance_report(corr)
+        assert report.h == hamiltonian(s)
+        assert report.delta.dtype == np.float64
+        assert np.array_equal(report.delta, pair_stability(s))

@@ -223,6 +223,7 @@ BAD_FLAGS = [
     ("synth", "--t", "1"),
     ("synth", "--noise-scale", "-1"),
     ("synth", "--rho-in", "2"),
+    ("synth", "--seed", "-1"),
 ]
 
 
@@ -261,3 +262,142 @@ def test_synth_sector_block_cli(tmp_path, capsys):
     assert code == 0
     sectors = (tmp_path / "p_sectors.csv").read_text()
     assert "B02" in sectors
+
+
+def gappy_market(tmp_path, capsys):
+    """8 weakly correlated assets over 40 dates; A0007 lists on the 16th date."""
+    prices = tmp_path / "prices.csv"
+    code, _, _ = run(
+        [
+            "synth", "--model", "bipolar", "--n", "8", "--t", "40", "--rho-in", "0.1",
+            "--rho-out", "-0.05", "--seed", "3", "--out", str(prices),
+        ],
+        capsys,
+    )
+    assert code == 0
+    lines = prices.read_text().splitlines(keepends=True)
+    dates = sorted({line.split(",")[0] for line in lines[1:]})
+    early = set(dates[:15])
+    prices.write_text(
+        "".join(line for line in lines if not (line.split(",")[0] in early and ",A0007," in line))
+    )
+    return prices, tmp_path / "prices_sectors.csv", dates[-1]
+
+
+# Exact `balance` outputs (report JSON, --delta-out CSV) per (kind, scope) on
+# `gappy_market`: the late listing leaves 7 survivors and separates the scopes.
+BALANCE_OUTPUTS = {
+    ("phi", "universe"): (
+        '{\n'
+        '  "H": 0.2,\n'
+        '  "end_date": "2000-02-25",\n'
+        '  "lambda1_frac": 0.24269566420669442,\n'
+        '  "lambda2_frac": 0.21579830483077142\n'
+        '}\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,-0.2,0.6,0.2,-0.2,0.2,-0.2\n'
+        'A0001,-0.2,0,-0.6,-0.2,-1,-0.6,-0.2\n'
+        'A0002,0.6,-0.6,0,-0.6,-0.6,-0.2,0.2\n'
+        'A0003,0.2,-0.2,-0.6,0,-0.2,-0.6,0.2\n'
+        'A0004,-0.2,-1,-0.6,-0.2,0,-0.6,-0.2\n'
+        'A0005,0.2,-0.6,-0.2,-0.6,-0.6,0,0.6\n'
+        'A0006,-0.2,-0.2,0.2,0.2,-0.2,0.6,0\n',
+    ),
+    ("phi", "window"): (
+        '{\n'
+        '  "H": 0.02857142857142857,\n'
+        '  "end_date": "2000-02-25",\n'
+        '  "lambda1_frac": 0.23982279625877947,\n'
+        '  "lambda2_frac": 0.2328651267595198\n'
+        '}\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,-0.2,0.2,0.2,-0.6,0.2,-0.2\n'
+        'A0001,-0.2,0,-0.2,-0.2,-0.6,-0.6,-0.2\n'
+        'A0002,0.2,-0.2,0,-0.2,0.6,0.2,0.6\n'
+        'A0003,0.2,-0.2,-0.2,0,0.2,-0.6,0.2\n'
+        'A0004,-0.6,-0.6,0.6,0.2,0,-0.2,0.2\n'
+        'A0005,0.2,-0.6,0.2,-0.6,-0.2,0,0.6\n'
+        'A0006,-0.2,-0.2,0.6,0.2,0.2,0.6,0\n',
+    ),
+    ("pearson", "universe"): (
+        '{\n'
+        '  "H": -0.3142857142857143,\n'
+        '  "end_date": "2000-02-25",\n'
+        '  "lambda1_frac": 0.2606461096321685,\n'
+        '  "lambda2_frac": 0.19542973633919633\n'
+        '}\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,0.2,1,1,0.2,0.2,0.2\n'
+        'A0001,0.2,0,0.2,0.2,-0.2,-0.2,1\n'
+        'A0002,1,0.2,0,1,0.2,0.2,0.2\n'
+        'A0003,1,0.2,1,0,0.2,0.2,0.2\n'
+        'A0004,0.2,-0.2,0.2,0.2,0,1,-0.2\n'
+        'A0005,0.2,-0.2,0.2,0.2,1,0,-0.2\n'
+        'A0006,0.2,1,0.2,0.2,-0.2,-0.2,0\n',
+    ),
+    ("pearson", "window"): (
+        '{\n'
+        '  "H": -0.37142857142857144,\n'
+        '  "end_date": "2000-02-25",\n'
+        '  "lambda1_frac": 0.2599119428225042,\n'
+        '  "lambda2_frac": 0.1956702264098947\n'
+        '}\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,0.6,1,1,0.2,0.6,0.2\n'
+        'A0001,0.6,0,0.6,0.6,-0.6,0.2,0.6\n'
+        'A0002,1,0.6,0,1,0.2,0.6,0.2\n'
+        'A0003,1,0.6,1,0,0.2,0.6,0.2\n'
+        'A0004,0.2,-0.6,0.2,0.2,0,0.6,-0.2\n'
+        'A0005,0.6,0.2,0.6,0.6,0.6,0,-0.6\n'
+        'A0006,0.2,0.6,0.2,0.2,-0.2,-0.6,0\n',
+    ),
+    ("partial_pearson", "universe"): (
+        '{\n'
+        '  "H": 0.3142857142857143,\n'
+        '  "end_date": "2000-02-25",\n'
+        '  "lambda1_frac": 0.20207083092206748,\n'
+        '  "lambda2_frac": 0.17154126567082997\n'
+        '}\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,0.2,-0.2,-0.2,0.2,-0.2,-1\n'
+        'A0001,0.2,0,-0.2,-0.2,-1,-0.2,0.2\n'
+        'A0002,-0.2,-0.2,0,-1,-0.2,-1,-0.2\n'
+        'A0003,-0.2,-0.2,-1,0,-0.2,-1,-0.2\n'
+        'A0004,0.2,-1,-0.2,-0.2,0,-0.2,0.2\n'
+        'A0005,-0.2,-0.2,-1,-1,-0.2,0,-0.2\n'
+        'A0006,-1,0.2,-0.2,-0.2,0.2,-0.2,0\n',
+    ),
+    ("partial_pearson", "window"): (
+        '{\n'
+        '  "H": 0.3142857142857143,\n'
+        '  "end_date": "2000-02-25",\n'
+        '  "lambda1_frac": 0.20207083092206748,\n'
+        '  "lambda2_frac": 0.17154126567082997\n'
+        '}\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,0.2,-0.2,-0.2,0.2,-0.2,-1\n'
+        'A0001,0.2,0,-0.2,-0.2,-1,-0.2,0.2\n'
+        'A0002,-0.2,-0.2,0,-1,-0.2,-1,-0.2\n'
+        'A0003,-0.2,-0.2,-1,0,-0.2,-1,-0.2\n'
+        'A0004,0.2,-1,-0.2,-0.2,0,-0.2,0.2\n'
+        'A0005,-0.2,-0.2,-1,-1,-0.2,0,-0.2\n'
+        'A0006,-1,0.2,-0.2,-0.2,0.2,-0.2,0\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,scope", BALANCE_OUTPUTS)
+def test_balance_outputs_are_exact(kind, scope, tmp_path, capsys):
+    prices, sectors, end_date = gappy_market(tmp_path, capsys)
+    code, _, err = run(
+        [
+            "balance", "--prices", str(prices), "--sectors", str(sectors),
+            "--end-date", end_date, "--window", "30", "--corr-kind", kind,
+            "--median-scope", scope, "--out", str(tmp_path / "b.json"),
+            "--delta-out", str(tmp_path / "d.csv"),
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    texts = ((tmp_path / "b.json").read_text(), (tmp_path / "d.csv").read_text())
+    assert texts == BALANCE_OUTPUTS[kind, scope]

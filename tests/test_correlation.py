@@ -105,7 +105,7 @@ def test_sign_matrix_rules():
     phi.values[0, 1] = phi.values[1, 0] = 0.0
     phi.values[0, 2] = phi.values[2, 0] = -0.3
     s = sign_matrix(phi)
-    assert s.values[0, 1] == 1  # zero counts as positive
-    assert s.values[0, 2] == -1
-    assert (np.diag(s.values) == 0).all()
-    assert np.array_equal(s.values, s.values.T)
+    assert s[0, 1] == 1  # zero counts as positive
+    assert s[0, 2] == -1
+    assert (np.diag(s) == 0).all()
+    assert np.array_equal(s, s.T)

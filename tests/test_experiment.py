@@ -190,23 +190,24 @@ def test_stability_profile_validation():
 def test_run_grid_sorted_and_parallel_identical():
     spec = SynthSpec(n_assets=12, n_days=70, model="bipolar", rho_in=0.3, rho_out=-0.15, seed=7)
     panel = generate(spec)
-    serial = run_grid(panel, [15, 25], 7, jobs=1)
-    parallel = run_grid(panel, [15, 25], 7, jobs=2)
+    serial, serial_skipped = run_grid(panel, [15, 25], 7, jobs=1)
+    parallel, parallel_skipped = run_grid(panel, [15, 25], 7, jobs=2)
     assert len(serial) > 0
     keys = [(r.t_in, r.t_out, r.end_date) for r in serial]
     assert keys == sorted(keys)
     assert [vars(r) for r in serial] == [vars(r) for r in parallel]
+    assert serial_skipped == parallel_skipped
 
 
 def test_serial_run_grid_leaves_no_worker_state():
     panel = generate(SynthSpec(n_assets=8, n_days=50, model="bipolar", seed=3))
-    assert run_grid(panel, [10, 20], 5, jobs=1)
+    assert run_grid(panel, [10, 20], 5, jobs=1)[0]
     assert _GRID_STATE == {}
 
 
 def test_run_grid_infeasible_windows_give_empty_list(rng):
     panel = panel_from_returns(0.01 * rng.normal(size=(20, 4)))
-    assert run_grid(panel, [50], 1) == []
+    assert run_grid(panel, [50], 1) == ([], {"infeasible": 0, "single_class": 0})
     with pytest.raises(DataError):
         run_grid(panel, [], 1)
     with pytest.raises(DataError):

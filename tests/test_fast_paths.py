@@ -6,9 +6,9 @@ swapped back in, every output must be bitwise identical. The chunked,
 deduplicated SVN tail kernel must give the same bytes as the one-shot kernel
 it replaces, wherever the chunks break. The single-sort AUC
 must equal the average-rank formula bitwise, `roc` must sort once, and the
-membership checks of the validating wrappers, which also guard the raw arrays
-that `hamiltonian` and `pair_stability` accept, must still reject every value
-outside their alphabet.
+membership checks of the validating wrappers and of the sign-matrix entry of
+`hamiltonian` and `pair_stability` must still reject every value outside
+their alphabet.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 
 from triadnet import balance, correlation, experiment, svn
 from triadnet.balance import hamiltonian, pair_stability
-from triadnet.correlation import SignedMatrix, phi_matrix
+from triadnet.correlation import phi_matrix
 from triadnet.errors import DataError
 from triadnet.experiment import _average_ranks, auc, roc
 from triadnet.graphmetrics import LabeledGraph
@@ -43,7 +43,7 @@ def kernel_outputs(t, n, with_svn):
     out = {"phi": phi_matrix(b).values}
     for name, s in (("random", random_signed(rng, n)), ("all_equal", all_equal_signs(n))):
         out[f"delta_{name}"] = pair_stability(s)
-        out[f"h_{name}"] = hamiltonian(SignedMatrix(tuple(range(n)), s))
+        out[f"h_{name}"] = hamiltonian(s)
     if with_svn:
         for polarity in svn.POLARITIES:
             net = build_svn(b, alpha=0.2, polarity=polarity)
@@ -116,10 +116,6 @@ def binary_panel(values):
     return BinaryPanel(("d0", "d1", "d2"), ("a", "b"), values)
 
 
-def signed_matrix(values):
-    return SignedMatrix(("a", "b", "c"), values)
-
-
 def labeled_graph(values):
     return LabeledGraph(values, ("x", "y", "x"))
 
@@ -143,7 +139,6 @@ def with_bad(valid, i, j, bad):
 @pytest.mark.parametrize(
     "build,valid,i,j,bad",
     [(binary_panel, BINARY_OK, 2, 0, bad) for bad in (0, 2, np.nan)]
-    + [(signed_matrix, SIGNED_OK, 0, 2, bad) for bad in (0, 2, np.nan)]
     + [(hamiltonian, SIGNED_OK, 0, 2, bad) for bad in (0, 2, np.nan)]
     + [(pair_stability, SIGNED_OK, 0, 2, bad) for bad in (0, 2, np.nan)]
     + [(labeled_graph, ADJACENCY_OK, 0, 2, bad) for bad in (-1, 2, np.nan)]

@@ -48,7 +48,7 @@ def test_bipolar_recovers_block_signs():
     spec = SynthSpec(n_assets=30, n_days=501, model="bipolar", rho_in=0.5, rho_out=-0.3, seed=9)
     panel = generate(spec)
     phi = phi_matrix(binarize(log_returns(panel)))
-    s = sign_matrix(phi).values
+    s = sign_matrix(phi)
     blocks = np.array([0] * 15 + [1] * 15)
     same = blocks[:, None] == blocks[None, :]
     off = ~np.eye(30, dtype=bool)
@@ -98,6 +98,8 @@ def test_spec_validation():
         SynthSpec(n_assets=4, n_days=10, model="sector_block", block_sizes=(1, 1))
     with pytest.raises(DataError, match="model"):
         SynthSpec(n_assets=4, n_days=10, model="garch")
+    with pytest.raises(DataError, match="seed"):
+        SynthSpec(n_assets=4, n_days=10, seed=-1)
 
 
 def test_fully_coupled_blocks_allowed():

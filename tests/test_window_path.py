@@ -130,8 +130,8 @@ def ref_dataset(panel, end_idx, t_in, t_out, kind, scope):
     if len(common) < 3:
         raise DataError("fewer than 3 common survivors")
     c_in = ref_corr(r_in, a_in, x_in, common, kind)
-    s_in = sign_matrix(c_in).values
-    s_out = sign_matrix(ref_corr(r_out, a_out, x_out, common, kind)).values
+    s_in = sign_matrix(c_in)
+    s_out = sign_matrix(ref_corr(r_out, a_out, x_out, common, kind))
     iu, ju = np.triu_indices(len(common), k=1)
     delta = pair_stability(s_in)
     fields = {
@@ -214,7 +214,7 @@ def ref_timeseries(panel, kind, scope):
         rows.append(
             {
                 "date": panel.dates[end_idx],
-                "h": ref_h(sign_matrix(corr_in).values),
+                "h": ref_h(sign_matrix(corr_in)),
                 "g": g,
                 "density": link_density(graph) if len(net.assets) >= 2 else None,
                 "volatility": volatility(r_in),
@@ -229,7 +229,7 @@ def ref_timeseries(panel, kind, scope):
 def test_run_grid_matches_per_window_reference(panel, kind, scope, caplog):
     expected, expected_skips = ref_grid(panel, kind, scope)
     with caplog.at_level(logging.DEBUG, logger="triadnet.experiment"):
-        records = run_grid(panel, T_VALUES, STEP, corr_kind=kind, median_scope=scope)
+        records, skipped = run_grid(panel, T_VALUES, STEP, corr_kind=kind, median_scope=scope)
     skips = {
         rec.args[:3]: "single_class" if rec.args[3].startswith("single-class") else "infeasible"
         for rec in caplog.records
@@ -237,6 +237,10 @@ def test_run_grid_matches_per_window_reference(panel, kind, scope, caplog):
     }
     assert [vars(r) for r in records] == [vars(r) for r in expected]
     assert skips == expected_skips
+    assert skipped == {
+        reason: sum(r == reason for r in expected_skips.values())
+        for reason in ("infeasible", "single_class")
+    }
     # the panel exercises every branch: records and both kinds of skip
     assert records and set(skips.values()) == {"infeasible", "single_class"}
 
