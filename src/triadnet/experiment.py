@@ -6,7 +6,9 @@ computed independently on the assets that survive preprocessing in both.
 Pairs whose sign switches form the positive class; the in-sample pair
 stability score and the in-sample absolute correlation (both negated, so
 higher means "more likely to switch") are the competing discriminators,
-compared by ROC/AUC over rolling windows and a grid of window lengths.
+compared by ROC/AUC over rolling windows and a grid of window lengths. The
+grid sweeps its end dates in order and preprocesses each (length, end) window
+once; both AUCs count labels per score value instead of sorting the scores.
 """
 
 from __future__ import annotations
@@ -132,16 +134,12 @@ def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
     return partial_pearson(rp)
 
 
-def _common_corrs(data_in, data_out, corr_kind: str, need: int):
-    """Name-sorted assets surviving both windows and each window's correlations on them."""
-    common = tuple(sorted(set(data_in[1]) & set(data_out[1])))
+def _common(a_in, a_out, need: int) -> tuple:
+    """Name-sorted assets surviving both windows; DataError if fewer than `need`."""
+    common = tuple(sorted(set(a_in) & set(a_out)))
     if len(common) < need:
         raise DataError(f"only {len(common)} assets survive both windows (need {need})")
-    return (
-        common,
-        _corr_from_data(data_in, corr_kind, common),
-        _corr_from_data(data_out, corr_kind, common),
-    )
+    return common
 
 
 def window_correlation(
@@ -152,27 +150,78 @@ def window_correlation(
     return _corr_from_data(_survivors(*_with_mode(returns), corr_kind, median_scope), corr_kind)
 
 
-def _dataset(w_in, w_out, corr_kind: str, median_scope: str):
-    """(sign-switch dataset, in-sample H, out-of-sample sign matrix); one S^2
-    product of the in-window gives both H and pair stability."""
-    common, corr_in, corr_out = _common_corrs(
-        _survivors(*w_in, corr_kind, median_scope),
-        _survivors(*w_out, corr_kind, median_scope),
-        corr_kind,
-        3,
-    )
-    s_in, s_out = sign_matrix(corr_in), sign_matrix(corr_out)
-    iu, ju = np.triu_indices(len(common), k=1)
-    products = _triad_products(s_in)
-    dataset = SignChangeDataset(
-        assets=common,
-        iu=iu,
-        ju=ju,
-        labels=s_in[iu, ju] != s_out[iu, ju],
-        scores_delta=-(products[iu, ju] / (len(common) - 2)),
-        scores_absphi=-np.abs(corr_in.values[iu, ju]),
-    )
-    return dataset, _balance_index(products), s_out
+def _side(corr: CorrMatrix, scores: bool) -> dict:
+    """One window's part in a pair, on the pair's assets: "signs" (upper triangle, True
+    where nonnegative) and "h", from one S * S^2 product. With `scores`, also each
+    discriminator as a lattice (index, ascending values, pairs per value): the scores
+    are values[index], and pair stability's index is (N-2) - (S * S^2)_ij."""
+    s = sign_matrix(corr)
+    products = _triad_products(s)
+    upper = ~np.tri(corr.n, dtype=bool)  # row-major, the order of np.triu_indices(n, 1)
+    side = {"signs": s[upper] > 0, "h": _balance_index(products)}
+    if scores:
+        n2 = corr.n - 2
+        for name, (index, values) in (  # int32 indices halve what long-lived entries hold
+            ("delta", (n2 - products[upper], -((n2 - np.arange(2 * n2 + 1)) / n2))),
+            ("absphi", np.unique(-np.abs(corr.values[upper]), return_inverse=True)[::-1]),
+        ):
+            side[name] = index.astype(np.int32), values, np.bincount(index, minlength=len(values))
+    return side
+
+
+def _lattice_auc(lattice, labels) -> float:
+    """`auc` of the scores values[index] against `labels`, from counts per lattice value."""
+    index, values, totals = lattice
+    pos = np.bincount(index[labels], minlength=len(values))
+    return _groups_auc(pos, totals - pos)
+
+
+def _sweep(full, tasks, corr_kind: str, median_scope: str):
+    """Yield (task, (common, switch labels, in-side, out-of-sample H, in-window volatility))
+    or (task, message) for each (t_in, t_out, end_idx) of `tasks`, in `grid_tasks` order.
+
+    Each (t, end) window is preprocessed once and dropped once the sweep passes the last
+    end date that uses it. Its side is kept for the pairs whose name-sorted common assets
+    are its survivors; other pairs compute it on their common assets."""
+    in_keys = {(t_in, end) for t_in, _, end in tasks}
+    last_use = {key: end for t_in, t_out, end in tasks for key in ((t_in, end), (t_out, end + t_out))}
+    cache, fresh = {}, {}  # fresh: survivor data of windows first met in this task
+
+    def entry(key):
+        if key not in cache:
+            w = _window(full, key[1], key[0])
+            try:
+                fresh[key] = _survivors(*w, corr_kind, median_scope)
+                vol = volatility(w[0]) if key in in_keys else None
+                cache[key] = {"window": w, "assets": fresh[key][1], "volatility": vol}
+            except DataError as exc:
+                cache[key] = {"error": str(exc)}
+        if "error" in cache[key]:
+            raise DataError(cache[key]["error"])
+        return cache[key]
+
+    def side(key, common, scores):
+        e = cache[key]
+        if common != e["assets"] or "side" not in e:
+            data = fresh.get(key) or _survivors(*e["window"], corr_kind, median_scope)
+            if common != e["assets"]:
+                return _side(_corr_from_data(data, corr_kind, common), scores)
+            e["side"] = _side(_corr_from_data(data, corr_kind), key in in_keys)
+        return e["side"]
+
+    for task in tasks:
+        t_in, t_out, end = task
+        k_in, k_out = (t_in, end), (t_out, end + t_out)
+        cache = {key: e for key, e in cache.items() if last_use[key] >= end}
+        fresh.clear()
+        try:
+            e_in = entry(k_in)
+            common = _common(e_in["assets"], entry(k_out)["assets"], 3)
+            side_in, side_out = side(k_in, common, True), side(k_out, common, False)
+            labels = side_in["signs"] != side_out["signs"]
+            yield task, (common, labels, side_in, side_out["h"], e_in["volatility"])
+        except DataError as exc:
+            yield task, str(exc)
 
 
 def build_dataset(
@@ -203,8 +252,13 @@ def build_dataset(
     if end_idx < t_in:
         raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
     full = _with_mode(log_returns(panel))
-    w_in, w_out = _window(full, end_idx, t_in), _window(full, end_idx + t_out, t_out)
-    return _dataset(w_in, w_out, corr_kind, median_scope)[0]
+    ((_, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, median_scope)
+    if isinstance(pair, str):
+        raise DataError(pair)
+    common, labels, side_in, _, _ = pair
+    iu, ju = np.triu_indices(len(common), k=1)
+    scores = (values[index] for index, values, _ in (side_in["delta"], side_in["absphi"]))
+    return SignChangeDataset(common, iu, ju, labels, *scores)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -303,44 +357,33 @@ def _grid_init(panel, corr_kind, median_scope):
     _GRID_STATE.update(full=_with_mode(log_returns(panel)), kinds=(corr_kind, median_scope))
 
 
-def _evaluate_window(full, t_in, t_out, end_idx, corr_kind, median_scope):
-    """One grid cell: (record, None), or (None, ("infeasible" | "single_class", message))."""
-    w_in, w_out = _window(full, end_idx, t_in), _window(full, end_idx + t_out, t_out)
-    try:
-        ds, h_in, s_out = _dataset(w_in, w_out, corr_kind, median_scope)
-    except DataError as exc:
-        return None, ("infeasible", f"window infeasible: {exc}")
-    if ds.labels.all() or not ds.labels.any():
-        return None, ("single_class", "single-class window (no switch variation)")
-    n = len(ds.assets)
-    record = ExperimentRecord(
-        end_date=full[0].dates[end_idx - 1],
-        t_in=t_in,
-        t_out=t_out,
-        q_in=t_in / n,
-        q_out=t_out / n,
-        auc_delta=auc(ds.labels, ds.scores_delta),
-        auc_absphi=auc(ds.labels, ds.scores_absphi),
-        h_in=h_in,
-        h_out=hamiltonian(s_out),
-        volatility=volatility(w_in[0]),
-        n_pairs=ds.n_pairs,
-    )
-    return record, None
+def _evaluate(full, tasks, corr_kind, median_scope):
+    """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
+    for task, pair in _sweep(full, tasks, corr_kind, median_scope):
+        if isinstance(pair, str):
+            yield task, ("infeasible", f"window infeasible: {pair}")
+            continue
+        common, labels, side_in, h_out, vol = pair
+        if labels.all() or not labels.any():
+            yield task, ("single_class", "single-class window (no switch variation)")
+            continue
+        (t_in, t_out, end_idx), n = task, len(common)
+        aucs = (_lattice_auc(side_in[name], labels) for name in SCORE_KINDS)
+        yield task, ExperimentRecord(
+            full[0].dates[end_idx - 1], t_in, t_out, t_in / n, t_out / n, *aucs,
+            side_in["h"], h_out, vol, labels.size,
+        )
 
 
-def _grid_task(task):
-    return task, _evaluate_window(_GRID_STATE["full"], *task, *_GRID_STATE["kinds"])
+def _grid_chunk(tasks):
+    return list(_evaluate(_GRID_STATE["full"], tasks, *_GRID_STATE["kinds"]))
 
 
 def grid_tasks(panel: PricePanel, t_values, step: int):
-    """All feasible (t_in, t_out, end index) combinations, in deterministic order."""
-    tasks = []
-    for t_in in t_values:
-        for t_out in t_values:
-            for end_idx in range(t_in, panel.n_dates - t_out, step):
-                tasks.append((t_in, t_out, end_idx))
-    return tasks
+    """All feasible (t_in, t_out, end index) combinations, sorted by (end index, t_in, t_out)."""
+    tasks = [(t_in, t_out, end) for t_in in t_values for t_out in t_values
+             for end in range(t_in, panel.n_dates - t_out, step)]
+    return sorted(tasks, key=lambda task: (task[2], task[0], task[1]))
 
 
 def run_grid(
@@ -356,7 +399,8 @@ def run_grid(
     Returns (records, {"infeasible": n, "single_class": m}): window pairs that
     fail preprocessing or have no class variation are skipped, counted and
     logged, not errors. Records come back sorted by (t_in, t_out, end_date)
-    regardless of the degree of parallelism.
+    regardless of the degree of parallelism. One sweep over end dates builds
+    each window once; a pool gives each worker contiguous runs of end dates.
     """
     _check_kinds(corr_kind, median_scope)
     t_values = list(t_values)
@@ -366,24 +410,22 @@ def run_grid(
         raise DataError("step must be at least 1 day")
     tasks = grid_tasks(panel, t_values, step)
     if jobs > 1 and len(tasks) > 1:
+        k = jobs * 4  # contiguous runs of end dates, so a worker's windows meet its cache
+        chunks = [tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)]
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_grid_init,
             initargs=(panel, corr_kind, median_scope),
         ) as pool:
-            chunk = max(1, len(tasks) // (jobs * 8))
-            results = list(pool.map(_grid_task, tasks, chunksize=chunk))
+            results = [r for chunk in pool.map(_grid_chunk, chunks) for r in chunk]
     else:
-        full = _with_mode(log_returns(panel))
-        results = [(t, _evaluate_window(full, *t, corr_kind, median_scope)) for t in tasks]
-    records = []
+        results = list(_evaluate(_with_mode(log_returns(panel)), tasks, corr_kind, median_scope))
+    records = [r for _, r in results if isinstance(r, ExperimentRecord)]
     skipped = {"infeasible": 0, "single_class": 0}
-    for task, (record, skip) in results:
-        if record is None:
+    for task, skip in results:
+        if not isinstance(skip, ExperimentRecord):
             skipped[skip[0]] += 1
             logger.debug("skipping t_in=%d t_out=%d end_idx=%d: %s", *task, skip[1])
-        else:
-            records.append(record)
     if len(records) < len(tasks):
         logger.info("grid skipped %d infeasible and %d single-class of %d windows",
                     skipped["infeasible"], skipped["single_class"], len(tasks))
@@ -447,13 +489,11 @@ def timeseries_rows(
         overlap = None
         if end_idx + window <= panel.n_dates - 1:
             try:
-                w_out = _window(full, end_idx + window, window)
-                _, c_in, c_out = _common_corrs(
-                    data_in, _survivors(*w_out, corr_kind, median_scope), corr_kind, 2
-                )
-                overlap = eigvec_overlap(
-                    spectral_summary(c_in, k=1)[1], spectral_summary(c_out, k=1)[1]
-                )
+                data_out = _survivors(*_window(full, end_idx + window, window), corr_kind, median_scope)
+                common = _common(data_in[1], data_out[1], 2)
+                v_in, v_out = (spectral_summary(_corr_from_data(d, corr_kind, common), k=1)[1]
+                               for d in (data_in, data_out))
+                overlap = eigvec_overlap(v_in, v_out)
             except DataError:
                 pass
         rows.append(
@@ -474,8 +514,8 @@ def h_auc_association(records) -> tuple:
     """(Pearson, Spearman) correlation between auc_delta and out-of-sample balance."""
     if len(records) < 3:
         raise DataError("need at least 3 records")
-    auc = np.array([r.auc_delta for r in records])
+    aucs = np.array([r.auc_delta for r in records])
     h_out = np.array([r.h_out for r in records])
-    pearson = _pearson(auc, h_out)
-    spearman = _pearson(_average_ranks(auc), _average_ranks(h_out))
+    pearson = _pearson(aucs, h_out)
+    spearman = _pearson(_average_ranks(aucs), _average_ranks(h_out))
     return pearson, spearman

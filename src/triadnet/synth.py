@@ -44,7 +44,7 @@ class SynthSpec:
             raise DataError(f"model must be one of {MODELS}")
         if self.n_assets < 1 or self.n_days < 2:
             raise DataError("need at least 1 asset and 2 days")
-        if self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DataError("seed must be a nonnegative integer")
         if not 0 <= self.rho_in < 1:
             raise DataError("rho_in must lie in [0, 1)")

@@ -21,12 +21,16 @@ sys.path.insert(0, str(BENCH))
 
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
-# 12 records and 4 timeseries rows: one out-of-sample H per record plus one H
-# per timeseries row, and one validated network per timeseries row.
+# 12 records from 24 window slots, 9 of them distinct, and 4 timeseries rows.
+# The grid preprocesses each distinct window once, plus 4 times for pairs whose
+# common assets are not a window's survivors: 13 preprocessings and 13 phi
+# matrices. It takes every H from its own S * S^2 product, so `hamiltonian`
+# counts the timeseries rows only. The timeseries adds 6 preprocessings, 8 phi
+# matrices and one validated network per row.
 EXPECTED_CALLS = {
-    "preprocess.complete_case": 30,
-    "correlation.phi_matrix": 32,
-    "balance.hamiltonian": 16,
+    "preprocess.complete_case": 19,
+    "correlation.phi_matrix": 21,
+    "balance.hamiltonian": 4,
     "svn.build_svn": 4,
     "experiment.run_grid": 1,
     "experiment.timeseries_rows": 1,

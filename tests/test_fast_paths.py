@@ -5,7 +5,8 @@ H and pair stability) run as float64 BLAS products; with the int64 matmul
 swapped back in, every output must be bitwise identical. The chunked,
 deduplicated SVN tail kernel must give the same bytes as the one-shot kernel
 it replaces, wherever the chunks break. The single-sort AUC
-must equal the average-rank formula bitwise, `roc` must sort once, and the
+must equal the average-rank formula bitwise, the grid's per-value counting
+AUC must equal it bitwise, `roc` must sort once, and the
 membership checks of the validating wrappers and of the sign-matrix entry of
 `hamiltonian` and `pair_stability` must still reject every value outside
 their alphabet.
@@ -16,7 +17,7 @@ import pytest
 
 from triadnet import balance, correlation, experiment, svn
 from triadnet.balance import hamiltonian, pair_stability
-from triadnet.correlation import phi_matrix
+from triadnet.correlation import CorrMatrix, phi_matrix
 from triadnet.errors import DataError
 from triadnet.experiment import _average_ranks, auc, roc
 from triadnet.graphmetrics import LabeledGraph
@@ -102,6 +103,37 @@ def test_auc_equals_average_rank_formula_bitwise(size, levels):
         value = auc(labels, scores)
         assert value == rank_auc(labels, scores)
         assert value == roc(labels, scores).auc
+
+
+def test_lattice_auc_equals_auc_bitwise():
+    """The grid's AUCs count labels per score-lattice value instead of sorting.
+    Pair stability sits on the lattice k / (N-2), and its index covers values of
+    the wrong parity that never occur; phi of a few days is heavily tied."""
+    rng = np.random.default_rng(41)
+    compared = 0
+    for n in range(3, 41):
+        iu, ju = np.triu_indices(n, k=1)
+        for t in (4, 9, 60):
+            corr = phi_matrix(random_binary(rng, t, n))
+            s = correlation.sign_matrix(corr)
+            if t == 60 and n % 4 == 0:
+                s, corr = all_equal_signs(n), CorrMatrix(corr.assets, np.ones((n, n)), "phi")
+            side = experiment._side(corr, scores=True)
+            scores = {"delta": -pair_stability(s)[iu, ju], "absphi": -np.abs(corr.values[iu, ju])}
+            assert np.array_equal(side["signs"], s[iu, ju] > 0)
+            assert side["h"] == hamiltonian(s)
+            for name, expected in scores.items():
+                index, values, totals = side[name]
+                assert values[index].tobytes() == expected.tobytes(), name
+                assert np.array_equal(np.bincount(index, minlength=len(values)), totals)
+            assert (side["delta"][2] == 0).any()  # lattice values that never occur
+            for _ in range(3):
+                labels = rng.random(len(iu)) < rng.uniform(0.1, 0.9)
+                labels[rng.choice(len(iu), 2, replace=False)] = [True, False]
+                for name, expected in scores.items():
+                    assert experiment._lattice_auc(side[name], labels) == auc(labels, expected), name
+                    compared += 1
+    assert compared > 400
 
 
 def test_auc_rejects_non_finite_scores():

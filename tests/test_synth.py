@@ -98,8 +98,12 @@ def test_spec_validation():
         SynthSpec(n_assets=4, n_days=10, model="sector_block", block_sizes=(1, 1))
     with pytest.raises(DataError, match="model"):
         SynthSpec(n_assets=4, n_days=10, model="garch")
-    with pytest.raises(DataError, match="seed"):
-        SynthSpec(n_assets=4, n_days=10, seed=-1)
+    for seed in (-1, 1.5, True, np.float64(2.0), "3"):
+        with pytest.raises(DataError, match="seed must be a nonnegative integer"):
+            SynthSpec(n_assets=4, n_days=10, seed=seed)
+    # numpy integers are integers
+    a = generate(SynthSpec(n_assets=4, n_days=10, seed=np.int64(5)))
+    assert np.array_equal(a.prices, generate(SynthSpec(n_assets=4, n_days=10, seed=5)).prices)
 
 
 def test_fully_coupled_blocks_allowed():

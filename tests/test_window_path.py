@@ -2,11 +2,14 @@
 
 The reference rebuilds every window from prices, one at a time:
 slice_window -> log_returns -> binarize / complete_case -> correlation kernel
--> sign_matrix -> pair_stability and H as -trace(S^3) / (6 C(N,3)). The
-pipeline instead slices each window out of returns and a universe market mode
-computed once per panel, and takes the in-window's H and pair stability from
-one elementwise product S * S^2. Both must agree exactly:
-records, skip decisions, datasets and timeseries rows.
+-> sign_matrix -> pair_stability and H as -trace(S^3) / (6 C(N,3)), and each
+AUC through `roc`. The pipeline instead slices each window out of returns and
+a universe market mode computed once per panel, sweeps the grid by end date
+and keeps a window's signs, H and score lattices for the pairs whose common
+assets are exactly its survivors. Both must agree exactly: records, skip
+decisions, datasets and timeseries rows, on panels where every pair reuses
+its windows (complete, name-sorted assets), where some do (gaps, sorted
+assets) and where none can (assets not in name order).
 """
 
 import logging
@@ -15,6 +18,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from triadnet import experiment
 from triadnet.balance import eigvec_overlap, pair_stability, spectral_summary
 from triadnet.correlation import (
     CORR_KINDS,
@@ -63,21 +67,46 @@ ALPHA = 0.2
 KINDS = [(kind, scope) for kind in CORR_KINDS for scope in MEDIAN_SCOPES]
 
 
-def gappy_panel(seed, n=12, t=80):
-    """Two anti-correlated blocks with a constant-price column, late listings,
-    scattered missing cells and one date without any price (how a wide CSV
-    row of empty cells loads)."""
-    rng = np.random.default_rng(seed)
+def block_prices(rng, n, t):
+    """Two anti-correlated blocks of geometric random walks."""
     block = np.where(np.arange(n) < n // 2, 1.0, -1.0)
     r = 0.01 * (1.2 * rng.normal(size=(t, 1)) * block + rng.normal(size=(t, n)))
-    prices = 100.0 * np.exp(np.cumsum(r, axis=0))
+    return 100.0 * np.exp(np.cumsum(r, axis=0))
+
+
+def labeled_panel(prices, assets):
+    return make_panel(prices, assets=assets, sectors={a: f"S{i % 2}" for i, a in enumerate(assets)})
+
+
+def gappy_panel(seed, n=12, t=80, name_order=False):
+    """Two anti-correlated blocks with a constant-price column, late listings,
+    scattered missing cells and one date without any price (how a wide CSV
+    row of empty cells loads). Assets are not in name order unless `name_order`."""
+    rng = np.random.default_rng(seed)
+    prices = block_prices(rng, n, t)
     prices[:, 0] = 50.0
     prices[: t // 4, 1] = np.nan
     prices[: t // 2, 2] = np.nan
     prices[rng.random((t, n)) < 0.02] = np.nan
     prices[t - 10] = np.nan
-    assets = tuple(f"A{7 * i % n}" for i in range(n))  # not in name order
-    return make_panel(prices, assets=assets, sectors={a: f"S{i % 2}" for i, a in enumerate(assets)})
+    if name_order:
+        return labeled_panel(prices, tuple(f"A{i:02d}" for i in range(n)))
+    return labeled_panel(prices, tuple(f"A{7 * i % n}" for i in range(n)))
+
+
+def complete_panel(seed, n=12, t=80, name_order=True):
+    """Every price present; assets in name order, or in reverse name order."""
+    prices = block_prices(np.random.default_rng(seed), n, t)
+    assets = tuple(f"A{i:02d}" for i in range(n))
+    return labeled_panel(prices, assets if name_order else assets[::-1])
+
+
+# panels for the grid differential beyond the `panel` fixture's two gappy ones
+GRID_PANELS = {
+    "complete": lambda: complete_panel(16),
+    "complete-not-name-ordered": lambda: complete_panel(16, name_order=False),
+    "gappy-name-ordered": lambda: gappy_panel(14, name_order=True),
+}
 
 
 @pytest.fixture(scope="module", params=[14, 15])
@@ -145,10 +174,10 @@ def ref_dataset(panel, end_idx, t_in, t_out, kind, scope):
     return fields, r_in, (s_in, s_out)
 
 
-def ref_grid(panel, kind, scope):
+def ref_grid(panel, kind, scope, t_values=T_VALUES):
     """(records in grid order, {task: skip reason}) with reasons 'infeasible'/'single_class'."""
     records, skips = [], {}
-    for task in grid_tasks(panel, T_VALUES, STEP):
+    for task in grid_tasks(panel, t_values, STEP):
         t_in, t_out, end_idx = task
         try:
             ds, r_in, (s_in, s_out) = ref_dataset(panel, end_idx, t_in, t_out, kind, scope)
@@ -225,24 +254,89 @@ def ref_timeseries(panel, kind, scope):
     return rows
 
 
-@pytest.mark.parametrize("kind,scope", KINDS)
-def test_run_grid_matches_per_window_reference(panel, kind, scope, caplog):
+def assert_grid_matches_reference(panel, kind, scope, caplog):
+    """run_grid at jobs 1 and 2 against `ref_grid`; returns the reference."""
     expected, expected_skips = ref_grid(panel, kind, scope)
+    counts = {
+        reason: sum(r == reason for r in expected_skips.values())
+        for reason in ("infeasible", "single_class")
+    }
     with caplog.at_level(logging.DEBUG, logger="triadnet.experiment"):
-        records, skipped = run_grid(panel, T_VALUES, STEP, corr_kind=kind, median_scope=scope)
-    skips = {
+        serial = run_grid(panel, T_VALUES, STEP, kind, scope, jobs=1)
+    skips = {  # pool workers log in their own processes, so only the serial run's
         rec.args[:3]: "single_class" if rec.args[3].startswith("single-class") else "infeasible"
         for rec in caplog.records
         if rec.msg.startswith("skipping")
     }
-    assert [vars(r) for r in records] == [vars(r) for r in expected]
     assert skips == expected_skips
-    assert skipped == {
-        reason: sum(r == reason for r in expected_skips.values())
-        for reason in ("infeasible", "single_class")
-    }
+    pooled = run_grid(panel, T_VALUES, STEP, kind, scope, jobs=2)
+    for jobs, (records, skipped) in {1: serial, 2: pooled}.items():
+        assert [vars(r) for r in records] == [vars(r) for r in expected], jobs
+        assert skipped == counts, jobs
+    return expected, expected_skips
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+def test_run_grid_matches_per_window_reference(panel, kind, scope, caplog):
+    records, skips = assert_grid_matches_reference(panel, kind, scope, caplog)
     # the panel exercises every branch: records and both kinds of skip
     assert records and set(skips.values()) == {"infeasible", "single_class"}
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+@pytest.mark.parametrize("name", sorted(GRID_PANELS))
+def test_run_grid_matches_reference_whether_windows_are_reused_or_not(name, kind, scope, caplog):
+    records, _ = assert_grid_matches_reference(GRID_PANELS[name](), kind, scope, caplog)
+    assert records
+
+
+def counted_window_builds(monkeypatch, kind, scope, panel, t_values):
+    """Run a serial grid; return (survivor builds per (t, end idx) window, correlations
+    by whether they are on a window's own survivors, the distinct windows of the grid)."""
+    builds, corrs = {}, {"own survivors": 0, "pair subset": 0}
+    survivors, corr_from_data = experiment._survivors, experiment._corr_from_data
+
+    def counted_survivors(returns, mode, *args):
+        key = (len(returns.dates), panel.dates.index(returns.dates[-1]))  # (t, end price row)
+        builds[key] = builds.get(key, 0) + 1
+        return survivors(returns, mode, *args)
+
+    def counted_corr(data, corr_kind, subset=None):
+        corrs["own survivors" if subset is None else "pair subset"] += 1
+        return corr_from_data(data, corr_kind, subset)
+
+    monkeypatch.setattr(experiment, "_survivors", counted_survivors)
+    monkeypatch.setattr(experiment, "_corr_from_data", counted_corr)
+    records, _ = run_grid(panel, t_values, STEP, kind, scope)
+    assert [vars(r) for r in records] == [vars(r) for r in ref_grid(panel, kind, scope, t_values)[0]]
+    tasks = grid_tasks(panel, t_values, STEP)
+    windows = {(t_in, end) for t_in, _, end in tasks} | {(t_out, end + t_out) for _, t_out, end in tasks}
+    return builds, corrs, windows
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+def test_serial_sweep_builds_each_window_once_when_every_pair_reuses_it(monkeypatch, kind, scope):
+    """On a complete, name-ordered panel whose windows keep every asset, every
+    window is preprocessed and correlated exactly once, however many pairs use it."""
+    t_values = [12, 20, 30]
+    builds, corrs, windows = counted_window_builds(
+        monkeypatch, kind, scope, complete_panel(16), t_values
+    )
+    assert builds == dict.fromkeys(windows, 1)
+    assert corrs == {"own survivors": len(windows), "pair subset": 0}
+    assert len(windows) < 2 * len(grid_tasks(complete_panel(16), t_values, STEP))
+
+
+@pytest.mark.parametrize("kind", ["phi", "pearson"])
+def test_serial_sweep_mixes_reused_and_direct_windows_on_gaps(monkeypatch, kind):
+    """With gaps, some pairs reuse a window's side and others correlate their
+    common assets directly; a window is rebuilt only for such a direct pair."""
+    builds, corrs, windows = counted_window_builds(
+        monkeypatch, kind, "universe", gappy_panel(14, name_order=True), T_VALUES
+    )
+    assert set(builds) <= windows  # an out-window is not built when its in-window fails
+    assert corrs["own survivors"] > 0 and corrs["pair subset"] > 0
+    assert sum(builds.values()) - len(builds) <= corrs["pair subset"]
 
 
 @pytest.mark.parametrize("kind,scope", KINDS)
