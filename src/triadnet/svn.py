@@ -42,8 +42,8 @@ class Svn:
         return int(self.adjacency.sum()) // 2
 
 
-_CHUNK_ELEMS = 1 << 17  # float64 entries per (rows x width) array: 1 MB
-_MAX_T = 1 << 21  # c, ki and kj each take 21 bits of the int64 dedup key
+_CHUNK_ELEMS = 1 << 17  # float64 entries per (groups x width) table chunk: 1 MB
+_MAX_T = 1 << 21  # ki and kj each take 21 bits of the int64 group key
 
 
 def _log_factorials(t: int) -> np.ndarray:
@@ -55,49 +55,59 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
     """P(X >= c) for X hypergeometric with population t, successes ki, draws kj.
 
     The counts are int64 arrays with ki, kj in [0, t] and c in
-    [0, min(ki, kj)]; `lf` is `_log_factorials(t)`. Vectorized over pairs; the
-    summation runs in log space so that windows of several thousand days
-    cannot underflow.
+    [0, min(ki, kj)]; `lf` is `_log_factorials(t)`. Pairs with c at or below
+    the lower end of the support get exactly 1.
 
-    Each distinct (c, ki, kj) triple is evaluated once. Its terms are padded
-    to one width, the longest tail of the call, and evaluated
-    `_CHUNK_ELEMS // width` rows at a time, so memory is O(pairs + chunk),
-    O(N^2 + chunk) for a window of N assets, not O(pairs x tail width). The
-    dedup key packs each count into 21 bits, hence t < 2**21. The width must
-    stay global: numpy's pairwise sum groups a row's terms by the row length,
-    so a chunk-local width would move the last bits of the p-values.
+    The tail is symmetric in the margins, so the other pairs are grouped by
+    their law (a, b) = (min(ki, kj), max(ki, kj)). Each group gets one table
+    row of log-terms for x = a, a-1, ... down to the smallest c of the group,
+    and a running `np.logaddexp` along the row turns it into log P(X >= x):
+    the sum stays in log space, so deep tails of long windows cannot
+    underflow, and it starts from the far end of the tail. A pair reads its
+    p-value at column a - c. Groups are processed in width order,
+    `_CHUNK_ELEMS // width` rows at a time, and each chunk's pairs read their
+    p-values before the next chunk, so memory is O(pairs + chunk), not
+    O(groups x width). A p-value depends on (c, a, b, t) alone: it is the
+    same for (c, kj, ki), whatever else the call holds and wherever the
+    chunks break. The group key packs each margin into 21 bits, hence
+    t < 2**21.
     """
     if t >= _MAX_T:
         raise DataError(f"window length must be below {_MAX_T} days")
-    xmax = np.minimum(ki, kj)
-    lower = np.maximum(0, ki + kj - t)
     p = np.ones(c.shape, dtype=float)
-    todo = np.flatnonzero(c > lower)  # c <= lower: the whole support, exactly 1
+    todo = np.flatnonzero(c > np.maximum(0, ki + kj - t))
     if todo.size == 0:
         return p
-    width = int((xmax[todo] - c[todo]).max()) + 1
-    key = (c[todo] << 42) | (ki[todo] << 21) | kj[todo]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rows = todo[first]
-    tail = np.empty(rows.size)
-    step = max(1, _CHUNK_ELEMS // width)
-    for start in range(0, rows.size, step):
-        r = rows[start:start + step]
-        a = ki[r, None]
-        b = kj[r, None]
-        log_denom = lf[t] - lf[b] - lf[t - b]
-        x = c[r, None] + np.arange(width)[None, :]
-        valid = x <= xmax[r, None]
-        xc = np.where(valid, x, 0)
+    c = c[todo]
+    key = (np.minimum(ki[todo], kj[todo]) << 21) | np.maximum(ki[todo], kj[todo])
+    laws, group = np.unique(key, return_inverse=True)
+    a, b = laws >> 21, laws & (_MAX_T - 1)
+    c_min = a.copy()
+    np.minimum.at(c_min, group, c)
+    width = a - c_min + 1
+    by_width = np.argsort(-width)
+    rank = np.empty_like(by_width)
+    rank[by_width] = np.arange(by_width.size)
+    pair_rank = rank[group]
+    pairs = np.argsort(pair_rank)
+    sorted_rank = pair_rank[pairs]
+    start = 0
+    while start < by_width.size:
+        w = int(width[by_width[start]])
+        stop = min(by_width.size, start + max(1, _CHUNK_ELEMS // w))
+        g = by_width[start:stop, None]
+        # past c_min the row repeats the term at c_min; those columns are never read
+        x = np.maximum(a[g] - np.arange(w), c_min[g])
         terms = (
-            lf[a] - lf[xc] - lf[a - xc]
-            + lf[t - a] - lf[b - xc] - lf[(t - a) - (b - xc)]
-            - log_denom
+            lf[a[g]] - lf[x] - lf[a[g] - x]
+            + lf[t - a[g]] - lf[b[g] - x] - lf[t - a[g] - b[g] + x]
+            - (lf[t] - lf[b[g]] - lf[t - b[g]])
         )
-        terms = np.where(valid, terms, -np.inf)
-        peak = terms.max(axis=1)
-        tail[start:start + step] = np.exp(peak) * np.exp(terms - peak[:, None]).sum(axis=1)
-    p[todo] = np.minimum(tail, 1.0)[inverse]
+        table = np.logaddexp.accumulate(terms, axis=1)
+        lo, hi = np.searchsorted(sorted_rank, [start, stop])
+        r = pairs[lo:hi]
+        p[todo[r]] = np.minimum(np.exp(table[pair_rank[r] - start, a[group[r]] - c[r]]), 1.0)
+        start = stop
     return p
 
 
@@ -114,6 +124,15 @@ def link_pvalue(c: int, k_i: int, k_j: int, T: int) -> float:
     return float(_tail_pvalues(*counts, T, _log_factorials(T))[0])
 
 
+def _bh_cutoff(p: np.ndarray, alpha: float) -> float:
+    """The largest p-value the step-up rule keeps at level alpha; -inf if none."""
+    if not 0 < alpha < 1:
+        raise DataError("alpha must be in (0, 1)")
+    sorted_p = np.sort(p)
+    ok = np.flatnonzero(sorted_p <= np.arange(1, p.size + 1) * alpha / p.size)
+    return float(sorted_p[ok[-1]]) if ok.size else -np.inf
+
+
 def bh_select(pvalues, alpha: float) -> set:
     """Benjamini-Hochberg step-up selection.
 
@@ -121,19 +140,8 @@ def bh_select(pvalues, alpha: float) -> set:
     (M = number of tests) and returns the indices of every p-value at or below
     that cutoff; the empty set if no rank qualifies.
     """
-    if not 0 < alpha < 1:
-        raise DataError("alpha must be in (0, 1)")
     p = np.asarray(pvalues, dtype=float)
-    m = p.size
-    if m == 0:
-        return set()
-    order = np.argsort(p, kind="stable")
-    sorted_p = p[order]
-    ok = sorted_p <= (np.arange(1, m + 1) * alpha / m)
-    if not ok.any():
-        return set()
-    cutoff = sorted_p[np.nonzero(ok)[0][-1]]
-    return set(int(i) for i in np.nonzero(p <= cutoff)[0])
+    return set(np.flatnonzero(p <= _bh_cutoff(p, alpha)).tolist())
 
 
 def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") -> Svn:
@@ -144,8 +152,8 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
     takes the smaller of the two tail p-values and doubles it before the
     step-up selection. The counts come from one exact float64 BLAS product
     (see `util.count_product`). Memory is O(N^2 + chunk): the tail p-values
-    are evaluated in fixed-size row chunks (see `_tail_pvalues`), never as
-    one pairs x tail-width array.
+    come from one tail table per (k_i, k_j) law, built in fixed-size row
+    chunks (see `_tail_pvalues`), never as one pairs x tail-width array.
     """
     if polarity not in POLARITIES:
         raise DataError(f"polarity must be one of {POLARITIES}")
@@ -165,10 +173,8 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
         p_ij = _tail_pvalues(cross[iu, ju], k[iu], t - k[ju], t, lf)
         p_ji = _tail_pvalues(cross[ju, iu], k[ju], t - k[iu], t, lf)
         p = np.minimum(2.0 * np.minimum(p_ij, p_ji), 1.0)
-    selected = bh_select(p, alpha)
-    pvalues = {}
-    for idx in sorted(selected):
-        i, j = int(iu[idx]), int(ju[idx])
-        adjacency[i, j] = adjacency[j, i] = 1
-        pvalues[(i, j)] = float(p[idx])
+    kept = np.flatnonzero(p <= _bh_cutoff(p, alpha))
+    i, j = iu[kept], ju[kept]
+    adjacency[i, j] = adjacency[j, i] = 1
+    pvalues = dict(zip(zip(i.tolist(), j.tolist()), p[kept].tolist()))
     return Svn(b.assets, adjacency, polarity, alpha, pvalues)

@@ -52,6 +52,15 @@ def random_signed(rng, n):
     return s.astype(np.int8)
 
 
+def random_triples(rng, t, size):
+    """Counts (c, ki, kj) with c anywhere on the support [max(0, ki+kj-t), min(ki, kj)]."""
+    ki = rng.integers(0, t + 1, size)
+    kj = rng.integers(0, t + 1, size)
+    lower = np.maximum(0, ki + kj - t)
+    c = lower + (rng.random(size) * (np.minimum(ki, kj) - lower + 1)).astype(np.int64)
+    return c, ki, kj
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

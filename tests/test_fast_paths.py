@@ -2,14 +2,15 @@
 
 The count kernels (phi's co-occurrence counts, the SVN counts and S * S^2 for
 H and pair stability) run as float64 BLAS products; with the int64 matmul
-swapped back in, every output must be bitwise identical. The chunked,
-deduplicated SVN tail kernel must give the same bytes as the one-shot kernel
-it replaces, wherever the chunks break. The single-sort AUC
-must equal the average-rank formula bitwise, the grid's per-value counting
-AUC must equal it bitwise, `roc` must sort once, and the
-membership checks of the validating wrappers and of the sign-matrix entry of
-`hamiltonian` and `pair_stability` must still reject every value outside
-their alphabet.
+swapped back in, every output must be bitwise identical. The grouped SVN
+tail kernel sums each law's terms in another order than the one-shot,
+per-pair kernel it replaces, so its p-values must agree with that reference
+to 1e-11 relative and select exactly the same links; across chunk sizes it
+must give the same bytes. The single-sort AUC must equal the average-rank
+formula bitwise, the grid's per-value counting AUC must equal it bitwise,
+`roc` must sort once, and the membership checks of the validating wrappers
+and of the sign-matrix entry of `hamiltonian` and `pair_stability` must still
+reject every value outside their alphabet.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from triadnet.preprocess import BinaryPanel
 from triadnet.svn import Svn, build_svn
 from triadnet.util import count_product
 
-from conftest import random_binary, random_signed
+from conftest import random_binary, random_signed, random_triples
 
 
 def int64_product(a, b):
@@ -209,7 +210,7 @@ def test_roc_sorts_once(monkeypatch):
 
 
 def one_shot_tail_pvalues(c, ki, kj, t, lf):
-    """The SVN tail kernel before chunking: every pair at once, pairs x width."""
+    """The per-pair SVN tail kernel: one padded sum per pair, all pairs x width at once."""
     xmax = np.minimum(ki, kj)
     lower = np.maximum(0, ki + kj - t)
     full = c <= lower
@@ -236,15 +237,6 @@ def one_shot_tail_pvalues(c, ki, kj, t, lf):
     return p
 
 
-def random_triples(rng, t, size):
-    """Counts (c, ki, kj) with c anywhere on the support [max(0, ki+kj-t), min(ki, kj)]."""
-    ki = rng.integers(0, t + 1, size)
-    kj = rng.integers(0, t + 1, size)
-    lower = np.maximum(0, ki + kj - t)
-    c = lower + (rng.random(size) * (np.minimum(ki, kj) - lower + 1)).astype(np.int64)
-    return c, ki, kj
-
-
 def tail_cases():
     rng = np.random.default_rng(17)
     for t in (1, 2, 7, 40, 400, 3000):
@@ -266,25 +258,27 @@ def chunk_sizes(c, ki, kj, t):
     todo = c > np.maximum(0, ki + kj - t)
     if not todo.any():
         return [svn._CHUNK_ELEMS, 1]
-    width = int((np.minimum(ki, kj) - c)[todo].max()) + 1
-    key = np.stack([c[todo], ki[todo], kj[todo]], axis=1)
-    rows = len(np.unique(key, axis=0))
-    step = next(k for k in range(2, rows + 2) if rows % k)
+    a, b = np.minimum(ki, kj)[todo], np.maximum(ki, kj)[todo]
+    width = int((a - c[todo]).max()) + 1
+    groups = len(np.unique(np.stack([a, b], axis=1), axis=0))
+    step = next(k for k in range(2, groups + 2) if groups % k)
     return [svn._CHUNK_ELEMS, 1, width * step]
 
 
 @pytest.mark.parametrize("name,counts,t", list(tail_cases()))
-def test_chunked_tail_pvalues_match_one_shot_kernel_bytewise(name, counts, t, monkeypatch):
+def test_grouped_tail_pvalues_match_one_shot_kernel(name, counts, t, monkeypatch):
     c, ki, kj = (np.asarray(v, dtype=np.int64) for v in counts)
     lf = svn._log_factorials(t)
     expected = one_shot_tail_pvalues(c, ki, kj, t, lf)
     if name == "all-full-support":
         assert (expected == 1.0).all()
+    default = svn._tail_pvalues(c, ki, kj, t, lf)
+    assert default.dtype == expected.dtype
+    assert np.all(np.abs(default - expected) <= 1e-11 * expected), name
     for chunk in chunk_sizes(c, ki, kj, t):
         monkeypatch.setattr(svn, "_CHUNK_ELEMS", chunk)
         got = svn._tail_pvalues(c, ki, kj, t, lf)
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes(), (name, chunk)
+        assert got.tobytes() == default.tobytes(), (name, chunk)
 
 
 @pytest.mark.parametrize("polarity", svn.POLARITIES)
@@ -307,4 +301,7 @@ def test_build_svn_under_forced_chunks_matches_one_shot_kernel(polarity, monkeyp
     assert reference.n_links > 0
     for net in results:
         assert np.array_equal(net.adjacency, reference.adjacency)
-        assert net.pvalues == reference.pvalues
+        assert net.pvalues.keys() == reference.pvalues.keys()
+        assert net.pvalues == results[0].pvalues
+        for link, p in reference.pvalues.items():
+            assert abs(net.pvalues[link] - p) <= 1e-11 * p, link

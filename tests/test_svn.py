@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from triadnet.correlation import phi_matrix
 from triadnet.errors import DataError
-from triadnet.svn import _tail_pvalues, bh_select, build_svn, link_pvalue
+from triadnet.svn import _log_factorials, _tail_pvalues, bh_select, build_svn, link_pvalue
 
-from conftest import make_binary, random_binary
+from conftest import make_binary, random_binary, random_triples
 
 
 def tail_oracle(c, k_i, k_j, t):
@@ -58,6 +59,43 @@ def test_tail_pvalues_reject_windows_beyond_the_dedup_key():
     one = np.ones(1, dtype=np.int64)
     with pytest.raises(DataError, match="below 2097152 days"):
         _tail_pvalues(one, one, one, 2**21, np.empty(0))
+
+
+@pytest.mark.parametrize("t", [1, 7, 40, 400, 2000])
+def test_tail_pvalues_are_exactly_symmetric_in_the_margins(t):
+    c, ki, kj = random_triples(np.random.default_rng(t), t, 5000)
+    lf = _log_factorials(t)
+    assert _tail_pvalues(c, ki, kj, t, lf).tobytes() == _tail_pvalues(c, kj, ki, t, lf).tobytes()
+
+
+@pytest.mark.parametrize("t", [40, 400, 2000])
+def test_tail_pvalues_match_scipy_hypergeometric_survival(t):
+    stats = pytest.importorskip("scipy.stats")
+    c, ki, kj = random_triples(np.random.default_rng(11 + t), t, 20000)
+    got = _tail_pvalues(c, ki, kj, t, _log_factorials(t))
+    reference = stats.hypergeom.sf(c - 1, t, ki, kj)
+    deep = reference > 1e-290
+    assert deep.mean() > 0.9
+    assert np.all(np.abs(got - reference)[deep] <= 1e-10 * reference[deep])
+
+
+def test_tail_pvalues_at_the_edges_of_the_support():
+    # c one above the lower end of the support, with and without a forced overlap
+    for t, k_i, k_j in [(10, 3, 4), (10, 7, 8), (12, 5, 9), (30, 29, 2)]:
+        lower = max(0, k_i + k_j - t)
+        counts = np.array([[lower, lower + 1], [k_i, k_i], [k_j, k_j]], dtype=np.int64)
+        got = _tail_pvalues(*counts, t, _log_factorials(t))
+        assert got[0] == 1.0
+        assert got[1] == pytest.approx(tail_oracle(lower + 1, k_i, k_j, t), rel=1e-13)
+    # k = 0 and k = T leave one point of support: exactly 1
+    t = 25
+    k = np.arange(t + 1)
+    zero, full = np.zeros_like(k), np.full_like(k, t)
+    for c, ki, kj in [(zero, zero, k), (zero, k, zero), (k, full, k), (k, k, full)]:
+        assert (_tail_pvalues(c, ki, kj, t, _log_factorials(t)) == 1.0).all()
+    ki = np.array([0, 0, 1, 1], dtype=np.int64)
+    kj = np.array([0, 1, 0, 1], dtype=np.int64)
+    assert (_tail_pvalues(ki * kj, ki, kj, 1, _log_factorials(1)) == 1.0).all()
 
 
 def test_bh_select_examples():
@@ -176,3 +214,19 @@ def test_build_svn_memory_is_bounded_at_paper_scale(polarity):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_build_svn_memory_and_time_at_a_thousand_assets():
+    # 1,000 assets over 2,000 days: 499,500 pairs with tails up to 1,000 terms
+    rng = np.random.default_rng(6)
+    b = make_binary(rng.choice(np.array([-1, 1], dtype=np.int8), size=(2000, 1000)))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        build_svn(b, alpha=0.1, polarity="positive")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * 2**20
+    assert elapsed < 2.5
