@@ -116,7 +116,7 @@ def _window(full, end_idx: int, t: int):
     """(returns, universe market mode) of the t returns ending at price row end_idx (>= t)."""
     r, mode = full
     rows = slice(end_idx - t, end_idx)
-    return ReturnPanel(r.dates[rows], r.assets, r.returns[rows], r.present[rows]), mode[rows]
+    return ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows], r.present[rows]), mode[rows]
 
 
 def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
@@ -128,7 +128,7 @@ def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
         assets = subset
     if corr_kind == "phi":
         return phi_matrix(BinaryPanel(dates, assets, x))
-    rp = ReturnPanel(dates, assets, x, np.ones_like(x, dtype=bool))
+    rp = ReturnPanel._trusted(dates, assets, x, np.ones_like(x, dtype=bool))
     if corr_kind == "pearson":
         return pearson_matrix(rp)
     return partial_pearson(rp)

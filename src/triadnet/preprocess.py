@@ -37,6 +37,13 @@ class ReturnPanel:
         if vals.size and not np.all(np.isfinite(vals)):
             raise DataError("present returns must be finite")
 
+    @classmethod
+    def _trusted(cls, dates, assets, returns, present):
+        """A panel cut from one whose returns were checked: the same fields, no re-scan."""
+        self = cls.__new__(cls)
+        self.dates, self.assets, self.returns, self.present = tuple(dates), tuple(assets), returns, present
+        return self
+
 
 @dataclass(eq=False)
 class BinaryPanel:
@@ -85,7 +92,7 @@ def complete_case(returns: ReturnPanel) -> ReturnPanel:
         raise DataError("no asset survives complete-case filtering")
     assets = tuple(a for a, k in zip(returns.assets, keep) if k)
     sub = returns.returns[:, keep]
-    return ReturnPanel(returns.dates, assets, sub, np.ones_like(sub, dtype=bool))
+    return ReturnPanel._trusted(returns.dates, assets, sub, np.ones_like(sub, dtype=bool))
 
 
 def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPanel:

@@ -14,6 +14,7 @@ from triadnet.experiment import (
     stability_profile,
     timeseries_rows,
 )
+from triadnet.preprocess import ReturnPanel
 from triadnet.synth import SynthSpec, generate
 
 from conftest import make_panel
@@ -203,6 +204,19 @@ def test_serial_run_grid_leaves_no_worker_state():
     panel = generate(SynthSpec(n_assets=8, n_days=50, model="bipolar", seed=3))
     assert run_grid(panel, [10, 20], 5, jobs=1)[0]
     assert _GRID_STATE == {}
+
+
+@pytest.mark.parametrize("corr_kind", ["phi", "pearson", "partial_pearson"])
+def test_run_grid_scans_returns_for_finiteness_once_per_panel(monkeypatch, corr_kind):
+    """Windows and their complete-case subsets slice a panel that log_returns
+    checked, so the finiteness scan runs once per panel, not once per window."""
+    scans = []
+    check = ReturnPanel.__post_init__
+    monkeypatch.setattr(ReturnPanel, "__post_init__", lambda self: scans.append(check(self)))
+    panel = generate(SynthSpec(n_assets=10, n_days=60, model="bipolar", seed=5))
+    records, _ = run_grid(panel, [10, 20], 5, corr_kind=corr_kind, jobs=1)
+    assert len(records) > 10
+    assert len(scans) == 1
 
 
 def test_run_grid_infeasible_windows_give_empty_list(rng):

@@ -573,6 +573,94 @@ def test_streaming_loader_matches_the_list_based_reference(tmp_path, fmt, make):
     assert 30 <= loaded <= 120 and spanned > 50
 
 
+def _growing(rng, fmt, fault):
+    """65-150 dates x 65-100 tickers, written date by date (dates shuffled).
+    Tickers past the first 40 are first listed a quarter to half way in, so
+    the 65th distinct ticker arrives with earlier rows filled; `fault` (a
+    "duplicate" of a row from before, or a "bad price") sits right after it."""
+    n_dates, n_assets = int(rng.integers(65, 151)), int(rng.integers(65, 101))
+    dates = [f"2019-{d:04d}" for d in rng.permutation(n_dates)]
+    listed = np.sort(rng.integers(n_dates // 4, n_dates // 2, size=n_assets))
+    listed[:40] = 0
+    price = lambda: repr(float(rng.uniform(0.5, 200)))
+    if fmt == "wide":
+        lines = [["date"] + [f"T{a}" for a in range(n_assets)]]
+        for d, date in enumerate(dates):
+            lines.append([date] + [price() if listed[a] <= d and rng.random() > 0.1 else "" for a in range(n_assets)])
+        at = 1 + int(listed[64])  # the first row that lists the 65th ticker
+        if fault == "duplicate":
+            lines.insert(at + 1, list(lines[int(rng.integers(1, at))]))
+        elif fault == "bad price":
+            lines[at][65] = "-1"
+        return lines
+    lines, seen, at = [["date", "ticker", "adj_close"]], set(), None
+    for d, date in enumerate(dates):
+        for a in rng.permutation(int(np.searchsorted(listed, d, side="right"))):
+            if rng.random() < 0.1:
+                continue  # an absent cell
+            lines.append([date, f"T{a}", price()])
+            seen.add(a)
+            if len(seen) == 65 and at is None:
+                at = len(lines)  # just past the record that widens the grid
+    if fault == "duplicate":  # a cell of the widened row, read before the re-layout
+        same = [i for i in range(1, at - 1) if lines[i][0] == lines[at - 1][0]] or range(1, at - 1)
+        lines.insert(at, list(lines[same[int(rng.integers(len(same)))]]))
+    elif fault == "bad price":
+        lines.insert(at, [lines[at - 1][0], f"T{n_assets}", "abc"])
+    return lines
+
+
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+@pytest.mark.parametrize("fault", [None, "duplicate", "bad price"])
+def test_loader_matches_the_reference_past_the_initial_grid(tmp_path, fmt, fault):
+    rng = np.random.default_rng([4242, ["long", "wide"].index(fmt)])
+    p, s = tmp_path / "p.csv", tmp_path / "s.csv"
+    s.write_text("ticker,sector\nT0,X\nT64,Y\nT70,\n", encoding="utf-8")
+    for _ in range(4):
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(_growing(rng, fmt, fault))
+        want = _outcome(ref_load_panel, p, s, fmt)
+        assert _outcome(load_panel, p, s, fmt) == want
+        assert isinstance(want, str) == (fault is not None)
+        if not isinstance(want, str):
+            assert len(want[0]) >= 65 and len(want[1]) >= 65
+
+
+# (token, what the long and the wide loader read from it: a price, "missing",
+# or the start of the fault's message). A price is parsed as float() parses
+# it, and a wide cell is missing only if it is empty or a plain NaN.
+PRICE_TOKENS = [
+    ("-nan", "non-positive or non-finite", "non-positive or non-finite"),
+    ("+NaN", "non-positive or non-finite", "non-positive or non-finite"),
+    (" NAN ", "non-positive or non-finite", "missing"),
+    ("inf", "non-positive or non-finite", "non-positive or non-finite"),
+    ("1e400", "non-positive or non-finite", "non-positive or non-finite"),
+    ("1_000", 1000.0, 1000.0),
+    ("0x1p3", "unparseable", "unparseable"),
+    ("\u0661\u0662", 12.0, 12.0),
+    ("  12.5 ", 12.5, 12.5),
+]
+
+
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+@pytest.mark.parametrize("token,long_reads,wide_reads", PRICE_TOKENS, ids=[t[0] for t in PRICE_TOKENS])
+def test_loaders_take_a_price_token_as_float_does(tmp_path, fmt, token, long_reads, wide_reads):
+    if fmt == "long":
+        body = LONG + f"2020-01-02,A,1\n2020-01-02,B,{token}\n2020-01-03,A,2\n"
+    else:
+        body = WIDE + f"2020-01-02,1,{token}\n2020-01-03,2,3\n"
+    p, s = _write(tmp_path / "p.csv", body), _write(tmp_path / "s.csv", SECTORS)
+    got = _outcome(load_panel, p, s, fmt)
+    assert got == _outcome(ref_load_panel, p, s, fmt)
+    reads = long_reads if fmt == "long" else wide_reads
+    if isinstance(reads, str) and reads != "missing":
+        assert got.startswith(f"{reads} price ")
+    else:
+        panel = load_panel(p, s, fmt)
+        cell = panel.prices[0, panel.assets.index("B")]
+        assert np.isnan(cell) if reads == "missing" else cell == reads
+
+
 def test_load_panel_memory_does_not_grow_with_the_file(tmp_path):
     """Writing and loading a long file of 100,000 rows (400 dates x 250 assets,
     3.6 MB) trace peaks of about 0.05 and 2 MB. The writer that joined every

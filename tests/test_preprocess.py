@@ -5,6 +5,7 @@ import pytest
 
 from triadnet.errors import DataError
 from triadnet.preprocess import (
+    ReturnPanel,
     _universe_mode,
     binarize,
     complete_case,
@@ -126,6 +127,14 @@ def test_complete_case():
     assert cc.present.all()
     with pytest.raises(DataError):
         complete_case(make_returns([[np.nan], [0.1]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_return_panel_constructor_rejects_a_non_finite_present_return(bad):
+    returns = np.array([[0.1, 0.2], [bad, 0.3]])
+    ReturnPanel(("d1", "d2"), ("A", "B"), returns, np.array([[True, True], [False, True]]))
+    with pytest.raises(DataError, match="present returns must be finite"):
+        ReturnPanel(("d1", "d2"), ("A", "B"), returns, np.ones((2, 2), dtype=bool))
 
 
 def test_volatility():
