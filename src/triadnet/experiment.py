@@ -134,14 +134,6 @@ def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
     return partial_pearson(rp)
 
 
-def _common(a_in, a_out, need: int) -> tuple:
-    """Name-sorted assets surviving both windows; DataError if fewer than `need`."""
-    common = tuple(sorted(set(a_in) & set(a_out)))
-    if len(common) < need:
-        raise DataError(f"only {len(common)} assets survive both windows (need {need})")
-    return common
-
-
 def window_correlation(
     returns: ReturnPanel, corr_kind: str = "phi", median_scope: str = "universe"
 ) -> CorrMatrix:
@@ -176,13 +168,15 @@ def _lattice_auc(lattice, labels) -> float:
     return _groups_auc(pos, totals - pos)
 
 
-def _sweep(full, tasks, corr_kind: str, median_scope: str):
-    """Yield (task, (common, switch labels, in-side, out-of-sample H, in-window volatility))
-    or (task, message) for each (t_in, t_out, end_idx) of `tasks`, in `grid_tasks` order.
+def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make):
+    """Yield (task, (common, in-product, out-product, in-window volatility)) or
+    (task, message) for each (t_in, t_out, end_idx) of `tasks`, in end-date order.
+    A pair needs `need` common assets; each side's product is `make(corr, scores)`
+    of its window's correlation on them, with `scores` true for an in-window.
 
     Each (t, end) window is preprocessed once and dropped once the sweep passes the last
-    end date that uses it. Its side is kept for the pairs whose name-sorted common assets
-    are its survivors; other pairs compute it on their common assets."""
+    end date that uses it. Its product is kept for the pairs whose name-sorted common
+    assets are its survivors; other pairs make it on their common assets."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
     last_use = {key: end for t_in, t_out, end in tasks for key in ((t_in, end), (t_out, end + t_out))}
     cache, fresh = {}, {}  # fresh: survivor data of windows first met in this task
@@ -200,14 +194,14 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str):
             raise DataError(cache[key]["error"])
         return cache[key]
 
-    def side(key, common, scores):
+    def product(key, common, scores):
         e = cache[key]
-        if common != e["assets"] or "side" not in e:
+        if common != e["assets"] or "product" not in e:
             data = fresh.get(key) or _survivors(*e["window"], corr_kind, median_scope)
             if common != e["assets"]:
-                return _side(_corr_from_data(data, corr_kind, common), scores)
-            e["side"] = _side(_corr_from_data(data, corr_kind), key in in_keys)
-        return e["side"]
+                return make(_corr_from_data(data, corr_kind, common), scores)
+            e["product"] = make(_corr_from_data(data, corr_kind), key in in_keys)
+        return e["product"]
 
     for task in tasks:
         t_in, t_out, end = task
@@ -216,10 +210,11 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str):
         fresh.clear()
         try:
             e_in = entry(k_in)
-            common = _common(e_in["assets"], entry(k_out)["assets"], 3)
-            side_in, side_out = side(k_in, common, True), side(k_out, common, False)
-            labels = side_in["signs"] != side_out["signs"]
-            yield task, (common, labels, side_in, side_out["h"], e_in["volatility"])
+            common = tuple(sorted(set(e_in["assets"]) & set(entry(k_out)["assets"])))
+            if len(common) < need:
+                raise DataError(f"only {len(common)} assets survive both windows (need {need})")
+            yield task, (common, product(k_in, common, True), product(k_out, common, False),
+                         e_in["volatility"])
         except DataError as exc:
             yield task, str(exc)
 
@@ -252,13 +247,13 @@ def build_dataset(
     if end_idx < t_in:
         raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
     full = _with_mode(log_returns(panel))
-    ((_, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, median_scope)
+    ((_, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, median_scope, 3, _side)
     if isinstance(pair, str):
         raise DataError(pair)
-    common, labels, side_in, _, _ = pair
+    common, side_in, side_out, _ = pair
     iu, ju = np.triu_indices(len(common), k=1)
     scores = (values[index] for index, values, _ in (side_in["delta"], side_in["absphi"]))
-    return SignChangeDataset(common, iu, ju, labels, *scores)
+    return SignChangeDataset(common, iu, ju, side_in["signs"] != side_out["signs"], *scores)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -359,11 +354,12 @@ def _grid_init(panel, corr_kind, median_scope):
 
 def _evaluate(full, tasks, corr_kind, median_scope):
     """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
-    for task, pair in _sweep(full, tasks, corr_kind, median_scope):
+    for task, pair in _sweep(full, tasks, corr_kind, median_scope, 3, _side):
         if isinstance(pair, str):
             yield task, ("infeasible", f"window infeasible: {pair}")
             continue
-        common, labels, side_in, h_out, vol = pair
+        common, side_in, side_out, vol = pair
+        labels = side_in["signs"] != side_out["signs"]
         if labels.all() or not labels.any():
             yield task, ("single_class", "single-class window (no switch variation)")
             continue
@@ -371,7 +367,7 @@ def _evaluate(full, tasks, corr_kind, median_scope):
         aucs = (_lattice_auc(side_in[name], labels) for name in SCORE_KINDS)
         yield task, ExperimentRecord(
             full[0].dates[end_idx - 1], t_in, t_out, t_in / n, t_out / n, *aucs,
-            side_in["h"], h_out, vol, labels.size,
+            side_in["h"], side_out["h"], vol, labels.size,
         )
 
 
@@ -458,14 +454,19 @@ def timeseries_rows(
     Each row carries the balance index, the positive-network assortativity
     (null below 10 links) and density, the window volatility, the leading
     eigenvalue fraction, and the leading-eigenvector overlap with the next
-    (out-of-sample) window of the same length where one exists.
+    (out-of-sample) window of the same length where one exists, on their
+    common assets. `_sweep` pairs the windows, read one end date at a time.
     """
     _check_kinds(corr_kind, median_scope)
     if window < 2 or step < 1:
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
     full = _with_mode(log_returns(panel))
+    ends = range(window, panel.n_dates, step)
+    tasks = [(window, window, end) for end in ends if end + window < panel.n_dates]
+    pairs = _sweep(full, tasks, corr_kind, median_scope, 2, lambda corr, _: spectral_summary(corr, k=1)[1])
     rows = []
-    for end_idx in range(window, panel.n_dates, step):
+    for end_idx in ends:
+        pair = next(pairs)[1] if end_idx + window < panel.n_dates else None
         try:
             w_in = _window(full, end_idx, window)
             data_in = _survivors(*w_in, corr_kind, median_scope)
@@ -487,14 +488,10 @@ def timeseries_rows(
                 g_value = None
         fracs, _ = spectral_summary(corr_in, k=1)
         overlap = None
-        if end_idx + window <= panel.n_dates - 1:
+        if isinstance(pair, tuple):
             try:
-                data_out = _survivors(*_window(full, end_idx + window, window), corr_kind, median_scope)
-                common = _common(data_in[1], data_out[1], 2)
-                v_in, v_out = (spectral_summary(_corr_from_data(d, corr_kind, common), k=1)[1]
-                               for d in (data_in, data_out))
-                overlap = eigvec_overlap(v_in, v_out)
-            except DataError:
+                overlap = eigvec_overlap(pair[1], pair[2])
+            except DataError:  # a constant eigenvector has no Pearson correlation
                 pass
         rows.append(
             {
@@ -507,6 +504,8 @@ def timeseries_rows(
                 "v1_overlap": overlap,
             }
         )
+    if len(rows) < len(ends):
+        logger.info("timeseries skipped %d of %d end dates", len(ends) - len(rows), len(ends))
     return rows
 
 

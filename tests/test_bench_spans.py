@@ -25,10 +25,11 @@ from workloads import WORKLOADS, write_inputs  # noqa: E402
 # The grid preprocesses each distinct window once, plus 4 times for pairs whose
 # common assets are not a window's survivors: 13 preprocessings and 13 phi
 # matrices. It takes every H from its own S * S^2 product, so `hamiltonian`
-# counts the timeseries rows only. The timeseries adds 6 preprocessings, 8 phi
-# matrices and one validated network per row.
+# counts the timeseries rows only. The timeseries adds 8 preprocessings (one per
+# row, and the in- and out-window of the 2 rows that have a next window, paired
+# by the grid's sweep), 8 phi matrices and one validated network per row.
 EXPECTED_CALLS = {
-    "preprocess.complete_case": 19,
+    "preprocess.complete_case": 21,
     "correlation.phi_matrix": 21,
     "balance.hamiltonian": 4,
     "svn.build_svn": 4,

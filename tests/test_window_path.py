@@ -208,9 +208,9 @@ def ref_grid(panel, kind, scope, t_values=T_VALUES):
     return records, skips
 
 
-def ref_timeseries(panel, kind, scope):
+def ref_timeseries(panel, kind, scope, step=STEP):
     rows = []
-    for end_idx in range(TS_WINDOW, panel.n_dates, STEP):
+    for end_idx in range(TS_WINDOW, panel.n_dates, step):
         try:
             r_in, a_in, x_in = ref_survivors(panel, end_idx, TS_WINDOW, kind, scope)
             if len(a_in) < 3:
@@ -361,14 +361,63 @@ def test_build_dataset_matches_per_window_reference(panel, kind, scope):
     assert compared
 
 
+# the `panel` fixture's gappy panels, and GRID_PANELS at a step that divides the
+# window (a window's eigenvector is reused as a later row's in-window) and one that does not
+TIMESERIES_INPUTS = [
+    pytest.param(lambda seed=seed: gappy_panel(seed), STEP, id=str(seed)) for seed in (14, 15)
+] + [pytest.param(make, step, id=f"{name}-step{step}") for name, make in GRID_PANELS.items() for step in (4, 3)]
+
+
 @pytest.mark.parametrize("kind,scope", KINDS)
-def test_timeseries_rows_match_per_window_reference(panel, kind, scope):
-    rows = timeseries_rows(panel, TS_WINDOW, STEP, kind, scope, ALPHA)
-    expected = ref_timeseries(panel, kind, scope)
+@pytest.mark.parametrize("make,step", TIMESERIES_INPUTS)
+def test_timeseries_rows_match_per_window_reference(make, step, kind, scope):
+    panel = make()
+    rows = timeseries_rows(panel, TS_WINDOW, step, kind, scope, ALPHA)
+    expected = ref_timeseries(panel, kind, scope, step)
     assert rows == expected
     for field in ("g", "density", "v1_overlap"):
         assert any(row[field] for row in rows), field
-    assert len(rows) < len(range(TS_WINDOW, panel.n_dates, STEP))  # some windows skipped
+    gappy = not panel.present.all()
+    assert (len(rows) < len(range(TS_WINDOW, panel.n_dates, step))) == gappy  # windows skipped
+
+
+def two_common_asset_panel(seed=5, t=41):
+    """An anti-correlated pair A, B priced throughout; C, D priced only up to price row
+    TS_WINDOW and E, F only from it. The window ending there keeps A-D, the next one
+    A, B, E, F: they share exactly A and B."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=t)
+    r = 0.01 * np.column_stack([a, 0.3 * rng.normal(size=t) - a, rng.normal(size=(t, 4))])
+    prices = 100.0 * np.exp(np.cumsum(r, axis=0))
+    prices[TS_WINDOW + 1 :, 2:4] = np.nan
+    prices[:TS_WINDOW, 4:] = np.nan
+    return labeled_panel(prices, ("A", "B", "C", "D", "E", "F"))
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+def test_v1_overlap_needs_two_common_assets_where_a_grid_pair_needs_three(kind, scope):
+    """Both windows' leading eigenvectors on an anti-correlated pair are (1, -1)/sqrt 2
+    up to sign, so the overlap is 1. Partial Pearson removes that mode and leaves a
+    constant eigenvector, whose overlap is undefined."""
+    panel = two_common_asset_panel()
+    rows = timeseries_rows(panel, TS_WINDOW, STEP, kind, scope, ALPHA)
+    assert rows == ref_timeseries(panel, kind, scope)
+    assert rows[0]["date"] == panel.dates[TS_WINDOW]
+    overlap = rows[0]["v1_overlap"]
+    assert overlap is None if kind == "partial_pearson" else overlap == pytest.approx(1.0, abs=1e-12)
+    assert run_grid(panel, [TS_WINDOW], STEP, kind, scope) == ([], {"infeasible": 1, "single_class": 0})
+
+
+def test_timeseries_logs_its_skipped_end_dates_once(caplog):
+    ends = len(range(TS_WINDOW, gappy_panel(14).n_dates, STEP))
+    with caplog.at_level(logging.INFO, logger="triadnet.experiment"):
+        rows = timeseries_rows(gappy_panel(14), TS_WINDOW, STEP, alpha=ALPHA)
+        timeseries_rows(complete_panel(16), TS_WINDOW, STEP, alpha=ALPHA)
+    info = [rec for rec in caplog.records if rec.levelno == logging.INFO]
+    assert [rec.getMessage() for rec in info] == [
+        f"timeseries skipped {ends - len(rows)} of {ends} end dates"
+    ]
+    assert len(rows) < ends
 
 
 @pytest.mark.parametrize("kind", ["phi", "pearson"])
