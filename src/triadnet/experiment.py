@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +108,17 @@ def _check_kinds(corr_kind: str, median_scope: str) -> None:
         raise DataError(f"unknown median scope {median_scope!r}: expected one of {MEDIAN_SCOPES}")
 
 
-def _with_mode(returns: ReturnPanel):
-    """(returns, universe market mode): the per-panel arrays every window slices."""
-    return returns, _universe_mode(returns)
+def _with_mode(returns: ReturnPanel, median_scope: str):
+    """(returns, universe market mode): what every window slices; no mode under scope "window"."""
+    return returns, _universe_mode(returns) if median_scope == "universe" else None
 
 
 def _window(full, end_idx: int, t: int):
-    """(returns, universe market mode) of the t returns ending at price row end_idx (>= t)."""
+    """(returns, universe market mode or None) of the t returns ending at price row end_idx (>= t)."""
     r, mode = full
     rows = slice(end_idx - t, end_idx)
-    return ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows], r.present[rows]), mode[rows]
+    window = ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows], r.present[rows])
+    return window, None if mode is None else mode[rows]
 
 
 def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
@@ -139,7 +141,7 @@ def window_correlation(
 ) -> CorrMatrix:
     """Correlation matrix of one window, restricted to its surviving assets."""
     _check_kinds(corr_kind, median_scope)
-    return _corr_from_data(_survivors(*_with_mode(returns), corr_kind, median_scope), corr_kind)
+    return _corr_from_data(_survivors(*_with_mode(returns, median_scope), corr_kind, median_scope), corr_kind)
 
 
 def _side(corr: CorrMatrix, scores: bool) -> dict:
@@ -168,30 +170,40 @@ def _lattice_auc(lattice, labels) -> float:
     return _groups_auc(pos, totals - pos)
 
 
-def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make):
-    """Yield (task, (common, in-product, out-product, in-window volatility)) or
-    (task, message) for each (t_in, t_out, end_idx) of `tasks`, in end-date order.
-    A pair needs `need` common assets; each side's product is `make(corr, scores)`
-    of its window's correlation on them, with `scores` true for an in-window.
+def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=None):
+    """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in
+    end-date order. A pair is (common, in-product, out-product) or a message: it needs
+    `need` common assets, and each side's product is `make(corr, scores)` of its window's
+    correlation on them, with `scores` true for an in-window.
 
-    Each (t, end) window is preprocessed once and dropped once the sweep passes the last
-    end date that uses it. Its product is kept for the pairs whose name-sorted common
-    assets are its survivors; other pairs make it on their common assets."""
+    Each (t, end) window is preprocessed once and dropped after the last end date that uses
+    it; pairs whose name-sorted common assets are its survivors share its product. An entry
+    holds an "error" (also past the panel's end) or, for an in-window, its "volatility" and,
+    with `row`, a message or `row(entry, phi signs, corr, product)` of its own correlation."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
     last_use = {key: end for t_in, t_out, end in tasks for key in ((t_in, end), (t_out, end + t_out))}
     cache, fresh = {}, {}  # fresh: survivor data of windows first met in this task
 
     def entry(key):
         if key not in cache:
-            w = _window(full, key[1], key[0])
             try:
-                fresh[key] = _survivors(*w, corr_kind, median_scope)
+                if key[1] > len(full[0].dates):
+                    raise DataError("no window ends after the panel")
+                w = _window(full, key[1], key[0])
+                fresh[key] = data = _survivors(*w, corr_kind, median_scope)
                 vol = volatility(w[0]) if key in in_keys else None
-                cache[key] = {"window": w, "assets": fresh[key][1], "volatility": vol}
+                cache[key] = e = {"window": w, "assets": data[1], "volatility": vol}
             except DataError as exc:
                 cache[key] = {"error": str(exc)}
-        if "error" in cache[key]:
-            raise DataError(cache[key]["error"])
+            if row is not None and key in in_keys and "error" not in cache[key]:
+                try:  # a row is skipped when these fail; errors inside `row` propagate
+                    corr = _corr_from_data(data, corr_kind)
+                    e["product"] = make(corr, True)
+                    signs = BinaryPanel(*(data if corr_kind == "phi" else _survivors(*w, "phi", median_scope)))
+                except DataError as exc:
+                    e["row"] = str(exc)
+                else:
+                    e["row"] = row(e, signs, corr, e["product"])
         return cache[key]
 
     def product(key, common, scores):
@@ -208,15 +220,17 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make):
         k_in, k_out = (t_in, end), (t_out, end + t_out)
         cache = {key: e for key, e in cache.items() if last_use[key] >= end}
         fresh.clear()
-        try:
-            e_in = entry(k_in)
-            common = tuple(sorted(set(e_in["assets"]) & set(entry(k_out)["assets"])))
-            if len(common) < need:
-                raise DataError(f"only {len(common)} assets survive both windows (need {need})")
-            yield task, (common, product(k_in, common, True), product(k_out, common, False),
-                         e_in["volatility"])
-        except DataError as exc:
-            yield task, str(exc)
+        e_in = entry(k_in)
+        pair = e_in.get("error") or entry(k_out).get("error")
+        if pair is None:
+            common = tuple(sorted(set(e_in["assets"]) & set(cache[k_out]["assets"])))
+            try:
+                if len(common) < need:
+                    raise DataError(f"only {len(common)} assets survive both windows (need {need})")
+                pair = common, product(k_in, common, True), product(k_out, common, False)
+            except DataError as exc:
+                pair = str(exc)
+        yield task, e_in, pair
 
 
 def build_dataset(
@@ -246,11 +260,11 @@ def build_dataset(
         )
     if end_idx < t_in:
         raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
-    full = _with_mode(log_returns(panel))
-    ((_, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, median_scope, 3, _side)
+    full = _with_mode(log_returns(panel), median_scope)
+    ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, median_scope, 3, _side)
     if isinstance(pair, str):
         raise DataError(pair)
-    common, side_in, side_out, _ = pair
+    common, side_in, side_out = pair
     iu, ju = np.triu_indices(len(common), k=1)
     scores = (values[index] for index, values, _ in (side_in["delta"], side_in["absphi"]))
     return SignChangeDataset(common, iu, ju, side_in["signs"] != side_out["signs"], *scores)
@@ -349,16 +363,16 @@ _GRID_STATE = {}
 
 
 def _grid_init(panel, corr_kind, median_scope):
-    _GRID_STATE.update(full=_with_mode(log_returns(panel)), kinds=(corr_kind, median_scope))
+    _GRID_STATE.update(full=_with_mode(log_returns(panel), median_scope), kinds=(corr_kind, median_scope))
 
 
 def _evaluate(full, tasks, corr_kind, median_scope):
     """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
-    for task, pair in _sweep(full, tasks, corr_kind, median_scope, 3, _side):
+    for task, e_in, pair in _sweep(full, tasks, corr_kind, median_scope, 3, _side):
         if isinstance(pair, str):
             yield task, ("infeasible", f"window infeasible: {pair}")
             continue
-        common, side_in, side_out, vol = pair
+        common, side_in, side_out = pair
         labels = side_in["signs"] != side_out["signs"]
         if labels.all() or not labels.any():
             yield task, ("single_class", "single-class window (no switch variation)")
@@ -367,7 +381,7 @@ def _evaluate(full, tasks, corr_kind, median_scope):
         aucs = (_lattice_auc(side_in[name], labels) for name in SCORE_KINDS)
         yield task, ExperimentRecord(
             full[0].dates[end_idx - 1], t_in, t_out, t_in / n, t_out / n, *aucs,
-            side_in["h"], side_out["h"], vol, labels.size,
+            side_in["h"], side_out["h"], e_in["volatility"], labels.size,
         )
 
 
@@ -415,7 +429,7 @@ def run_grid(
         ) as pool:
             results = [r for chunk in pool.map(_grid_chunk, chunks) for r in chunk]
     else:
-        results = list(_evaluate(_with_mode(log_returns(panel)), tasks, corr_kind, median_scope))
+        results = list(_evaluate(_with_mode(log_returns(panel), median_scope), tasks, corr_kind, median_scope))
     records = [r for _, r in results if isinstance(r, ExperimentRecord)]
     skipped = {"infeasible": 0, "single_class": 0}
     for task, skip in results:
@@ -451,61 +465,43 @@ def timeseries_rows(
 ) -> list:
     """Rolling per-date diagnostics for one window length.
 
-    Each row carries the balance index, the positive-network assortativity
-    (null below 10 links) and density, the window volatility, the leading
-    eigenvalue fraction, and the leading-eigenvector overlap with the next
-    (out-of-sample) window of the same length where one exists, on their
-    common assets. `_sweep` pairs the windows, read one end date at a time.
+    Each row carries the balance index, the positive-network assortativity (null below
+    10 links) and density, the window volatility, the leading eigenvalue fraction, and
+    the leading-eigenvector overlap with the next (out-of-sample) window of the same
+    length where one exists, on their common assets. `_sweep` builds each window once
+    with its row; one eigh gives the eigenvalue fraction and the eigenvector it reuses.
     """
     _check_kinds(corr_kind, median_scope)
     if window < 2 or step < 1:
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
-    full = _with_mode(log_returns(panel))
-    ends = range(window, panel.n_dates, step)
-    tasks = [(window, window, end) for end in ends if end + window < panel.n_dates]
-    pairs = _sweep(full, tasks, corr_kind, median_scope, 2, lambda corr, _: spectral_summary(corr, k=1)[1])
-    rows = []
-    for end_idx in ends:
-        pair = next(pairs)[1] if end_idx + window < panel.n_dates else None
-        try:
-            w_in = _window(full, end_idx, window)
-            data_in = _survivors(*w_in, corr_kind, median_scope)
-            if len(data_in[1]) < 3:
-                raise DataError("fewer than 3 surviving assets")
-            corr_in = _corr_from_data(data_in, corr_kind)
-            signs = data_in if corr_kind == "phi" else _survivors(*w_in, "phi", median_scope)
-            b = BinaryPanel(*signs)
-        except DataError as exc:
-            logger.debug("timeseries skips %s: %s", panel.dates[end_idx], exc)
-            continue
-        net = build_svn(b, alpha=alpha, polarity="positive")
+
+    def row(e, signs, corr, spectrum):
+        if corr.n < 3:
+            return "fewer than 3 surviving assets"
+        net = build_svn(signs, alpha=alpha, polarity="positive")
         graph = LabeledGraph(net.adjacency, tuple(panel.sectors[a] for a in net.assets))
         g_value = None
-        if graph.m >= MIN_LINKS_FOR_ASSORTATIVITY:
-            try:
-                g_value = assortativity(graph)
-            except DataError:
-                g_value = None
-        fracs, _ = spectral_summary(corr_in, k=1)
+        with suppress(DataError):
+            g_value = assortativity(graph) if graph.m >= MIN_LINKS_FOR_ASSORTATIVITY else None
+        density = link_density(graph) if graph.n_nodes >= 2 else None
+        return {"h": hamiltonian(sign_matrix(corr)), "g": g_value, "density": density,
+                "volatility": e["volatility"], "lambda1_frac": max(float(spectrum[0][0]), 0.0)}
+
+    full = _with_mode(log_returns(panel), median_scope)
+    tasks = [(window, window, end) for end in range(window, panel.n_dates, step)]
+    make = lambda corr, _: spectral_summary(corr, k=1)  # noqa: E731
+    rows = []
+    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, median_scope, 2, make, row):
+        made = e_in.get("error") or e_in["row"]
+        if isinstance(made, str):
+            logger.debug("timeseries skips %s: %s", panel.dates[end_idx], made)
+            continue
         overlap = None
-        if isinstance(pair, tuple):
-            try:
-                overlap = eigvec_overlap(pair[1], pair[2])
-            except DataError:  # a constant eigenvector has no Pearson correlation
-                pass
-        rows.append(
-            {
-                "date": panel.dates[end_idx],
-                "h": hamiltonian(sign_matrix(corr_in)),
-                "g": g_value,
-                "density": link_density(graph) if graph.n_nodes >= 2 else None,
-                "volatility": volatility(w_in[0]),
-                "lambda1_frac": max(float(fracs[0]), 0.0),
-                "v1_overlap": overlap,
-            }
-        )
-    if len(rows) < len(ends):
-        logger.info("timeseries skipped %d of %d end dates", len(ends) - len(rows), len(ends))
+        with suppress(DataError):  # a constant eigenvector has no Pearson correlation
+            overlap = None if isinstance(pair, str) else eigvec_overlap(pair[1][1], pair[2][1])
+        rows.append({"date": panel.dates[end_idx], **made, "v1_overlap": overlap})
+    if len(rows) < len(tasks):
+        logger.info("timeseries skipped %d of %d end dates", len(tasks) - len(rows), len(tasks))
     return rows
 
 

@@ -77,11 +77,15 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
 
 def _universe_mode(returns: ReturnPanel) -> np.ndarray:
     """Per-date median over the returns present that day, NaN on a date with none;
-    even counts use the mean of the two central order statistics."""
+    even counts use the mean of the two central order statistics. Dates with every
+    return present take np.median: nanmedian's bits without its masked-array path."""
     some = returns.present.any(axis=1)
+    full = returns.present.all(axis=1) & some
     mode = np.full(len(some), np.nan)
+    mode[full] = np.median(returns.returns[full], axis=1)
+    gaps = some & ~full
     with np.errstate(invalid="ignore"):
-        mode[some] = np.nanmedian(np.where(returns.present, returns.returns, np.nan)[some], axis=1)
+        mode[gaps] = np.nanmedian(np.where(returns.present[gaps], returns.returns[gaps], np.nan), axis=1)
     return mode
 
 

@@ -21,16 +21,22 @@ sys.path.insert(0, str(BENCH))
 
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
+from triadnet import preprocess  # noqa: E402
+from triadnet.experiment import timeseries_rows  # noqa: E402
+from triadnet.ingest import load_panel  # noqa: E402
+
 # 12 records from 24 window slots, 9 of them distinct, and 4 timeseries rows.
 # The grid preprocesses each distinct window once, plus 4 times for pairs whose
 # common assets are not a window's survivors: 13 preprocessings and 13 phi
 # matrices. It takes every H from its own S * S^2 product, so `hamiltonian`
-# counts the timeseries rows only. The timeseries adds 8 preprocessings (one per
-# row, and the in- and out-window of the 2 rows that have a next window, paired
-# by the grid's sweep), 8 phi matrices and one validated network per row.
+# counts the timeseries rows only. The timeseries' own sweep builds each of its 4
+# windows once, with its row (the out-windows of the 2 rows that have a next window
+# are later rows' in-windows): 4 preprocessings, 4 phi matrices, 4 spectral
+# summaries and one validated network per row.
 EXPECTED_CALLS = {
-    "preprocess.complete_case": 21,
-    "correlation.phi_matrix": 21,
+    "preprocess.complete_case": 17,
+    "correlation.phi_matrix": 17,
+    "balance.spectral_summary": 4,
     "balance.hamiltonian": 4,
     "svn.build_svn": 4,
     "experiment.run_grid": 1,
@@ -59,3 +65,17 @@ def test_traced_toy_grid_keeps_the_spans_the_metrics_read(tmp_path):
     assert (summary["records"], summary["timeseries_rows"]) == (12, 4)
     calls = {name: result["spans"].get(name, {}).get("calls", 0) for name in EXPECTED_CALLS}
     assert calls == EXPECTED_CALLS
+
+
+def test_gappy_workload_timeseries_preprocesses_each_window_once(tmp_path, monkeypatch):
+    """grid-gaps-pp, seed 7: 20 rows, 18 of them with a next window, at a step that does
+    not divide the window. Each in-window is preprocessed twice (its partial Pearson
+    survivors and its network's phi signs) and each out-window once: 58 calls of
+    `complete_case`, the metric preprocess.complete_case.calls reads."""
+    w = WORKLOADS["grid-gaps-pp"]
+    config = json.loads(write_inputs(w, 7, tmp_path).read_text())
+    panel = load_panel(config["prices"], config["sectors"], config["format"])
+    calls, complete_case = [], preprocess.complete_case
+    monkeypatch.setattr(preprocess, "complete_case", lambda r: calls.append(1) or complete_case(r))
+    rows = timeseries_rows(panel, w.timeseries_window, w.step, w.corr_kind, w.median_scope)
+    assert (len(rows), len(calls)) == (20, 58)

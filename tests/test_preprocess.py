@@ -50,6 +50,37 @@ def test_universe_mode_ignores_missing_and_is_nan_on_empty_date():
     assert _universe_mode(make_returns([[1.0, np.nan, 3.0]]))[0] == 2.0
 
 
+def nanmedian_mode(returns):
+    """The universe market mode as one nanmedian over every date with a return."""
+    some = returns.present.any(axis=1)
+    mode = np.full(len(some), np.nan)
+    with np.errstate(invalid="ignore"):
+        mode[some] = np.nanmedian(np.where(returns.present, returns.returns, np.nan)[some], axis=1)
+    return mode
+
+
+# nanmedian takes numpy's masked-array path below 600 values per date and a
+# per-row np.median path from 600 on; the fast path must match both
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 599, 600, 601, 700])
+def test_universe_mode_matches_nanmedian_bit_for_bit(n):
+    """Complete dates take np.median, dates with a gap nanmedian: the bits equal one
+    nanmedian over every date, on random panels with gaps, ties, exact zeros, odd and
+    even counts, complete dates and a date with no return."""
+    rng = np.random.default_rng(n)
+    for trial in range(30):
+        t = int(rng.integers(1, 25))
+        r = rng.normal(scale=0.02, size=(t, n))
+        if trial % 3 == 0:
+            r = np.round(r, 2)  # many ties
+        r[rng.random((t, n)) < 0.1] = 0.0
+        present = rng.random((t, n)) >= (0.0, 0.01, 0.3)[trial % 3]
+        present[rng.random(t) < 0.3] = True  # complete dates
+        if trial % 4 == 0:
+            present[rng.integers(t)] = False  # a date with no return
+        returns = make_returns(r, present)
+        assert _universe_mode(returns).tobytes() == nanmedian_mode(returns).tobytes(), trial
+
+
 def test_binarize_signs_and_tie_rule():
     # every date's median is 0.0; exact zeros (A0 and A3 on the first date)
     # take the +1 side of the tie rule

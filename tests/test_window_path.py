@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from triadnet import experiment
+from triadnet import experiment, preprocess
 from triadnet.balance import eigvec_overlap, pair_stability, spectral_summary
 from triadnet.correlation import (
     CORR_KINDS,
@@ -99,6 +99,21 @@ def complete_panel(seed, n=12, t=80, name_order=True):
     prices = block_prices(np.random.default_rng(seed), n, t)
     assets = tuple(f"A{i:02d}" for i in range(n))
     return labeled_panel(prices, assets if name_order else assets[::-1])
+
+
+def flat_in_one_window_panel(seed=3, n=13, t=90):
+    """Complete and name-ordered. Over returns 40-59, the returns of the window ending at
+    price row 60, A06's price is flat while six other assets rise and six fall each day,
+    so its raw return and its return less the daily median are both 0 there: it leaves
+    that window's survivors for every kind and scope, and no other window's."""
+    rng = np.random.default_rng(seed)
+    r = np.diff(np.log(block_prices(rng, n, t)), axis=0)
+    others = np.delete(np.arange(n), 6)
+    rises = rng.permuted(np.tile(np.arange(n - 1) < (n - 1) // 2, (20, 1)), axis=1)
+    r[40:60, others] = np.where(rises, 1.0, -1.0) * np.abs(r[40:60, others])
+    r[40:60, 6] = 0.0
+    prices = 100.0 * np.exp(np.vstack([np.zeros(n), np.cumsum(r, axis=0)]))
+    return labeled_panel(prices, tuple(f"A{i:02d}" for i in range(n)))
 
 
 # panels for the grid differential beyond the `panel` fixture's two gappy ones
@@ -361,11 +376,14 @@ def test_build_dataset_matches_per_window_reference(panel, kind, scope):
     assert compared
 
 
-# the `panel` fixture's gappy panels, and GRID_PANELS at a step that divides the
-# window (a window's eigenvector is reused as a later row's in-window) and one that does not
+# the `panel` fixture's gappy panels, GRID_PANELS at a step that divides the window
+# (a window's eigenvector is reused as a later row's in-window) and one that does not,
+# and a complete panel whose run mixes reused and direct eigenvectors
 TIMESERIES_INPUTS = [
     pytest.param(lambda seed=seed: gappy_panel(seed), STEP, id=str(seed)) for seed in (14, 15)
-] + [pytest.param(make, step, id=f"{name}-step{step}") for name, make in GRID_PANELS.items() for step in (4, 3)]
+] + [pytest.param(make, step, id=f"{name}-step{step}") for name, make in GRID_PANELS.items() for step in (4, 3)] + [
+    pytest.param(flat_in_one_window_panel, STEP, id="flat-in-one-window")
+]
 
 
 @pytest.mark.parametrize("kind,scope", KINDS)
@@ -379,6 +397,78 @@ def test_timeseries_rows_match_per_window_reference(make, step, kind, scope):
         assert any(row[field] for row in rows), field
     gappy = not panel.present.all()
     assert (len(rows) < len(range(TS_WINDOW, panel.n_dates, step))) == gappy  # windows skipped
+
+
+def count_calls(monkeypatch, module, name, counts):
+    """Count the calls of module.name into counts[name]."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+def test_timeseries_mixes_reused_and_direct_eigenvectors_in_one_run(monkeypatch, kind, scope):
+    """The window that loses A06 pairs with both neighbours on its own survivors: one
+    side of each of those two pairs is correlated on its common assets, and every other
+    side reuses the eigenvector of its window's one correlation on its own survivors."""
+    panel = flat_in_one_window_panel()
+    expected = ref_timeseries(panel, kind, scope)
+    corrs = {"own survivors": 0, "pair subset": 0}
+    corr_from_data = experiment._corr_from_data
+
+    def counted_corr(data, corr_kind, subset=None):
+        corrs["own survivors" if subset is None else "pair subset"] += 1
+        return corr_from_data(data, corr_kind, subset)
+
+    monkeypatch.setattr(experiment, "_corr_from_data", counted_corr)
+    rows = timeseries_rows(panel, TS_WINDOW, STEP, kind, scope, ALPHA)
+    assert rows == expected
+    assert corrs == {"own survivors": len(rows), "pair subset": 2}
+    assert len(rows) == len(range(TS_WINDOW, panel.n_dates, STEP))
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+def test_timeseries_builds_each_window_once_when_step_is_the_window(monkeypatch, kind, scope):
+    """At step = window a row's out-window is the next row's in-window. On a complete
+    panel each window is preprocessed once (a non-phi kind once more, for the phi signs
+    of its network) and takes one eigh (partial Pearson's kernel takes one more), which
+    gives its lambda1_frac and its side of both overlaps it enters."""
+    panel = complete_panel(16)
+    expected = ref_timeseries(panel, kind, scope, TS_WINDOW)
+    calls = {}
+    count_calls(monkeypatch, np.linalg, "eigh", calls)
+    count_calls(monkeypatch, preprocess, "complete_case", calls)
+    rows = timeseries_rows(panel, TS_WINDOW, TS_WINDOW, kind, scope, ALPHA)
+    assert rows == expected
+    windows = len(range(TS_WINDOW, panel.n_dates, TS_WINDOW))
+    assert calls == {
+        "eigh": windows * (2 if kind == "partial_pearson" else 1),
+        "complete_case": windows * (1 if kind == "phi" else 2),
+    }
+    assert sum(row["v1_overlap"] is not None for row in rows) == windows - 1
+
+
+def test_timeseries_raises_what_its_network_raises():
+    """Only preprocessing skips a row; a bad alpha fails the call, as it did row by row."""
+    with pytest.raises(DataError, match="alpha"):
+        timeseries_rows(complete_panel(16), TS_WINDOW, STEP, alpha=1.5)
+
+
+@pytest.mark.parametrize("kind", CORR_KINDS)
+def test_window_scope_never_takes_the_universe_median(monkeypatch, kind):
+    def refuse(returns):
+        raise AssertionError("universe median taken under median_scope 'window'")
+
+    monkeypatch.setattr(experiment, "_universe_mode", refuse)
+    panel = complete_panel(16)
+    assert run_grid(panel, T_VALUES, STEP, kind, "window")[0]
+    assert timeseries_rows(panel, TS_WINDOW, STEP, kind, "window", ALPHA)
+    assert build_dataset(panel, panel.dates[20], 12, 5, kind, "window").n_pairs
+    assert window_correlation(log_returns(panel), kind, "window").n
 
 
 def two_common_asset_panel(seed=5, t=41):
