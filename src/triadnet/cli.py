@@ -341,6 +341,7 @@ def cmd_grid(args) -> int:
         corr_kind=cfg.corr_kind,
         median_scope=cfg.median_scope,
         alpha=cfg.alpha,
+        jobs=args.jobs,
     )
     write_timeseries_csv(rows, outdir / "timeseries.csv")
     n_skipped = sum(skipped.values())

@@ -14,12 +14,15 @@ once; both AUCs count labels per score value instead of sorting the scores.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import preprocess
 from .balance import _balance_index, _triad_products, eigvec_overlap, hamiltonian, spectral_summary
 from .correlation import (
     CORR_KINDS,
@@ -190,7 +193,8 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=
                 if key[1] > len(full[0].dates):
                     raise DataError("no window ends after the panel")
                 w = _window(full, key[1], key[0])
-                fresh[key] = data = _survivors(*w, corr_kind, median_scope)
+                cc = preprocess.complete_case(w[0])  # also gives a non-phi row its phi signs
+                fresh[key] = data = _survivors(*w, corr_kind, median_scope, cc)
                 vol = volatility(w[0]) if key in in_keys else None
                 cache[key] = e = {"window": w, "assets": data[1], "volatility": vol}
             except DataError as exc:
@@ -199,7 +203,8 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=
                 try:  # a row is skipped when these fail; errors inside `row` propagate
                     corr = _corr_from_data(data, corr_kind)
                     e["product"] = make(corr, True)
-                    signs = BinaryPanel(*(data if corr_kind == "phi" else _survivors(*w, "phi", median_scope)))
+                    phi = data if corr_kind == "phi" else _survivors(*w, "phi", median_scope, cc)
+                    signs = BinaryPanel(*phi)
                 except DataError as exc:
                     e["row"] = str(exc)
                 else:
@@ -356,16 +361,6 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
     return out
 
 
-# Worker state for process pools: the panel is shipped once per worker and its
-# returns and universe market mode are computed there once; every window is a
-# row slice of them. A serial run keeps them local instead.
-_GRID_STATE = {}
-
-
-def _grid_init(panel, corr_kind, median_scope):
-    _GRID_STATE.update(full=_with_mode(log_returns(panel), median_scope), kinds=(corr_kind, median_scope))
-
-
 def _evaluate(full, tasks, corr_kind, median_scope):
     """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
     for task, e_in, pair in _sweep(full, tasks, corr_kind, median_scope, 3, _side):
@@ -385,8 +380,40 @@ def _evaluate(full, tasks, corr_kind, median_scope):
         )
 
 
-def _grid_chunk(tasks):
-    return list(_evaluate(_GRID_STATE["full"], tasks, *_GRID_STATE["kinds"]))
+# A pool worker's `work`, its args and the returns and market mode its windows slice.
+_POOL_STATE = {}
+
+
+def _pool_init(work, panel, median_scope, args):
+    _POOL_STATE.update(work=work, full=_with_mode(log_returns(panel), median_scope), args=args)
+
+
+def _pool_run(chunk):
+    return list(_POOL_STATE["work"](_POOL_STATE["full"], chunk, *_POOL_STATE["args"]))
+
+
+def _pool_size(jobs: int, n_chunks: int) -> int:
+    """min(jobs, n_chunks, usable cores // BLAS threads), with OpenBLAS's thread count read
+    as it reads it: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else the usable cores."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    values = (os.environ.get(var, "").strip() for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return min(jobs, n_chunks, cores // next((int(v) for v in values if v.isdigit() and int(v) > 0), cores))
+
+
+def _map_chunks(work, tasks, jobs: int, panel, corr_kind, median_scope, *extra) -> list:
+    """work(full, chunk, corr_kind, median_scope, *extra) over `tasks` cut into jobs * 4 runs in
+    order, concatenated; `full` is `_with_mode` of `panel`. Forked workers keep the parent's BLAS
+    threads, so results do not depend on `jobs`, and `_pool_size` workers never run more BLAS
+    threads than cores. Below 2 workers, one in-process `work` call takes all `tasks`."""
+    k, args = jobs * 4, (corr_kind, median_scope, *extra)
+    chunks = [c for c in (tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)) if c]
+    workers = _pool_size(jobs, len(chunks))
+    if workers < 2:
+        return list(work(_with_mode(log_returns(panel), median_scope), tasks, *args))
+    logger.debug("process pool of %d workers for %d chunks", workers, len(chunks))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                             initargs=(work, panel, median_scope, args)) as pool:
+        return [r for part in pool.map(_pool_run, chunks) for r in part]
 
 
 def grid_tasks(panel: PricePanel, t_values, step: int):
@@ -409,8 +436,8 @@ def run_grid(
     Returns (records, {"infeasible": n, "single_class": m}): window pairs that
     fail preprocessing or have no class variation are skipped, counted and
     logged, not errors. Records come back sorted by (t_in, t_out, end_date)
-    regardless of the degree of parallelism. One sweep over end dates builds
-    each window once; a pool gives each worker contiguous runs of end dates.
+    regardless of `jobs`. One sweep over end dates builds each window once; a
+    pool (see `_map_chunks`) gives each worker contiguous runs of end dates.
     """
     _check_kinds(corr_kind, median_scope)
     t_values = list(t_values)
@@ -419,17 +446,7 @@ def run_grid(
     if step < 1:
         raise DataError("step must be at least 1 day")
     tasks = grid_tasks(panel, t_values, step)
-    if jobs > 1 and len(tasks) > 1:
-        k = jobs * 4  # contiguous runs of end dates, so a worker's windows meet its cache
-        chunks = [tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)]
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_grid_init,
-            initargs=(panel, corr_kind, median_scope),
-        ) as pool:
-            results = [r for chunk in pool.map(_grid_chunk, chunks) for r in chunk]
-    else:
-        results = list(_evaluate(_with_mode(log_returns(panel), median_scope), tasks, corr_kind, median_scope))
+    results = _map_chunks(_evaluate, tasks, jobs, panel, corr_kind, median_scope)
     records = [r for _, r in results if isinstance(r, ExperimentRecord)]
     skipped = {"infeasible": 0, "single_class": 0}
     for task, skip in results:
@@ -455,6 +472,36 @@ def aggregate_cells(records) -> dict:
     }
 
 
+def _timeseries_row(sectors, alpha, e, signs, corr, spectrum):
+    """A window's row, or why it has none, from `_sweep`'s entry; `spectrum` is its `_leading`."""
+    if corr.n < 3:
+        return "fewer than 3 surviving assets"
+    net = build_svn(signs, alpha=alpha, polarity="positive")
+    graph = LabeledGraph(net.adjacency, tuple(sectors[a] for a in net.assets))
+    g_value = None
+    with suppress(DataError):
+        g_value = assortativity(graph) if graph.m >= MIN_LINKS_FOR_ASSORTATIVITY else None
+    density = link_density(graph) if graph.n_nodes >= 2 else None
+    return {"h": hamiltonian(sign_matrix(corr)), "g": g_value, "density": density,
+            "volatility": e["volatility"], "lambda1_frac": max(float(spectrum[0][0]), 0.0)}
+
+
+def _leading(corr, scores):
+    return spectral_summary(corr, k=1)
+
+
+def _timeseries_chunk(full, tasks, corr_kind, median_scope, sectors, alpha):
+    """Yield (end index, row without its date, or skip message) for `tasks`, swept by end."""
+    tasks, row = sorted(tasks, key=lambda task: task[2]), partial(_timeseries_row, sectors, alpha)
+    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, median_scope, 2, _leading, row):
+        made = e_in.get("error") or e_in["row"]
+        if not isinstance(made, str):
+            made["v1_overlap"] = None
+            with suppress(DataError):  # a constant eigenvector has no Pearson correlation
+                made["v1_overlap"] = None if isinstance(pair, str) else eigvec_overlap(pair[1][1], pair[2][1])
+        yield end_idx, made
+
+
 def timeseries_rows(
     panel: PricePanel,
     window: int,
@@ -462,6 +509,7 @@ def timeseries_rows(
     corr_kind: str = "phi",
     median_scope: str = "universe",
     alpha: float = 0.1,
+    jobs: int = 1,
 ) -> list:
     """Rolling per-date diagnostics for one window length.
 
@@ -470,36 +518,21 @@ def timeseries_rows(
     the leading-eigenvector overlap with the next (out-of-sample) window of the same
     length where one exists, on their common assets. `_sweep` builds each window once
     with its row; one eigh gives the eigenvalue fraction and the eigenvector it reuses.
+    Rows do not depend on `jobs`. A pool (see `_map_chunks`) cuts the end dates in chain
+    order, (end mod window, end), so where the step divides the window a row's out-window
+    is the next row's in-window, and each cut costs at most one more window build.
     """
     _check_kinds(corr_kind, median_scope)
     if window < 2 or step < 1:
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
-
-    def row(e, signs, corr, spectrum):
-        if corr.n < 3:
-            return "fewer than 3 surviving assets"
-        net = build_svn(signs, alpha=alpha, polarity="positive")
-        graph = LabeledGraph(net.adjacency, tuple(panel.sectors[a] for a in net.assets))
-        g_value = None
-        with suppress(DataError):
-            g_value = assortativity(graph) if graph.m >= MIN_LINKS_FOR_ASSORTATIVITY else None
-        density = link_density(graph) if graph.n_nodes >= 2 else None
-        return {"h": hamiltonian(sign_matrix(corr)), "g": g_value, "density": density,
-                "volatility": e["volatility"], "lambda1_frac": max(float(spectrum[0][0]), 0.0)}
-
-    full = _with_mode(log_returns(panel), median_scope)
-    tasks = [(window, window, end) for end in range(window, panel.n_dates, step)]
-    make = lambda corr, _: spectral_summary(corr, k=1)  # noqa: E731
-    rows = []
-    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, median_scope, 2, make, row):
-        made = e_in.get("error") or e_in["row"]
+    ends = sorted(range(window, panel.n_dates, step), key=lambda end: end % window)  # stable: chain order
+    tasks, rows = [(window, window, end) for end in ends], []
+    results = _map_chunks(_timeseries_chunk, tasks, jobs, panel, corr_kind, median_scope, panel.sectors, alpha)
+    for end_idx, made in sorted(results, key=lambda r: r[0]):
         if isinstance(made, str):
             logger.debug("timeseries skips %s: %s", panel.dates[end_idx], made)
             continue
-        overlap = None
-        with suppress(DataError):  # a constant eigenvector has no Pearson correlation
-            overlap = None if isinstance(pair, str) else eigvec_overlap(pair[1][1], pair[2][1])
-        rows.append({"date": panel.dates[end_idx], **made, "v1_overlap": overlap})
+        rows.append({"date": panel.dates[end_idx], **made})
     if len(rows) < len(tasks):
         logger.info("timeseries skipped %d of %d end dates", len(tasks) - len(rows), len(tasks))
     return rows

@@ -117,15 +117,16 @@ def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPane
     return BinaryPanel(*_survivors(returns, mode, "phi", median_scope))
 
 
-def _survivors(returns: ReturnPanel, mode, corr_kind: str, median_scope: str):
+def _survivors(returns: ReturnPanel, mode, corr_kind: str, median_scope: str, cc=None):
     """(dates, assets, columns) of a window's complete-case assets that are not constant.
 
     The columns are what the `corr_kind` correlation uses: the signs of the
     partial returns for phi (sign(0) = +1), the partial returns for pearson,
     the raw returns for partial_pearson. `mode` is the window's slice of
-    `_universe_mode`; it is used under median_scope "universe".
+    `_universe_mode`; it is used under median_scope "universe". `cc` is the
+    window's `complete_case`, when the caller has it already.
     """
-    cc = complete_case(returns)
+    cc = complete_case(returns) if cc is None else cc
     x = cc.returns
     if corr_kind != "partial_pearson":
         # complete_case has raised if a date has no return, so `mode` holds no NaN here

@@ -64,3 +64,38 @@ def random_triples(rng, t, size):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# A test that sets the BLAS variable after OpenBLAS started its threads forks a parent
+# that still runs them; Python 3.12+ warns about any fork from a multi-threaded process.
+forks_blas_threads = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning"
+)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Make the worker rule give 2 workers (2 usable cores, one BLAS thread each) and record
+    the real process pools that start: their max_workers and how many chunks each maps."""
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+    from types import SimpleNamespace
+
+    from triadnet import experiment
+
+    spy = SimpleNamespace(workers=[], chunks=[])
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            spy.workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, chunks, **kwargs):
+            chunks = list(chunks)
+            spy.chunks.append(len(chunks))
+            return super().map(fn, chunks, **kwargs)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Spy)
+    return spy

@@ -252,8 +252,11 @@ def test_criterion_11_grid_determinism(tmp_path):
     subprocess.run(cmd, check=True, capture_output=True, env=env)
     outputs = ("records.csv", "heatmap_auc_delta.csv", "heatmap_auc_absphi.csv",
                "heatmap_diff.csv", "timeseries.csv")
-    blobs = {}
-    for name, jobs in (("a", 1), ("b", 1), ("c", 8)):
+    blobs, pooled = {}, True
+    # d and e run with one BLAS thread, so that --jobs 8 starts a pool wherever there are
+    # 2 usable cores (the default thread count runs it in-process); -v logs that pool.
+    one_thread = dict(env, OPENBLAS_NUM_THREADS="1")
+    for name, jobs in (("a", 1), ("b", 1), ("c", 8), ("d", 1), ("e", 8)):
         outdir = tmp_path / name
         config = {
             "prices": str(prices),
@@ -267,14 +270,18 @@ def test_criterion_11_grid_determinism(tmp_path):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(config))
         result = subprocess.run(
-            [sys.executable, "-m", "triadnet.cli", "grid", "--config", str(cfg),
-             "--jobs", str(jobs)],
-            capture_output=True, text=True, env=env,
+            [sys.executable, "-m", "triadnet.cli", *(["-v"] if name == "e" else []), "grid",
+             "--config", str(cfg), "--jobs", str(jobs)],
+            capture_output=True, text=True, env=one_thread if name in "de" else env,
         )
         assert result.returncode == 0, result.stderr
         blobs[name] = {f: (outdir / f).read_bytes() for f in outputs}
+        if name == "e":
+            pooled = result.stderr.count("process pool of") == 2  # grid and timeseries
     repeat_ok = blobs["a"] == blobs["b"]
-    jobs_ok = blobs["a"] == blobs["c"]
+    jobs_ok = blobs["a"] == blobs["c"] and blobs["d"] == blobs["e"]
     nonempty = all(len(v) > 0 for v in blobs["a"].values())
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert pooled or cores < 2, "--jobs 8 at one BLAS thread ran in-process"
     _report(11, "grid outputs byte-identical across runs and --jobs 1 vs 8",
             repeat_ok and jobs_ok and nonempty)

@@ -69,13 +69,13 @@ def test_traced_toy_grid_keeps_the_spans_the_metrics_read(tmp_path):
 
 def test_gappy_workload_timeseries_preprocesses_each_window_once(tmp_path, monkeypatch):
     """grid-gaps-pp, seed 7: 20 rows, 18 of them with a next window, at a step that does
-    not divide the window. Each in-window is preprocessed twice (its partial Pearson
-    survivors and its network's phi signs) and each out-window once: 58 calls of
-    `complete_case`, the metric preprocess.complete_case.calls reads."""
+    not divide the window. Each in-window is complete-cased once, for both its partial
+    Pearson survivors and its network's phi signs, and each out-window once: 38 calls
+    of `complete_case`, the metric preprocess.complete_case.calls reads."""
     w = WORKLOADS["grid-gaps-pp"]
     config = json.loads(write_inputs(w, 7, tmp_path).read_text())
     panel = load_panel(config["prices"], config["sectors"], config["format"])
     calls, complete_case = [], preprocess.complete_case
     monkeypatch.setattr(preprocess, "complete_case", lambda r: calls.append(1) or complete_case(r))
     rows = timeseries_rows(panel, w.timeseries_window, w.step, w.corr_kind, w.median_scope)
-    assert (len(rows), len(calls)) == (20, 58)
+    assert (len(rows), len(calls)) == (20, 38)

@@ -1,13 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
+from triadnet import experiment
 from triadnet.errors import DataError
 from triadnet.experiment import (
-    _GRID_STATE,
+    _POOL_STATE,
     ExperimentRecord,
+    _pool_size,
     aggregate_cells,
     build_dataset,
     default_t_values,
+    grid_tasks,
     h_auc_association,
     roc,
     run_grid,
@@ -17,7 +22,7 @@ from triadnet.experiment import (
 from triadnet.preprocess import ReturnPanel
 from triadnet.synth import SynthSpec, generate
 
-from conftest import make_panel
+from conftest import forks_blas_threads, make_panel
 
 
 def auc_oracle(labels, scores):
@@ -188,11 +193,13 @@ def test_stability_profile_validation():
         stability_profile(ds, "delta", 0.0)
 
 
-def test_run_grid_sorted_and_parallel_identical():
+@forks_blas_threads
+def test_run_grid_sorted_and_parallel_identical(pool_spy):
     spec = SynthSpec(n_assets=12, n_days=70, model="bipolar", rho_in=0.3, rho_out=-0.15, seed=7)
     panel = generate(spec)
     serial, serial_skipped = run_grid(panel, [15, 25], 7, jobs=1)
     parallel, parallel_skipped = run_grid(panel, [15, 25], 7, jobs=2)
+    assert pool_spy.workers == [2]
     assert len(serial) > 0
     keys = [(r.t_in, r.t_out, r.end_date) for r in serial]
     assert keys == sorted(keys)
@@ -200,10 +207,75 @@ def test_run_grid_sorted_and_parallel_identical():
     assert serial_skipped == parallel_skipped
 
 
+@pytest.mark.parametrize("env,cores,expected", [
+    ({}, 4, 1),  # default threads: OpenBLAS runs one thread per usable core
+    ({"OMP_NUM_THREADS": "1"}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),  # OpenBLAS's own variable first
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 4),
+    ({"MKL_NUM_THREADS": "1"}, 4, 1),  # not read by OpenBLAS
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 2),  # not a positive count: unset
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": " 1 "}, 8, 8),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 2, 0),  # more BLAS threads than cores: in-process
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
+])
+def test_pool_size_never_runs_more_blas_threads_than_usable_cores(monkeypatch, env, cores, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert _pool_size(16, 64) == expected
+    assert _pool_size(16, 1) == min(expected, 1)  # never more workers than chunks
+    assert _pool_size(1, 64) == min(expected, 1)  # nor than jobs
+
+
+def test_pool_size_falls_back_to_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert _pool_size(16, 64) == 3
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert _pool_size(16, 64) == 1
+
+
+def test_pool_starts_no_idle_workers(monkeypatch):
+    """jobs 16 on a 3-task grid: 64 runs of which 3 are not empty, so 3 workers map 3
+    chunks. The pool here runs in-process and records what a real one would start."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            started.append(len(chunks))
+            return map(fn, chunks)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiment, "_POOL_STATE", {})
+    panel = generate(SynthSpec(n_assets=10, n_days=40, model="bipolar", seed=3))
+    assert len(grid_tasks(panel, [10], 7)) == 3
+    pooled = run_grid(panel, [10], 7, jobs=16)
+    assert started == [3, 3]
+    monkeypatch.undo()
+    assert pooled == run_grid(panel, [10], 7, jobs=1) and pooled[0]
+
+
 def test_serial_run_grid_leaves_no_worker_state():
     panel = generate(SynthSpec(n_assets=8, n_days=50, model="bipolar", seed=3))
     assert run_grid(panel, [10, 20], 5, jobs=1)[0]
-    assert _GRID_STATE == {}
+    assert _POOL_STATE == {}
 
 
 @pytest.mark.parametrize("corr_kind", ["phi", "pearson", "partial_pearson"])

@@ -58,7 +58,7 @@ from triadnet.preprocess import (
 )
 from triadnet.svn import build_svn
 
-from conftest import make_panel
+from conftest import forks_blas_threads, make_panel
 
 T_VALUES = [5, 12, 30]
 STEP = 4
@@ -269,8 +269,8 @@ def ref_timeseries(panel, kind, scope, step=STEP):
     return rows
 
 
-def assert_grid_matches_reference(panel, kind, scope, caplog):
-    """run_grid at jobs 1 and 2 against `ref_grid`; returns the reference."""
+def assert_grid_matches_reference(panel, kind, scope, caplog, pool_spy):
+    """run_grid at jobs 1 and 2 (in a pool of 2) against `ref_grid`; returns the reference."""
     expected, expected_skips = ref_grid(panel, kind, scope)
     counts = {
         reason: sum(r == reason for r in expected_skips.values())
@@ -285,23 +285,26 @@ def assert_grid_matches_reference(panel, kind, scope, caplog):
     }
     assert skips == expected_skips
     pooled = run_grid(panel, T_VALUES, STEP, kind, scope, jobs=2)
+    assert pool_spy.workers == [2]
     for jobs, (records, skipped) in {1: serial, 2: pooled}.items():
         assert [vars(r) for r in records] == [vars(r) for r in expected], jobs
         assert skipped == counts, jobs
     return expected, expected_skips
 
 
+@forks_blas_threads
 @pytest.mark.parametrize("kind,scope", KINDS)
-def test_run_grid_matches_per_window_reference(panel, kind, scope, caplog):
-    records, skips = assert_grid_matches_reference(panel, kind, scope, caplog)
+def test_run_grid_matches_per_window_reference(panel, kind, scope, caplog, pool_spy):
+    records, skips = assert_grid_matches_reference(panel, kind, scope, caplog, pool_spy)
     # the panel exercises every branch: records and both kinds of skip
     assert records and set(skips.values()) == {"infeasible", "single_class"}
 
 
+@forks_blas_threads
 @pytest.mark.parametrize("kind,scope", KINDS)
 @pytest.mark.parametrize("name", sorted(GRID_PANELS))
-def test_run_grid_matches_reference_whether_windows_are_reused_or_not(name, kind, scope, caplog):
-    records, _ = assert_grid_matches_reference(GRID_PANELS[name](), kind, scope, caplog)
+def test_run_grid_matches_reference_whether_windows_are_reused_or_not(name, kind, scope, caplog, pool_spy):
+    records, _ = assert_grid_matches_reference(GRID_PANELS[name](), kind, scope, caplog, pool_spy)
     assert records
 
 
@@ -386,13 +389,17 @@ TIMESERIES_INPUTS = [
 ]
 
 
+@forks_blas_threads
 @pytest.mark.parametrize("kind,scope", KINDS)
 @pytest.mark.parametrize("make,step", TIMESERIES_INPUTS)
-def test_timeseries_rows_match_per_window_reference(make, step, kind, scope):
+def test_timeseries_rows_match_per_window_reference(make, step, kind, scope, pool_spy):
+    """Serial rows and rows from a pool of 2 both equal the reference."""
     panel = make()
     rows = timeseries_rows(panel, TS_WINDOW, step, kind, scope, ALPHA)
     expected = ref_timeseries(panel, kind, scope, step)
     assert rows == expected
+    assert timeseries_rows(panel, TS_WINDOW, step, kind, scope, ALPHA, jobs=2) == expected
+    assert pool_spy.workers == [2]
     for field in ("g", "density", "v1_overlap"):
         assert any(row[field] for row in rows), field
     gappy = not panel.present.all()
@@ -434,9 +441,9 @@ def test_timeseries_mixes_reused_and_direct_eigenvectors_in_one_run(monkeypatch,
 @pytest.mark.parametrize("kind,scope", KINDS)
 def test_timeseries_builds_each_window_once_when_step_is_the_window(monkeypatch, kind, scope):
     """At step = window a row's out-window is the next row's in-window. On a complete
-    panel each window is preprocessed once (a non-phi kind once more, for the phi signs
-    of its network) and takes one eigh (partial Pearson's kernel takes one more), which
-    gives its lambda1_frac and its side of both overlaps it enters."""
+    panel each window is complete-cased once (a non-phi kind's network takes its phi
+    signs from the same complete case) and takes one eigh (partial Pearson's kernel
+    takes one more), which gives its lambda1_frac and its side of both overlaps it enters."""
     panel = complete_panel(16)
     expected = ref_timeseries(panel, kind, scope, TS_WINDOW)
     calls = {}
@@ -447,7 +454,7 @@ def test_timeseries_builds_each_window_once_when_step_is_the_window(monkeypatch,
     windows = len(range(TS_WINDOW, panel.n_dates, TS_WINDOW))
     assert calls == {
         "eigh": windows * (2 if kind == "partial_pearson" else 1),
-        "complete_case": windows * (1 if kind == "phi" else 2),
+        "complete_case": windows,
     }
     assert sum(row["v1_overlap"] is not None for row in rows) == windows - 1
 
@@ -456,6 +463,41 @@ def test_timeseries_raises_what_its_network_raises():
     """Only preprocessing skips a row; a bad alpha fails the call, as it did row by row."""
     with pytest.raises(DataError, match="alpha"):
         timeseries_rows(complete_panel(16), TS_WINDOW, STEP, alpha=1.5)
+
+
+@forks_blas_threads
+def test_pooled_timeseries_raises_what_a_worker_raises(pool_spy):
+    with pytest.raises(DataError, match="alpha"):
+        timeseries_rows(complete_panel(16), TS_WINDOW, STEP, alpha=1.5, jobs=2)
+    assert pool_spy.workers == [2]
+
+
+@forks_blas_threads
+@pytest.mark.parametrize("kind", CORR_KINDS)
+def test_pooled_timeseries_builds_at_most_one_more_window_per_cut(tmp_path, monkeypatch, pool_spy, kind):
+    """With the step dividing the window, chain order puts a row's out-window, the next
+    row's in-window, in the same chunk but at a cut. `_survivors` calls, counted through a
+    file across the forked workers, exceed the serial count by at most one per cut; runs
+    of contiguous end dates would build most out-windows twice."""
+    log = tmp_path / "survivors.log"
+    survivors = experiment._survivors
+
+    def logged(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(".\n")
+        return survivors(*args)
+
+    def calls(jobs):
+        log.write_text("", encoding="utf-8")
+        rows = timeseries_rows(panel, TS_WINDOW, STEP, kind, "universe", ALPHA, jobs=jobs)
+        return rows, len(log.read_text(encoding="utf-8").splitlines())
+
+    monkeypatch.setattr(experiment, "_survivors", logged)
+    panel = complete_panel(16)
+    assert TS_WINDOW % STEP == 0
+    (serial, n_serial), (pooled, n_pooled) = calls(1), calls(2)
+    assert pooled == serial and pool_spy.workers == [2]
+    assert n_serial < n_pooled <= n_serial + pool_spy.chunks[0] - 1
 
 
 @pytest.mark.parametrize("kind", CORR_KINDS)
