@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlation import CorrMatrix, sign_matrix
 from .errors import DataError
-from .util import _check_symmetric, _pearson, count_product
+from .util import _check_symmetric, _pearson
 
 
 @dataclass(eq=False)
@@ -46,13 +46,17 @@ def _signed_values(s, what: str) -> np.ndarray:
 
 
 def _triad_products(values: np.ndarray) -> np.ndarray:
-    """S * S^2 (elementwise) of a validated signed matrix: the summed sign
-    product of the triads through each pair, exact while N^3 < 2**53."""
-    return values.astype(np.int64) * count_product(values, values)
+    """S * S^2 (elementwise) of a validated signed matrix, the summed sign product of the triads
+    through each pair: one float64 BLAS product (S^2 = S^T S), exact while N^3 < 2**53."""
+    s = np.asarray(values, dtype=np.float64)
+    products = s.T @ s
+    products *= s
+    products += 0.0  # -1 * 0 is -0.0; an integer product has no signed zero
+    return products
 
 
 def _balance_index(products: np.ndarray) -> float:
-    """H from `_triad_products`: trace(S^3) is the sum of S * S^2."""
+    """H from `_triad_products`: trace(S^3) is the (exact-integer) sum of S * S^2."""
     return -int(products.sum()) / (6 * comb(products.shape[0], 3))
 
 

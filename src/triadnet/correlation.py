@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .preprocess import BinaryPanel, ReturnPanel
-from .util import _check_symmetric, count_product
+from .util import _check_symmetric
 
 CORR_KINDS = ("phi", "pearson", "partial_pearson")
 
@@ -52,22 +52,24 @@ def _symmetrize(values: np.ndarray) -> np.ndarray:
 def phi_matrix(b: BinaryPanel) -> CorrMatrix:
     """Phi coefficients of the +/-1 columns via contingency counts.
 
-    With c the number of days both columns are +1 and k the per-column counts
-    of +1 days, phi = (T*c - k_i*k_j) / sqrt(k_i (T-k_i) k_j (T-k_j)). This
-    equals the Pearson correlation of the columns, which the test suite
-    asserts entrywise. The counts c come from one float64 BLAS product, which
-    is exact because every count is an integer of at most T < 2**53.
+    With c the number of days both columns are +1 and k = diag(c) the per-column
+    counts, phi = (T*c - k_i k_j) / sqrt(d_i d_j), d = k (T-k): the Pearson
+    correlation of the columns, which the test suite asserts entrywise. All is
+    float64: c is one BLAS product and T*c - k k^T holds integers below 2**53, so
+    phi is exactly symmetric. d_i d_j is exact below 2**53 (T < ~19,500), and one
+    correctly rounded product, the rounding of the exact integer, above.
     """
     t, n = b.values.shape
     if t < 2:
         raise DataError("need at least 2 days for a correlation window")
-    up = b.values > 0
-    k = up.sum(axis=0)  # in [1, t-1]: BinaryPanel has no constant column
-    c = count_product(up, up)
-    num = (t * c - np.outer(k, k)).astype(float)
-    d = (k * (t - k)).astype(np.int64)
-    den = np.sqrt(np.outer(d, d).astype(float))
-    values = _symmetrize(num / den)
+    up = (b.values > 0).astype(np.float64)
+    values = up.T @ up  # c, then phi in place: each N x N temporary costs more than its flops
+    k = values.diagonal().copy()  # in [1, t-1]: BinaryPanel has no constant column
+    d = k * (t - k)
+    values *= t
+    values -= np.outer(k, k)
+    den = np.outer(d, d)
+    values /= np.sqrt(den, out=den)
     np.fill_diagonal(values, 1.0)
     return CorrMatrix(b.assets, values, "phi")
 
@@ -117,6 +119,6 @@ def partial_pearson(r: ReturnPanel) -> CorrMatrix:
 def sign_matrix(corr: CorrMatrix) -> np.ndarray:
     """int8 sign matrix S of `corr`, rows and columns in `corr.assets` order:
     +1 where the correlation is nonnegative, -1 where negative, 0 on the diagonal."""
-    s = np.where(corr.values >= 0, 1, -1).astype(np.int8)
+    s = (corr.values >= 0).view(np.int8) * np.int8(2) - np.int8(1)  # np.where is ~10x slower
     np.fill_diagonal(s, 0)
     return s

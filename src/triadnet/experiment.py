@@ -45,7 +45,7 @@ from .preprocess import (
     BinaryPanel,
     ReturnPanel,
     _survivors,
-    _universe_mode,
+    _universe_arrays,
     log_returns,
     volatility,
 )
@@ -112,16 +112,16 @@ def _check_kinds(corr_kind: str, median_scope: str) -> None:
 
 
 def _with_mode(returns: ReturnPanel, median_scope: str):
-    """(returns, universe market mode): what every window slices; no mode under scope "window"."""
-    return returns, _universe_mode(returns) if median_scope == "universe" else None
+    """(returns, their `_universe_arrays` or None under scope "window"), made once per panel to slice."""
+    return returns, _universe_arrays(returns) if median_scope == "universe" else None
 
 
 def _window(full, end_idx: int, t: int):
-    """(returns, universe market mode or None) of the t returns ending at price row end_idx (>= t)."""
-    r, mode = full
+    """(returns, universe arrays or None) of the t returns ending at price row end_idx (>= t)."""
+    r, universe = full
     rows = slice(end_idx - t, end_idx)
     window = ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows], r.present[rows])
-    return window, None if mode is None else mode[rows]
+    return window, None if universe is None else tuple(a[rows] for a in universe)
 
 
 def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
@@ -134,9 +134,7 @@ def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
     if corr_kind == "phi":
         return phi_matrix(BinaryPanel(dates, assets, x))
     rp = ReturnPanel._trusted(dates, assets, x, np.ones_like(x, dtype=bool))
-    if corr_kind == "pearson":
-        return pearson_matrix(rp)
-    return partial_pearson(rp)
+    return (pearson_matrix if corr_kind == "pearson" else partial_pearson)(rp)
 
 
 def window_correlation(
@@ -159,7 +157,7 @@ def _side(corr: CorrMatrix, scores: bool) -> dict:
     if scores:
         n2 = corr.n - 2
         for name, (index, values) in (  # int32 indices halve what long-lived entries hold
-            ("delta", (n2 - products[upper], -((n2 - np.arange(2 * n2 + 1)) / n2))),
+            ("delta", (n2 - products[upper].astype(np.int32), -((n2 - np.arange(2 * n2 + 1)) / n2))),
             ("absphi", np.unique(-np.abs(corr.values[upper]), return_inverse=True)[::-1]),
         ):
             side[name] = index.astype(np.int32), values, np.bincount(index, minlength=len(values))
@@ -167,9 +165,9 @@ def _side(corr: CorrMatrix, scores: bool) -> dict:
 
 
 def _lattice_auc(lattice, labels) -> float:
-    """`auc` of the scores values[index] against `labels`, from counts per lattice value."""
+    """`auc` of the scores values[index] against `labels`, from one count of 2 * index + label."""
     index, values, totals = lattice
-    pos = np.bincount(index[labels], minlength=len(values))
+    pos = np.bincount(2 * index + labels, minlength=2 * len(values))[1::2]
     return _groups_auc(pos, totals - pos)
 
 

@@ -8,6 +8,7 @@ what remains turns a return window into a dense matrix of +/-1 values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def complete_case(returns: ReturnPanel) -> ReturnPanel:
     keep = returns.present.all(axis=0)
     if not keep.any():
         raise DataError("no asset survives complete-case filtering")
-    assets = tuple(a for a, k in zip(returns.assets, keep) if k)
+    assets = tuple(compress(returns.assets, keep.tolist()))
     sub = returns.returns[:, keep]
     return ReturnPanel._trusted(returns.dates, assets, sub, np.ones_like(sub, dtype=bool))
 
@@ -113,31 +114,46 @@ def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPane
     """
     if median_scope not in MEDIAN_SCOPES:
         raise DataError(f"median_scope must be one of {MEDIAN_SCOPES}")
-    mode = _universe_mode(returns) if median_scope == "universe" else None
-    return BinaryPanel(*_survivors(returns, mode, "phi", median_scope))
+    universe = _universe_arrays(returns) if median_scope == "universe" else None
+    return BinaryPanel(*_survivors(returns, universe, "phi", median_scope))
 
 
-def _survivors(returns: ReturnPanel, mode, corr_kind: str, median_scope: str, cc=None):
+def _universe_arrays(returns: ReturnPanel) -> tuple:
+    """(`_universe_mode`, int8 signs of r - mode with sign(0) = +1 and -1 where either is missing,
+    int32 counts of +1 signs up to and including each date): one row per date for windows to slice."""
+    up = returns.returns - (mode := _universe_mode(returns))[:, None] >= 0
+    return mode, up.view(np.int8) * np.int8(2) - np.int8(1), np.cumsum(up, axis=0, dtype=np.int32)
+
+
+def _survivors(returns: ReturnPanel, universe, corr_kind: str, median_scope: str, cc=None):
     """(dates, assets, columns) of a window's complete-case assets that are not constant.
 
     The columns are what the `corr_kind` correlation uses: the signs of the
     partial returns for phi (sign(0) = +1), the partial returns for pearson,
-    the raw returns for partial_pearson. `mode` is the window's slice of
-    `_universe_mode`; it is used under median_scope "universe". `cc` is the
-    window's `complete_case`, when the caller has it already.
+    the raw returns for partial_pearson. `universe` is the window's rows of
+    `_universe_arrays` under median_scope "universe": a phi window's columns are
+    one gather from its signs, constant where its up-day count, read from the
+    prefix counts, is 0 or t. `cc` is the window's `complete_case`, if the caller has it.
     """
     cc = complete_case(returns) if cc is None else cc
-    x = cc.returns
-    if corr_kind != "partial_pearson":
-        # complete_case has raised if a date has no return, so `mode` holds no NaN here
-        med = mode if median_scope == "universe" else np.median(x, axis=1)
-        x = x - med[:, None]
-        if corr_kind == "phi":
-            x = np.where(x >= 0, 1, -1).astype(np.int8)
-    keep = x.max(axis=0) != x.min(axis=0)
+    if corr_kind == "phi" and median_scope == "universe":
+        _, signs, ups = universe
+        cols = np.flatnonzero(returns.present.all(axis=0))  # the columns of cc.assets
+        k = ups[-1, cols] - ups[0, cols] + (signs[0, cols] > 0)
+        keep = (k > 0) & (k < len(signs))
+        x = signs[:, cols[keep]]
+    else:
+        x = cc.returns
+        if corr_kind != "partial_pearson":
+            # complete_case has raised if a date has no return, so the mode holds no NaN here
+            x = x - (universe[0] if median_scope == "universe" else np.median(x, axis=1))[:, None]
+            if corr_kind == "phi":
+                x = np.where(x >= 0, 1, -1).astype(np.int8)
+        keep = x.max(axis=0) != x.min(axis=0)
+        x = x[:, keep]
     if not keep.any():
         raise DataError("no asset survives constant-column filtering")
-    return returns.dates, tuple(a for a, k in zip(cc.assets, keep) if k), x[:, keep]
+    return returns.dates, tuple(compress(cc.assets, keep.tolist())), x
 
 
 def volatility(returns: ReturnPanel) -> float:

@@ -1,8 +1,9 @@
 """Fast paths against the slower code they replace.
 
 The count kernels (phi's co-occurrence counts, the SVN counts and S * S^2 for
-H and pair stability) run as float64 BLAS products; with the int64 matmul
-swapped back in, every output must be bitwise identical. The grouped SVN
+H and pair stability) run as float64 BLAS products. Phi and S * S^2 stay in
+float64 throughout; they must equal the int64 formulas they replace bitwise,
+and the SVN must not move with the int64 matmul swapped back in. The grouped SVN
 tail kernel sums each law's terms in another order than the one-shot,
 per-pair kernel it replaces, so its p-values must agree with that reference
 to 1e-11 relative and select exactly the same links; across chunk sizes it
@@ -13,10 +14,12 @@ and of the sign-matrix entry of `hamiltonian` and `pair_stability` must still
 reject every value outside their alphabet.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 
-from triadnet import balance, correlation, experiment, svn
+from triadnet import correlation, experiment, svn
 from triadnet.balance import hamiltonian, pair_stability
 from triadnet.correlation import CorrMatrix, phi_matrix
 from triadnet.errors import DataError
@@ -26,11 +29,29 @@ from triadnet.preprocess import BinaryPanel
 from triadnet.svn import Svn, build_svn
 from triadnet.util import count_product
 
-from conftest import random_binary, random_signed, random_triples
+from conftest import make_binary, random_binary, random_signed, random_triples
 
 
 def int64_product(a, b):
     return np.asarray(a, dtype=np.int64).T @ np.asarray(b, dtype=np.int64)
+
+
+def int64_phi(b):
+    """Phi as formed on int64 counts: int64 counts and margins, an int64 outer product,
+    one conversion to float, then symmetrized."""
+    t = len(b.values)
+    up = b.values > 0
+    k = up.sum(axis=0)
+    num = (t * int64_product(up, up) - np.outer(k, k)).astype(float)
+    d = (k * (t - k)).astype(np.int64)
+    values = correlation._symmetrize(num / np.sqrt(np.outer(d, d).astype(float)))
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
+def int64_triads(s):
+    s = np.asarray(s, dtype=np.int64)
+    return s * (s @ s)
 
 
 def all_equal_signs(n):
@@ -39,13 +60,22 @@ def all_equal_signs(n):
     return s
 
 
+def binary_with_extreme_columns(rng, t, n):
+    """A random panel whose first column is up on 1 day and second on t - 1 days."""
+    values = random_binary(rng, t, n).values.copy()
+    values[:, :2] = [-1, 1]
+    values[0, 0], values[-1, 1] = 1, -1
+    return make_binary(values)
+
+
 def kernel_outputs(t, n, with_svn):
     rng = np.random.default_rng(7 * t + n)
-    b = random_binary(rng, t, n)
-    out = {"phi": phi_matrix(b).values}
+    b = binary_with_extreme_columns(rng, t, n)
+    out = {"phi": (phi_matrix(b).values, int64_phi(b))}
     for name, s in (("random", random_signed(rng, n)), ("all_equal", all_equal_signs(n))):
-        out[f"delta_{name}"] = pair_stability(s)
-        out[f"h_{name}"] = hamiltonian(s)
+        products = int64_triads(s)
+        out[f"delta_{name}"] = pair_stability(s), products / (n - 2)
+        out[f"h_{name}"] = hamiltonian(s), -int(products.sum()) / (6 * comb(n, 3))
     if with_svn:
         for polarity in svn.POLARITIES:
             net = build_svn(b, alpha=0.2, polarity=polarity)
@@ -54,24 +84,28 @@ def kernel_outputs(t, n, with_svn):
 
 
 @pytest.mark.parametrize(
-    "t,n,with_svn", [(3, 3, True), (41, 25, True), (600, 150, True), (3000, 400, False)]
+    "t,n,with_svn", [(2, 4, True), (3, 3, True), (41, 25, True), (600, 150, True), (3000, 400, False)]
 )
 def test_blas_count_kernels_match_int64_reference(t, n, with_svn, monkeypatch):
+    """Phi, pair stability and H equal their int64 formulas bitwise (pair stability has no
+    -0.0), phi is exactly symmetric unsymmetrized, and the SVN does not move when its
+    counts come from an int64 matmul."""
     fast = kernel_outputs(t, n, with_svn)
-    for module in (balance, correlation, svn):
-        monkeypatch.setattr(module, "count_product", int64_product)
-    reference = kernel_outputs(t, n, with_svn)
-    assert fast.keys() == reference.keys()
-    for name, value in reference.items():
-        got = fast[name]
-        if name.startswith("svn"):
-            assert np.array_equal(got[0], value[0]) and got[1] == value[1], name
-        elif isinstance(value, np.ndarray):
-            assert got.dtype == value.dtype and np.array_equal(got, value), name
-        else:
-            assert got == value, name
-    assert fast["h_all_equal"] == -1.0
-    assert (fast["delta_all_equal"] == 1 - np.eye(n)).all()
+    for name, value in fast.items():
+        if not name.startswith("svn"):
+            got, expected = value
+            assert np.asarray(got).dtype == np.asarray(expected).dtype, name
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
+    phi = fast["phi"][0]
+    assert phi.tobytes() == phi.T.copy().tobytes()
+    assert fast["h_all_equal"][0] == -1.0
+    assert (fast["delta_all_equal"][0] == 1 - np.eye(n)).all()
+    if with_svn:
+        monkeypatch.setattr(svn, "count_product", int64_product)
+        reference = kernel_outputs(t, n, with_svn)
+        for polarity in svn.POLARITIES:
+            (adjacency, pvalues), (ref_adjacency, ref_pvalues) = fast[f"svn_{polarity}"], reference[f"svn_{polarity}"]
+            assert np.array_equal(adjacency, ref_adjacency) and pvalues == ref_pvalues, polarity
 
 
 def test_count_product_is_exact_int64():

@@ -505,7 +505,7 @@ def test_window_scope_never_takes_the_universe_median(monkeypatch, kind):
     def refuse(returns):
         raise AssertionError("universe median taken under median_scope 'window'")
 
-    monkeypatch.setattr(experiment, "_universe_mode", refuse)
+    monkeypatch.setattr(preprocess, "_universe_mode", refuse)
     panel = complete_panel(16)
     assert run_grid(panel, T_VALUES, STEP, kind, "window")[0]
     assert timeseries_rows(panel, TS_WINDOW, STEP, kind, "window", ALPHA)
@@ -557,9 +557,8 @@ def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
     """The universe market mode is computed once per panel, NaN on the dates
     without returns; every window's survivor data from its slice equals
     the per-window reference, and windows over that date are infeasible."""
-    returns = log_returns(panel)
-    full = returns, _universe_mode(returns)
-    assert np.isnan(full[1]).any()
+    full = experiment._with_mode(log_returns(panel), "universe")
+    assert np.isnan(full[1][0]).any()
     outcomes = set()
     for end_idx in range(TS_WINDOW, panel.n_dates):
         w = _window(full, end_idx, TS_WINDOW)
@@ -575,6 +574,45 @@ def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
         assert got_x.dtype == x.dtype and np.array_equal(got_x, x)
         outcomes.add("compared")
     assert outcomes == {"infeasible", "compared"}
+
+
+@pytest.mark.parametrize(
+    "make,failures",
+    [
+        (lambda: gappy_panel(14), {"no asset survives complete-case filtering",
+                                   "no asset survives constant-column filtering"}),
+        (flat_in_one_window_panel, {"no asset survives constant-column filtering"}),
+    ],
+    ids=["gappy", "flat-in-one-window"],
+)
+def test_panel_sign_arrays_give_every_window_its_per_window_phi_survivors(make, failures):
+    """Under the universe scope a phi window's columns are one gather from the panel's
+    sign array, and its constant columns come from two rows of its up-day prefix counts.
+    For every (t, end) window, t = 1 included, dates, assets and int8 columns equal the
+    per-window reference byte for byte, and a window the reference rejects (a date with
+    no returns, so no complete-case asset; every column flat) raises the same message."""
+    panel = make()
+    full = experiment._with_mode(log_returns(panel), "universe")
+    messages, compared = set(), 0
+    for t in range(1, panel.n_dates):
+        for end_idx in range(t, panel.n_dates):
+            w = _window(full, end_idx, t)
+            try:
+                rp, assets, x = ref_survivors(panel, end_idx, t, "phi", "universe")
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    _survivors(*w, "phi", "universe")
+                assert str(raised.value) == str(exc), (t, end_idx)
+                messages.add(str(exc))
+                continue
+            dates, got_assets, got_x = _survivors(*w, "phi", "universe")
+            assert (dates, got_assets) == (rp.dates, assets), (t, end_idx)
+            assert (got_x.dtype, got_x.shape) == (x.dtype, x.shape), (t, end_idx)
+            assert got_x.tobytes() == x.tobytes(), (t, end_idx)
+            compared += 1
+    assert messages == failures and compared > 1000
+    if make is flat_in_one_window_panel:  # A06's flat column leaves the window of returns 40-59
+        assert "A06" not in _survivors(*_window(full, 60, 20), "phi", "universe")[1]
 
 
 @pytest.mark.parametrize("kind,scope", [("spearman", "universe"), ("phi", "global")])
