@@ -35,7 +35,7 @@ from .experiment import (
     window_correlation,
 )
 from .graphmetrics import LabeledGraph, assortativity, link_density
-from .ingest import PricePanel, load_panel, slice_window, write_panel_long
+from .ingest import PricePanel, load_panel, write_panel_long
 from .preprocess import (
     BinaryPanel,
     ReturnPanel,
@@ -86,7 +86,6 @@ __all__ = [
     "roc",
     "run_grid",
     "sign_matrix",
-    "slice_window",
     "spectral_summary",
     "stability_profile",
     "timeseries_rows",

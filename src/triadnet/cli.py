@@ -21,6 +21,7 @@ from .balance import balance_report
 from .correlation import CORR_KINDS
 from .errors import DataError
 from .experiment import (
+    _window,
     aggregate_cells,
     build_dataset,
     default_t_values,
@@ -30,7 +31,7 @@ from .experiment import (
     timeseries_rows,
     window_correlation,
 )
-from .ingest import PANEL_FORMATS, load_panel, slice_window, write_panel_long
+from .ingest import PANEL_FORMATS, load_panel, write_panel_long
 from .output import (
     write_balance_json,
     write_edges_csv,
@@ -266,9 +267,9 @@ def cmd_synth(args) -> int:
 
 
 def _window_returns(args):
-    """Returns of the --window returns ending at --end-date (window + 1 price rows)."""
+    """The --window returns ending at --end-date, cut from the panel's returns by `_window`."""
     panel = load_panel(args.prices, args.sectors, args.format)
-    return log_returns(slice_window(panel, args.end_date, args.window + 1))
+    return _window((log_returns(panel), None), panel.date_index(args.end_date), args.window)[0]
 
 
 def cmd_svn(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .preprocess import BinaryPanel, ReturnPanel
+from .preprocess import BinaryPanel, ReturnPanel, _signs
 from .util import _check_symmetric
 
 CORR_KINDS = ("phi", "pearson", "partial_pearson")
@@ -119,6 +119,6 @@ def partial_pearson(r: ReturnPanel) -> CorrMatrix:
 def sign_matrix(corr: CorrMatrix) -> np.ndarray:
     """int8 sign matrix S of `corr`, rows and columns in `corr.assets` order:
     +1 where the correlation is nonnegative, -1 where negative, 0 on the diagonal."""
-    s = (corr.values >= 0).view(np.int8) * np.int8(2) - np.int8(1)  # np.where is ~10x slower
+    s = _signs(corr.values)
     np.fill_diagonal(s, 0)
     return s

@@ -45,7 +45,7 @@ from .preprocess import (
     BinaryPanel,
     ReturnPanel,
     _survivors,
-    _universe_arrays,
+    _with_mode,
     log_returns,
     volatility,
 )
@@ -111,14 +111,17 @@ def _check_kinds(corr_kind: str, median_scope: str) -> None:
         raise DataError(f"unknown median scope {median_scope!r}: expected one of {MEDIAN_SCOPES}")
 
 
-def _with_mode(returns: ReturnPanel, median_scope: str):
-    """(returns, their `_universe_arrays` or None under scope "window"), made once per panel to slice."""
-    return returns, _universe_arrays(returns) if median_scope == "universe" else None
-
-
 def _window(full, end_idx: int, t: int):
-    """(returns, universe arrays or None) of the t returns ending at price row end_idx (>= t)."""
+    """(returns, universe arrays or None) of the t returns ending at price row end_idx, cut from
+    `full`, a panel's `_with_mode`: return rows end_idx - t .. end_idx - 1. The one fit check:
+    a window that starts before the first return or ends after the last raises DataError."""
     r, universe = full
+    n = len(r.dates)
+    if end_idx > n:
+        raise DataError(f"insufficient history: a window ends {end_idx - n} returns after the last of {n}")
+    if end_idx < t:
+        end = r.dates[end_idx - 1] if end_idx else "the first date"
+        raise DataError(f"insufficient history: need {t} returns ending {end}, have {end_idx}")
     rows = slice(end_idx - t, end_idx)
     window = ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows], r.present[rows])
     return window, None if universe is None else tuple(a[rows] for a in universe)
@@ -142,7 +145,7 @@ def window_correlation(
 ) -> CorrMatrix:
     """Correlation matrix of one window, restricted to its surviving assets."""
     _check_kinds(corr_kind, median_scope)
-    return _corr_from_data(_survivors(*_with_mode(returns, median_scope), corr_kind, median_scope), corr_kind)
+    return _corr_from_data(_survivors(*_with_mode(returns, median_scope), corr_kind), corr_kind)
 
 
 def _side(corr: CorrMatrix, scores: bool) -> dict:
@@ -171,7 +174,7 @@ def _lattice_auc(lattice, labels) -> float:
     return _groups_auc(pos, totals - pos)
 
 
-def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=None):
+def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
     """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in
     end-date order. A pair is (common, in-product, out-product) or a message: it needs
     `need` common assets, and each side's product is `make(corr, scores)` of its window's
@@ -179,7 +182,7 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=
 
     Each (t, end) window is preprocessed once and dropped after the last end date that uses
     it; pairs whose name-sorted common assets are its survivors share its product. An entry
-    holds an "error" (also past the panel's end) or, for an in-window, its "volatility" and,
+    holds an "error" (`_window`'s too) or, for an in-window, its "volatility" and,
     with `row`, a message or `row(entry, phi signs, corr, product)` of its own correlation."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
     last_use = {key: end for t_in, t_out, end in tasks for key in ((t_in, end), (t_out, end + t_out))}
@@ -188,11 +191,9 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=
     def entry(key):
         if key not in cache:
             try:
-                if key[1] > len(full[0].dates):
-                    raise DataError("no window ends after the panel")
                 w = _window(full, key[1], key[0])
                 cc = preprocess.complete_case(w[0])  # also gives a non-phi row its phi signs
-                fresh[key] = data = _survivors(*w, corr_kind, median_scope, cc)
+                fresh[key] = data = _survivors(*w, corr_kind, cc)
                 vol = volatility(w[0]) if key in in_keys else None
                 cache[key] = e = {"window": w, "assets": data[1], "volatility": vol}
             except DataError as exc:
@@ -201,7 +202,7 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=
                 try:  # a row is skipped when these fail; errors inside `row` propagate
                     corr = _corr_from_data(data, corr_kind)
                     e["product"] = make(corr, True)
-                    phi = data if corr_kind == "phi" else _survivors(*w, "phi", median_scope, cc)
+                    phi = data if corr_kind == "phi" else _survivors(*w, "phi", cc)
                     signs = BinaryPanel(*phi)
                 except DataError as exc:
                     e["row"] = str(exc)
@@ -212,7 +213,7 @@ def _sweep(full, tasks, corr_kind: str, median_scope: str, need: int, make, row=
     def product(key, common, scores):
         e = cache[key]
         if common != e["assets"] or "product" not in e:
-            data = fresh.get(key) or _survivors(*e["window"], corr_kind, median_scope)
+            data = fresh.get(key) or _survivors(*e["window"], corr_kind)
             if common != e["assets"]:
                 return make(_corr_from_data(data, corr_kind, common), scores)
             e["product"] = make(_corr_from_data(data, corr_kind), key in in_keys)
@@ -264,7 +265,7 @@ def build_dataset(
     if end_idx < t_in:
         raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
     full = _with_mode(log_returns(panel), median_scope)
-    ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, median_scope, 3, _side)
+    ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, 3, _side)
     if isinstance(pair, str):
         raise DataError(pair)
     common, side_in, side_out = pair
@@ -359,9 +360,9 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
     return out
 
 
-def _evaluate(full, tasks, corr_kind, median_scope):
+def _evaluate(full, tasks, corr_kind):
     """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
-    for task, e_in, pair in _sweep(full, tasks, corr_kind, median_scope, 3, _side):
+    for task, e_in, pair in _sweep(full, tasks, corr_kind, 3, _side):
         if isinstance(pair, str):
             yield task, ("infeasible", f"window infeasible: {pair}")
             continue
@@ -399,11 +400,11 @@ def _pool_size(jobs: int, n_chunks: int) -> int:
 
 
 def _map_chunks(work, tasks, jobs: int, panel, corr_kind, median_scope, *extra) -> list:
-    """work(full, chunk, corr_kind, median_scope, *extra) over `tasks` cut into jobs * 4 runs in
-    order, concatenated; `full` is `_with_mode` of `panel`. Forked workers keep the parent's BLAS
-    threads, so results do not depend on `jobs`, and `_pool_size` workers never run more BLAS
-    threads than cores. Below 2 workers, one in-process `work` call takes all `tasks`."""
-    k, args = jobs * 4, (corr_kind, median_scope, *extra)
+    """work(full, chunk, corr_kind, *extra) over `tasks` cut into jobs * 4 runs in order,
+    concatenated; `full` is `_with_mode` of `panel` under `median_scope`. Forked workers keep
+    the parent's BLAS threads, so results do not depend on `jobs`, and `_pool_size` workers never
+    run more BLAS threads than cores. Below 2 workers, one in-process `work` call takes all `tasks`."""
+    k, args = jobs * 4, (corr_kind, *extra)
     chunks = [c for c in (tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)) if c]
     workers = _pool_size(jobs, len(chunks))
     if workers < 2:
@@ -488,10 +489,10 @@ def _leading(corr, scores):
     return spectral_summary(corr, k=1)
 
 
-def _timeseries_chunk(full, tasks, corr_kind, median_scope, sectors, alpha):
+def _timeseries_chunk(full, tasks, corr_kind, sectors, alpha):
     """Yield (end index, row without its date, or skip message) for `tasks`, swept by end."""
     tasks, row = sorted(tasks, key=lambda task: task[2]), partial(_timeseries_row, sectors, alpha)
-    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, median_scope, 2, _leading, row):
+    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, 2, _leading, row):
         made = e_in.get("error") or e_in["row"]
         if not isinstance(made, str):
             made["v1_overlap"] = None

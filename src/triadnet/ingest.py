@@ -1,4 +1,4 @@
-"""Loading, validation and windowing of daily price panels.
+"""Loading, validation and writing of daily price panels.
 
 A panel is a dates x assets matrix of adjusted close prices together with a
 presence mask and a per-asset sector label. Dates are ISO-8601 strings and are
@@ -233,25 +233,6 @@ def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
     known = load_sectors(sectors_path)
     sectors = {a: known.get(a, UNKNOWN_SECTOR) for a in assets}
     return PricePanel(tuple(dates), tuple(assets), prices, np.isfinite(prices), sectors)
-
-
-def slice_window(panel: PricePanel, end_date: str, length: int) -> PricePanel:
-    """Sub-panel of exactly `length` consecutive dates ending at `end_date`."""
-    if length < 1:
-        raise DataError("window length must be positive")
-    end = panel.date_index(end_date)
-    start = end - length + 1
-    if start < 0:
-        raise DataError(
-            f"insufficient history: need {length} dates ending {end_date}, have {end + 1}"
-        )
-    return PricePanel(
-        panel.dates[start : end + 1],
-        panel.assets,
-        panel.prices[start : end + 1].copy(),
-        panel.present[start : end + 1].copy(),
-        dict(panel.sectors),
-    )
 
 
 def write_panel_long(panel: PricePanel, prices_path, sectors_path) -> None:

@@ -110,50 +110,55 @@ def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPane
 
     median_scope selects the asset set the daily median is computed on:
     "universe" uses every asset present that day (before complete-case
-    filtering), "window" uses only the complete-case survivors.
+    filtering), "window" uses only the complete-case survivors; see `_with_mode`.
     """
+    return BinaryPanel(*_survivors(*_with_mode(returns, median_scope), "phi"))
+
+
+def _signs(x: np.ndarray) -> np.ndarray:
+    """int8 +1 where x >= 0 (so sign(0) = +1), -1 elsewhere, NaN included: the one sign rule."""
+    return (x >= 0).view(np.int8) * np.int8(2) - np.int8(1)  # np.where is ~10x slower
+
+
+def _with_mode(returns: ReturnPanel, median_scope: str) -> tuple:
+    """(returns, their `_universe_arrays` under median_scope "universe", None under "window"):
+    the one place the scope is decided. Windows are row slices of both (`experiment._window`);
+    below here a `universe` of None means the window's survivors take their own median."""
     if median_scope not in MEDIAN_SCOPES:
         raise DataError(f"median_scope must be one of {MEDIAN_SCOPES}")
-    universe = _universe_arrays(returns) if median_scope == "universe" else None
-    return BinaryPanel(*_survivors(returns, universe, "phi", median_scope))
+    return returns, _universe_arrays(returns) if median_scope == "universe" else None
 
 
 def _universe_arrays(returns: ReturnPanel) -> tuple:
-    """(`_universe_mode`, int8 signs of r - mode with sign(0) = +1 and -1 where either is missing,
-    int32 counts of +1 signs up to and including each date): one row per date for windows to slice."""
-    up = returns.returns - (mode := _universe_mode(returns))[:, None] >= 0
-    return mode, up.view(np.int8) * np.int8(2) - np.int8(1), np.cumsum(up, axis=0, dtype=np.int32)
+    """(`_universe_mode`, `_signs` of r - mode, -1 where either is missing): one row per date,
+    made once per panel for windows to slice."""
+    return (mode := _universe_mode(returns)), _signs(returns.returns - mode[:, None])
 
 
-def _survivors(returns: ReturnPanel, universe, corr_kind: str, median_scope: str, cc=None):
+def _survivors(returns: ReturnPanel, universe, corr_kind: str, cc=None):
     """(dates, assets, columns) of a window's complete-case assets that are not constant.
 
-    The columns are what the `corr_kind` correlation uses: the signs of the
-    partial returns for phi (sign(0) = +1), the partial returns for pearson,
-    the raw returns for partial_pearson. `universe` is the window's rows of
-    `_universe_arrays` under median_scope "universe": a phi window's columns are
-    one gather from its signs, constant where its up-day count, read from the
-    prefix counts, is 0 or t. `cc` is the window's `complete_case`, if the caller has it.
+    The columns are what the `corr_kind` correlation uses: the `_signs` of the partial returns
+    for phi, the partial returns for pearson, the raw returns for partial_pearson. `universe` is
+    the window's rows of `_universe_arrays`: its mode is subtracted and a phi window gathers its
+    signs. Under median_scope "window" it is None and the mode is the survivors' daily median.
+    Every kind and scope drops a column whose max equals its min. `cc` is the window's
+    `complete_case`, if the caller has it.
     """
     cc = complete_case(returns) if cc is None else cc
-    if corr_kind == "phi" and median_scope == "universe":
-        _, signs, ups = universe
-        cols = np.flatnonzero(returns.present.all(axis=0))  # the columns of cc.assets
-        k = ups[-1, cols] - ups[0, cols] + (signs[0, cols] > 0)
-        keep = (k > 0) & (k < len(signs))
-        x = signs[:, cols[keep]]
+    if corr_kind == "phi" and universe is not None:
+        x = universe[1][:, returns.present.all(axis=0)]  # the columns of cc.assets
     else:
         x = cc.returns
         if corr_kind != "partial_pearson":
             # complete_case has raised if a date has no return, so the mode holds no NaN here
-            x = x - (universe[0] if median_scope == "universe" else np.median(x, axis=1))[:, None]
+            x = x - (np.median(x, axis=1) if universe is None else universe[0])[:, None]
             if corr_kind == "phi":
-                x = np.where(x >= 0, 1, -1).astype(np.int8)
-        keep = x.max(axis=0) != x.min(axis=0)
-        x = x[:, keep]
+                x = _signs(x)
+    keep = x.max(axis=0) != x.min(axis=0)
     if not keep.any():
         raise DataError("no asset survives constant-column filtering")
-    return returns.dates, tuple(compress(cc.assets, keep.tolist())), x
+    return returns.dates, tuple(compress(cc.assets, keep.tolist())), x[:, keep]
 
 
 def volatility(returns: ReturnPanel) -> float:

@@ -401,3 +401,79 @@ def test_balance_outputs_are_exact(kind, scope, tmp_path, capsys):
     assert code == 0, err
     texts = ((tmp_path / "b.json").read_text(), (tmp_path / "d.csv").read_text())
     assert texts == BALANCE_OUTPUTS[kind, scope]
+
+
+# Exact `svn` outputs (edges CSV, adjacency CSV) per (polarity, scope) on `gappy_market`
+# at alpha 0.9: no positive link survives, and the scopes validate different negative ones.
+_NO_LINKS = "".join(f"A000{i},0,0,0,0,0,0,0\n" for i in range(7))
+SVN_OUTPUTS = {
+    ("positive", "universe"): ("i,j,p,polarity\n", ",A0000,A0001,A0002,A0003,A0004,A0005,A0006\n" + _NO_LINKS),
+    ("positive", "window"): ("i,j,p,polarity\n", ",A0000,A0001,A0002,A0003,A0004,A0005,A0006\n" + _NO_LINKS),
+    ("negative", "universe"): (
+        'i,j,p,polarity\n'
+        'A0002,A0006,0.0253276870337,negative\n'
+        'A0003,A0005,0.0830006049607,negative\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,0,0,0,0,0,0\n'
+        'A0001,0,0,0,0,0,0,0\n'
+        'A0002,0,0,0,0,0,0,1\n'
+        'A0003,0,0,0,0,0,1,0\n'
+        'A0004,0,0,0,0,0,0,0\n'
+        'A0005,0,0,0,1,0,0,0\n'
+        'A0006,0,0,1,0,0,0,0\n',
+    ),
+    ("negative", "window"): (
+        'i,j,p,polarity\n'
+        'A0000,A0004,0.0253276870337,negative\n'
+        'A0002,A0006,0.0423788105947,negative\n'
+        'A0003,A0005,0.012172860938,negative\n',
+        ',A0000,A0001,A0002,A0003,A0004,A0005,A0006\n'
+        'A0000,0,0,0,0,1,0,0\n'
+        'A0001,0,0,0,0,0,0,0\n'
+        'A0002,0,0,0,0,0,0,1\n'
+        'A0003,0,0,0,0,0,1,0\n'
+        'A0004,1,0,0,0,0,0,0\n'
+        'A0005,0,0,0,1,0,0,0\n'
+        'A0006,0,0,1,0,0,0,0\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("polarity,scope", SVN_OUTPUTS)
+def test_svn_outputs_are_exact(polarity, scope, tmp_path, capsys):
+    prices, sectors, end_date = gappy_market(tmp_path, capsys)
+    code, _, err = run(
+        [
+            "svn", "--prices", str(prices), "--sectors", str(sectors),
+            "--end-date", end_date, "--window", "30", "--alpha", "0.9", "--polarity", polarity,
+            "--median-scope", scope, "--out-prefix", str(tmp_path / "net"),
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    texts = ((tmp_path / "net_edges.csv").read_text(), (tmp_path / "net_adjacency.csv").read_text())
+    assert texts == SVN_OUTPUTS[polarity, scope]
+
+
+@pytest.mark.parametrize("command", ["svn", "balance"])
+def test_window_that_does_not_fit_is_a_data_error(command, tmp_path, capsys):
+    """An end date with fewer than --window returns up to it exits 2 with a message that
+    names it (the first date, which ends no return, is named as such); one more fits.
+    So does an end date that is not in the panel."""
+    prices, sectors, _ = gappy_market(tmp_path, capsys)
+    dates = sorted({line.split(",")[0] for line in prices.read_text().splitlines()[1:]})
+    out = ["--out-prefix", str(tmp_path / "net")] if command == "svn" else ["--out", str(tmp_path / "b.json")]
+
+    def cut(end_date):
+        return run([command, "--prices", str(prices), "--sectors", str(sectors),
+                    "--end-date", end_date, "--window", "30", *out], capsys)
+
+    for end_date in (dates[0], dates[1], dates[29]):
+        code, _, err = cut(end_date)
+        assert code == 2
+        assert err.startswith("data error: insufficient history: need 30 returns ending ")
+        assert (end_date if end_date != dates[0] else "the first date") in err
+        assert "Traceback" not in err
+    assert cut(dates[30])[0] == 0
+    code, _, err = cut("1999-01-01")
+    assert code == 2 and err == "data error: date '1999-01-01' not in panel\n"

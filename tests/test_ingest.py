@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from triadnet.errors import DataError
-from triadnet.ingest import UNKNOWN_SECTOR, PricePanel, load_panel, slice_window, write_panel_long
+from triadnet.ingest import UNKNOWN_SECTOR, PricePanel, load_panel, write_panel_long
 
 from conftest import make_panel
 
@@ -100,33 +100,6 @@ def test_load_wide_duplicate_date_rejected(tmp_path):
     )
     with pytest.raises(DataError, match="duplicate date"):
         load_panel(prices, _sectors_file(tmp_path), "wide")
-
-
-def test_slice_window_identity_and_tail():
-    panel = make_panel(np.arange(10, 20, dtype=float).reshape(10, 1))
-    whole = slice_window(panel, panel.dates[9], 10)
-    assert whole.dates == panel.dates
-    tail = slice_window(panel, panel.dates[9], 3)
-    assert tail.dates == panel.dates[7:]
-    assert tail.assets == panel.assets
-
-
-def test_slice_window_errors():
-    panel = make_panel(np.arange(10, 20, dtype=float).reshape(10, 1))
-    with pytest.raises(DataError, match="insufficient history"):
-        slice_window(panel, panel.dates[9], 11)
-    with pytest.raises(DataError, match="not in panel"):
-        slice_window(panel, "1999-01-01", 2)
-
-
-def test_slice_window_contiguous_property(rng):
-    panel = make_panel(rng.uniform(1, 2, size=(30, 4)))
-    for _ in range(20):
-        end = int(rng.integers(0, 30))
-        length = int(rng.integers(1, end + 2))
-        sub = slice_window(panel, panel.dates[end], length)
-        assert len(sub.dates) == length
-        assert sub.dates == panel.dates[end - length + 1 : end + 1]
 
 
 def test_roundtrip_idempotent(tmp_path, rng):

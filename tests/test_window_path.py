@@ -1,7 +1,7 @@
 """Differential test of the grid's window path against the public primitives.
 
 The reference rebuilds every window from prices, one at a time:
-slice_window -> log_returns -> binarize / complete_case -> correlation kernel
+its price rows -> log_returns -> binarize / complete_case -> correlation kernel
 -> sign_matrix -> pair_stability and H as -trace(S^3) / (6 C(N,3)), and each
 AUC through `roc`. The pipeline instead slices each window out of returns and
 a universe market mode computed once per panel, sweeps the grid by end date
@@ -44,13 +44,14 @@ from triadnet.graphmetrics import (
     assortativity,
     link_density,
 )
-from triadnet.ingest import slice_window
+from triadnet.ingest import PricePanel
 from triadnet.preprocess import (
     MEDIAN_SCOPES,
     BinaryPanel,
     ReturnPanel,
     _survivors,
     _universe_mode,
+    _with_mode,
     binarize,
     complete_case,
     log_returns,
@@ -138,9 +139,17 @@ def market_mode(returns):
     return _universe_mode(returns)
 
 
+def ref_returns(panel, end_idx, t):
+    """log_returns of the t + 1 price rows ending at end_idx, cut from the prices."""
+    assert 0 <= end_idx - t
+    rows = slice(end_idx - t, end_idx + 1)
+    sub = PricePanel(panel.dates[rows], panel.assets, panel.prices[rows], panel.present[rows], panel.sectors)
+    return log_returns(sub)
+
+
 def ref_survivors(panel, end_idx, t, kind, scope):
     """(window returns, surviving assets, the columns the kernel sees)."""
-    rp = log_returns(slice_window(panel, panel.dates[end_idx], t + 1))
+    rp = ref_returns(panel, end_idx, t)
     cc = complete_case(rp)
     x = cc.returns
     if kind != "partial_pearson":
@@ -557,7 +566,7 @@ def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
     """The universe market mode is computed once per panel, NaN on the dates
     without returns; every window's survivor data from its slice equals
     the per-window reference, and windows over that date are infeasible."""
-    full = experiment._with_mode(log_returns(panel), "universe")
+    full = _with_mode(log_returns(panel), "universe")
     assert np.isnan(full[1][0]).any()
     outcomes = set()
     for end_idx in range(TS_WINDOW, panel.n_dates):
@@ -566,10 +575,10 @@ def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
             rp, assets, x = ref_survivors(panel, end_idx, TS_WINDOW, kind, "universe")
         except DataError:
             with pytest.raises(DataError):
-                _survivors(*w, kind, "universe")
+                _survivors(*w, kind)
             outcomes.add("infeasible")
             continue
-        dates, got_assets, got_x = _survivors(*w, kind, "universe")
+        dates, got_assets, got_x = _survivors(*w, kind)
         assert dates == rp.dates and got_assets == assets
         assert got_x.dtype == x.dtype and np.array_equal(got_x, x)
         outcomes.add("compared")
@@ -585,34 +594,52 @@ def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
     ],
     ids=["gappy", "flat-in-one-window"],
 )
-def test_panel_sign_arrays_give_every_window_its_per_window_phi_survivors(make, failures):
+@pytest.mark.parametrize("scope", MEDIAN_SCOPES)
+def test_panel_sign_arrays_give_every_window_its_per_window_phi_survivors(make, failures, scope):
     """Under the universe scope a phi window's columns are one gather from the panel's
-    sign array, and its constant columns come from two rows of its up-day prefix counts.
-    For every (t, end) window, t = 1 included, dates, assets and int8 columns equal the
-    per-window reference byte for byte, and a window the reference rejects (a date with
-    no returns, so no complete-case asset; every column flat) raises the same message."""
+    sign array; under the window scope they are the signs of its survivors' partial
+    returns. For every (t, end) window, t = 1 included, dates, assets and int8 columns
+    equal the per-window reference byte for byte under both scopes, and a window the
+    reference rejects (a date with no returns, so no complete-case asset; every column
+    flat) raises the same message."""
     panel = make()
-    full = experiment._with_mode(log_returns(panel), "universe")
+    full = _with_mode(log_returns(panel), scope)
     messages, compared = set(), 0
     for t in range(1, panel.n_dates):
         for end_idx in range(t, panel.n_dates):
             w = _window(full, end_idx, t)
             try:
-                rp, assets, x = ref_survivors(panel, end_idx, t, "phi", "universe")
+                rp, assets, x = ref_survivors(panel, end_idx, t, "phi", scope)
             except DataError as exc:
                 with pytest.raises(DataError) as raised:
-                    _survivors(*w, "phi", "universe")
+                    _survivors(*w, "phi")
                 assert str(raised.value) == str(exc), (t, end_idx)
                 messages.add(str(exc))
                 continue
-            dates, got_assets, got_x = _survivors(*w, "phi", "universe")
+            dates, got_assets, got_x = _survivors(*w, "phi")
             assert (dates, got_assets) == (rp.dates, assets), (t, end_idx)
             assert (got_x.dtype, got_x.shape) == (x.dtype, x.shape), (t, end_idx)
             assert got_x.tobytes() == x.tobytes(), (t, end_idx)
             compared += 1
     assert messages == failures and compared > 1000
     if make is flat_in_one_window_panel:  # A06's flat column leaves the window of returns 40-59
-        assert "A06" not in _survivors(*_window(full, 60, 20), "phi", "universe")[1]
+        assert "A06" not in _survivors(*_window(full, 60, 20), "phi")[1]
+
+
+@pytest.mark.parametrize("scope", MEDIAN_SCOPES)
+def test_a_window_that_does_not_fit_in_the_returns_is_a_data_error(scope):
+    """`_window` refuses a window that starts before the first return or ends after the
+    last one, instead of cutting a short or empty one; the windows at both edges fit."""
+    panel = complete_panel(16)
+    full = _with_mode(log_returns(panel), scope)
+    n = panel.n_dates - 1  # returns
+    for end_idx, t in ((5, 10), (0, 2), (n + 1, 10), (n + 10, 2)):
+        with pytest.raises(DataError, match="insufficient history"):
+            _window(full, end_idx, t)
+    with pytest.raises(DataError, match=f"need 10 returns ending {panel.dates[5]}, have 5"):
+        _window(full, 5, 10)
+    first, last = _window(full, 10, 10)[0], _window(full, n, 10)[0]
+    assert (first.dates[0], last.dates[-1]) == (panel.dates[1], panel.dates[-1])
 
 
 @pytest.mark.parametrize("kind,scope", [("spearman", "universe"), ("phi", "global")])
