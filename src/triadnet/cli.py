@@ -21,6 +21,7 @@ from .balance import balance_report
 from .correlation import CORR_KINDS
 from .errors import DataError
 from .experiment import (
+    MIN_BIN_WIDTH,
     _window,
     aggregate_cells,
     build_dataset,
@@ -157,6 +158,7 @@ _WINDOW = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _ALPHA = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _POSITIVE_FINITE = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
 _UNIT_INTERVAL = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
+_BIN_WIDTH = _checked(float, lambda v: MIN_BIN_WIDTH <= v < float("inf"), f"a finite number >= {MIN_BIN_WIDTH:g}")
 
 
 def _add_panel_args(p):
@@ -218,7 +220,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tout", type=_POSITIVE_INT, required=True, help="out-of-sample returns")
     p.add_argument("--corr-kind", choices=CORR_KINDS, default="phi")
     p.add_argument("--median-scope", choices=MEDIAN_SCOPES, default="universe")
-    p.add_argument("--bin-width", type=_POSITIVE_FINITE, default=0.05)
+    p.add_argument("--bin-width", type=_BIN_WIDTH, default=0.05)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_predict)
 

@@ -55,11 +55,12 @@ from .util import _pearson
 logger = logging.getLogger(__name__)
 
 SCORE_KINDS = ("delta", "absphi")
+MIN_BIN_WIDTH = 1e-4  # a stability profile of at most 20,000 bins
 
 
 @dataclass(eq=False)
 class SignChangeDataset:
-    """Pairs (iu[k], ju[k]) of `assets`, switch labels and the two (negated) in-sample scores."""
+    """Pairs (iu[k], ju[k]) of `assets` (panel order), switch labels and both negated in-sample scores."""
 
     assets: tuple
     iu: np.ndarray
@@ -149,29 +150,32 @@ def window_correlation(
 
 
 def _side(corr: CorrMatrix, scores: bool) -> dict:
-    """One window's part in a pair, on the pair's assets: "signs" (upper triangle, True
-    where nonnegative) and "h", from one S * S^2 product. With `scores`, also each
-    discriminator as a lattice (index, ascending values, pairs per value): the scores
-    are values[index], and pair stability's index is (N-2) - (S * S^2)_ij."""
+    """One window's part in a pair, on the pair's assets in panel order: "signs" (upper
+    triangle, True where nonnegative) and "h", from one S * S^2 product. With `scores`, also
+    each discriminator as a lattice (index, ascending values): the scores are values[index],
+    and pair stability's index is (N-2) - (S * S^2)_ij."""
     s = sign_matrix(corr)
     products = _triad_products(s)
     upper = ~np.tri(corr.n, dtype=bool)  # row-major, the order of np.triu_indices(n, 1)
     side = {"signs": s[upper] > 0, "h": _balance_index(products)}
     if scores:
-        n2 = corr.n - 2
-        for name, (index, values) in (  # int32 indices halve what long-lived entries hold
-            ("delta", (n2 - products[upper].astype(np.int32), -((n2 - np.arange(2 * n2 + 1)) / n2))),
-            ("absphi", np.unique(-np.abs(corr.values[upper]), return_inverse=True)[::-1]),
-        ):
-            side[name] = index.astype(np.int32), values, np.bincount(index, minlength=len(values))
+        n2 = corr.n - 2  # int32 indices halve what long-lived entries hold
+        side["delta"] = n2 - products[upper].astype(np.int32), -((n2 - np.arange(2 * n2 + 1)) / n2)
+        values, index = np.unique(-np.abs(corr.values[upper]), return_inverse=True)
+        side["absphi"] = index.astype(np.int32), values
     return side
 
 
+def _tie_counts(index, labels, n: int):
+    """(positives, negatives) of boolean `labels` per group 0 .. n-1 of index: the one tie count."""
+    counts = np.bincount(2 * index + labels, minlength=2 * n).reshape(n, 2)
+    return counts[:, 1], counts[:, 0]
+
+
 def _lattice_auc(lattice, labels) -> float:
-    """`auc` of the scores values[index] against `labels`, from one count of 2 * index + label."""
-    index, values, totals = lattice
-    pos = np.bincount(2 * index + labels, minlength=2 * len(values))[1::2]
-    return _groups_auc(pos, totals - pos)
+    """`auc` of the scores values[index] against `labels`."""
+    index, values = lattice
+    return _groups_auc(*_tie_counts(index, labels, len(values)))
 
 
 def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
@@ -180,8 +184,9 @@ def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
     `need` common assets, and each side's product is `make(corr, scores)` of its window's
     correlation on them, with `scores` true for an in-window.
 
-    Each (t, end) window is preprocessed once and dropped after the last end date that uses
-    it; pairs whose name-sorted common assets are its survivors share its product. An entry
+    Common assets are the in-window's survivors that also survive the out-window, in panel
+    order. Each (t, end) window is preprocessed once and dropped after the last end date that
+    uses it; pairs whose common assets are its survivors share its product. An entry
     holds an "error" (`_window`'s too) or, for an in-window, its "volatility" and,
     with `row`, a message or `row(entry, phi signs, corr, product)` of its own correlation."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
@@ -227,7 +232,7 @@ def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
         e_in = entry(k_in)
         pair = e_in.get("error") or entry(k_out).get("error")
         if pair is None:
-            common = tuple(sorted(set(e_in["assets"]) & set(cache[k_out]["assets"])))
+            common = tuple(filter(set(cache[k_out]["assets"]).__contains__, e_in["assets"]))
             try:
                 if len(common) < need:
                     raise DataError(f"only {len(common)} assets survive both windows (need {need})")
@@ -270,7 +275,7 @@ def build_dataset(
         raise DataError(pair)
     common, side_in, side_out = pair
     iu, ju = np.triu_indices(len(common), k=1)
-    scores = (values[index] for index, values, _ in (side_in["delta"], side_in["absphi"]))
+    scores = (values[index] for index, values in (side_in["delta"], side_in["absphi"]))
     return SignChangeDataset(common, iu, ju, side_in["signs"] != side_out["signs"], *scores)
 
 
@@ -294,13 +299,12 @@ def _tie_groups(labels, scores):
         raise DataError("roc needs at least one positive and one negative label")
     order = np.argsort(s)
     ordered = s[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    pos = np.add.reduceat(y[order], starts, dtype=np.int64)
-    return pos, np.diff(np.append(starts, s.size)) - pos
+    group = np.cumsum(np.concatenate(([False], ordered[1:] != ordered[:-1])))
+    return _tie_counts(group, y[order], int(group[-1]) + 1)
 
 
 def _groups_auc(pos, neg) -> float:
-    """AUC from `_tie_groups`; see `auc`."""
+    """AUC from `_tie_counts` of groups in ascending score order; see `auc`."""
     twice_wins = int((pos * (2 * (np.cumsum(neg) - neg) + neg)).sum())
     return twice_wins / 2.0 / (int(pos.sum()) * int(neg.sum()))
 
@@ -332,14 +336,14 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
     """Per-bin probability that the in-sample sign is preserved out of sample.
 
     Bins cover the raw discriminator range (the pair stability score lives in
-    [-1, 1], the absolute correlation in [0, 1]). Empty bins are emitted with
-    count 0 and a null probability. Returns (bin center, probability, count)
-    triples.
+    [-1, 1], the absolute correlation in [0, 1]) and are at least MIN_BIN_WIDTH
+    wide. Empty bins are emitted with count 0 and a null probability. Returns
+    (bin center, probability, count) triples, whatever order the pairs are in.
     """
     if which not in SCORE_KINDS:
         raise DataError(f"which must be one of {SCORE_KINDS}")
-    if bin_width <= 0:
-        raise DataError("bin_width must be positive")
+    if not bin_width >= MIN_BIN_WIDTH:
+        raise DataError(f"bin_width must be at least {MIN_BIN_WIDTH:g}, got {bin_width!r}")
     if dataset.n_pairs == 0:
         raise DataError("empty dataset")
     if which == "delta":
@@ -350,14 +354,9 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
         lo, hi = 0.0, 1.0
     n_bins = max(1, int(np.ceil((hi - lo) / bin_width - 1e-12)))
     idx = np.clip(((raw - lo) / bin_width).astype(int), 0, n_bins - 1)
-    preserved = ~dataset.labels
-    out = []
-    for b in range(n_bins):
-        in_bin = idx == b
-        count = int(in_bin.sum())
-        prob = float(preserved[in_bin].mean()) if count else None
-        out.append((lo + (b + 0.5) * bin_width, prob, count))
-    return out
+    switched, preserved = (c.tolist() for c in _tie_counts(idx, dataset.labels, n_bins))
+    return [(lo + (b + 0.5) * bin_width, p / (p + s) if p + s else None, p + s)
+            for b, (s, p) in enumerate(zip(switched, preserved))]
 
 
 def _evaluate(full, tasks, corr_kind):

@@ -97,13 +97,8 @@ def _block_ids(spec: SynthSpec) -> np.ndarray:
 
 
 def _trading_dates(count: int) -> tuple:
-    dates = []
-    day = _START_DATE
-    while len(dates) < count:
-        if np.is_busday(day):
-            dates.append(str(day))
-        day += np.timedelta64(1, "D")
-    return tuple(dates)
+    """The first `count` weekdays from _START_DATE, as ISO strings."""
+    return tuple(np.busday_offset(_START_DATE, np.arange(count), roll="forward").astype(str).tolist())
 
 
 def generate(spec: SynthSpec) -> PricePanel:

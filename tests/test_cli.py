@@ -155,6 +155,33 @@ def test_grid_outputs_and_determinism(tmp_path, capsys):
     assert summary["windows_attempted"] >= summary["records"]
 
 
+@pytest.mark.parametrize("kind", ["phi", "pearson", "partial_pearson"])
+def test_grid_outputs_do_not_depend_on_the_panels_asset_order(kind, tmp_path, capsys):
+    """One panel as a long file, which loads its assets in name order, and as a wide file
+    whose header shuffles them: `grid` writes the same six files byte for byte."""
+    prices, sectors = make_market(tmp_path, capsys, n=12, t=70, seed=11)
+    records = (line.split(",") for line in prices.read_text().splitlines()[1:])
+    cells = {(d, a): p for d, a, p in records}  # the long file's price text, so both hold the same floats
+    dates, assets = sorted({d for d, _ in cells}), sorted({a for _, a in cells})
+    header = [assets[7 * i % len(assets)] for i in range(len(assets))]
+    assert header != assets
+    wide = tmp_path / "wide.csv"
+    rows = [["date", *header]] + [[d] + [cells[d, a] for a in header] for d in dates]
+    wide.write_text("".join(",".join(row) + "\n" for row in rows))
+    outputs = ("records.csv", "heatmap_auc_delta.csv", "heatmap_auc_absphi.csv",
+               "heatmap_diff.csv", "timeseries.csv", "run_summary.json")
+    blobs = {}
+    for fmt, path in (("long", prices), ("wide", wide)):
+        config = {"prices": str(path), "sectors": str(sectors), "output_dir": str(tmp_path / fmt),
+                  "format": fmt, "corr_kind": kind, "t_values": [15, 25], "step": 6, "timeseries_window": 25}
+        cfg_path = tmp_path / f"{fmt}.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run(["grid", "--config", str(cfg_path), "--jobs", "1"], capsys)[0] == 0
+        blobs[fmt] = {name: (tmp_path / fmt / name).read_bytes() for name in outputs}
+    assert blobs["long"] == blobs["wide"]
+    assert len(blobs["long"]["records.csv"].splitlines()) > 1
+
+
 # (config entries, key the usage error must name)
 BAD_GRID_CONFIGS = [
     ({"alpha": 1.5}, "alpha"),
@@ -217,6 +244,7 @@ BAD_FLAGS = [
     ("predict", "--bin-width", "0"),
     ("predict", "--bin-width", "-0.1"),
     ("predict", "--bin-width", "inf"),
+    ("predict", "--bin-width", "1e-9"),
     ("grid", "--jobs", "0"),
     ("grid", "--seed", "3"),
     ("synth", "--n", "0"),

@@ -191,6 +191,47 @@ def test_stability_profile_validation():
         stability_profile(ds, "other")
     with pytest.raises(DataError):
         stability_profile(ds, "delta", 0.0)
+    with pytest.raises(DataError, match="bin_width"):  # 2e5 bins
+        stability_profile(ds, "delta", 1e-5)
+
+
+def profile_by_bin_masks(ds, which, bin_width):
+    """`stability_profile` one bin at a time: a mask over every pair per bin."""
+    raw, lo, hi = (-ds.scores_delta, -1.0, 1.0) if which == "delta" else (-ds.scores_absphi, 0.0, 1.0)
+    n_bins = max(1, int(np.ceil((hi - lo) / bin_width - 1e-12)))
+    idx = np.clip(((raw - lo) / bin_width).astype(int), 0, n_bins - 1)
+    rows = []
+    for b in range(n_bins):
+        in_bin = idx == b
+        count = int(in_bin.sum())
+        rows.append((lo + (b + 0.5) * bin_width, float((~ds.labels)[in_bin].mean()) if count else None, count))
+    return rows
+
+
+def roc_by_thresholds(labels, scores):
+    """ROC points from each distinct score down: (share of negatives, of positives) at or above it."""
+    labels, scores = np.asarray(labels, dtype=bool), np.asarray(scores, dtype=float)
+    points = [(0.0, 0.0)]
+    for threshold in np.unique(scores)[::-1]:
+        above = scores >= threshold
+        points.append((int((above & ~labels).sum()) / int((~labels).sum()),
+                       int((above & labels).sum()) / int(labels.sum())))
+    return points
+
+
+def test_tie_counts_match_per_group_loops(rng):
+    """ROC points and stability profiles, read from one (group, label) count, equal a loop
+    over their tie groups or bins exactly, on tie-heavy scores in random pair order."""
+    for size in (2, 5, 40, 300):
+        for _ in range(5):
+            labels = rng.random(size) < rng.uniform(0.1, 0.9)
+            labels[:2] = [True, False]
+            delta = rng.integers(-6, 7, size=size) / 6
+            absphi = np.abs(rng.choice(rng.uniform(-1, 1, size=7), size=size))
+            ds = _tiny_dataset(labels, delta, absphi)
+            assert roc(labels, -delta).points == roc_by_thresholds(labels, -delta)
+            for which, width in (("delta", 0.05), ("absphi", 0.05), ("delta", 0.3), ("absphi", 1e-3)):
+                assert stability_profile(ds, which, width) == profile_by_bin_masks(ds, which, width)
 
 
 @forks_blas_threads

@@ -158,10 +158,10 @@ def test_lattice_auc_equals_auc_bitwise():
             assert np.array_equal(side["signs"], s[iu, ju] > 0)
             assert side["h"] == hamiltonian(s)
             for name, expected in scores.items():
-                index, values, totals = side[name]
-                assert values[index].tobytes() == expected.tobytes(), name
-                assert np.array_equal(np.bincount(index, minlength=len(values)), totals)
-            assert (side["delta"][2] == 0).any()  # lattice values that never occur
+                index, values = side[name]
+                assert index.dtype == np.int32 and values[index].tobytes() == expected.tobytes(), name
+            index, values = side["delta"]
+            assert (np.bincount(index, minlength=len(values)) == 0).any()  # lattice values that never occur
             for _ in range(3):
                 labels = rng.random(len(iu)) < rng.uniform(0.1, 0.9)
                 labels[rng.choice(len(iu), 2, replace=False)] = [True, False]

@@ -6,10 +6,10 @@ its price rows -> log_returns -> binarize / complete_case -> correlation kernel
 AUC through `roc`. The pipeline instead slices each window out of returns and
 a universe market mode computed once per panel, sweeps the grid by end date
 and keeps a window's signs, H and score lattices for the pairs whose common
-assets are exactly its survivors. Both must agree exactly: records, skip
+assets, the in-window's survivors that survive the out-window too in panel
+order, are exactly its survivors. Both must agree exactly: records, skip
 decisions, datasets and timeseries rows, on panels where every pair reuses
-its windows (complete, name-sorted assets), where some do (gaps, sorted
-assets) and where none can (assets not in name order).
+its windows (complete, in either asset order) and where some do (gaps).
 """
 
 import logging
@@ -179,7 +179,7 @@ def ref_h(s):
 def ref_dataset(panel, end_idx, t_in, t_out, kind, scope):
     r_in, a_in, x_in = ref_survivors(panel, end_idx, t_in, kind, scope)
     r_out, a_out, x_out = ref_survivors(panel, end_idx + t_out, t_out, kind, scope)
-    common = tuple(sorted(set(a_in) & set(a_out)))
+    common = tuple(a for a in a_in if a in a_out)
     if len(common) < 3:
         raise DataError("fewer than 3 common survivors")
     c_in = ref_corr(r_in, a_in, x_in, common, kind)
@@ -257,7 +257,7 @@ def ref_timeseries(panel, kind, scope, step=STEP):
                 r_out, a_out, x_out = ref_survivors(
                     panel, end_idx + TS_WINDOW, TS_WINDOW, kind, scope
                 )
-                common = tuple(sorted(set(a_in) & set(a_out)))
+                common = tuple(a for a in a_in if a in a_out)
                 if len(common) >= 2:
                     v_in = spectral_summary(ref_corr(r_in, a_in, x_in, common, kind), k=1)[1]
                     v_out = spectral_summary(ref_corr(r_out, a_out, x_out, common, kind), k=1)[1]
@@ -342,16 +342,15 @@ def counted_window_builds(monkeypatch, kind, scope, panel, t_values):
 
 
 @pytest.mark.parametrize("kind,scope", KINDS)
-def test_serial_sweep_builds_each_window_once_when_every_pair_reuses_it(monkeypatch, kind, scope):
-    """On a complete, name-ordered panel whose windows keep every asset, every
+@pytest.mark.parametrize("name_order", [True, False], ids=["name-ordered", "not-name-ordered"])
+def test_serial_sweep_builds_each_window_once_when_every_pair_reuses_it(monkeypatch, kind, scope, name_order):
+    """On a complete panel whose windows keep every asset, in name order or not, every
     window is preprocessed and correlated exactly once, however many pairs use it."""
-    t_values = [12, 20, 30]
-    builds, corrs, windows = counted_window_builds(
-        monkeypatch, kind, scope, complete_panel(16), t_values
-    )
+    t_values, panel = [12, 20, 30], complete_panel(16, name_order=name_order)
+    builds, corrs, windows = counted_window_builds(monkeypatch, kind, scope, panel, t_values)
     assert builds == dict.fromkeys(windows, 1)
     assert corrs == {"own survivors": len(windows), "pair subset": 0}
-    assert len(windows) < 2 * len(grid_tasks(complete_panel(16), t_values, STEP))
+    assert len(windows) < 2 * len(grid_tasks(panel, t_values, STEP))
 
 
 @pytest.mark.parametrize("kind", ["phi", "pearson"])
