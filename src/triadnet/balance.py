@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlation import CorrMatrix, sign_matrix
 from .errors import DataError
-from .util import _check_symmetric, _pearson
+from .util import _check_symmetric, _pearson, count_product
 
 
 @dataclass(eq=False)
@@ -47,10 +47,11 @@ def _signed_values(s, what: str) -> np.ndarray:
 
 def _triad_products(values: np.ndarray) -> np.ndarray:
     """S * S^2 (elementwise) of a validated signed matrix, the summed sign product of the triads
-    through each pair: one float64 BLAS product (S^2 = S^T S), exact while N^3 < 2**53."""
-    s = np.asarray(values, dtype=np.float64)
-    products = s.T @ s
-    products *= s
+    through each pair. S^2 = S^T S is one float32 BLAS product (`util.count_product`), exact
+    while N < 2**24, cast once to float64; the rest, and H's sum of it (trace(S^3) passes 2**24
+    near N = 256), stay float64, exact while N^3 < 2**53."""
+    products = count_product(values, values, np.float64)
+    products *= values
     products += 0.0  # -1 * 0 is -0.0; an integer product has no signed zero
     return products
 
@@ -67,7 +68,7 @@ def hamiltonian(s) -> float:
     0 on the diagonal, +/-1 off it, at least 3 nodes. Computed as
     -trace(S^3) / (6 * C(N,3)) with one product: S^2 is symmetric, so
     trace(S^3) = sum of S * S^2 (elementwise), the product `pair_stability`
-    forms. S^2 is a float64 BLAS product of integers, exact while N^3 < 2**53.
+    forms, exact while N^3 < 2**53 (see `_triad_products`; its sum is float64).
     """
     return _balance_index(_triad_products(_signed_values(s, "balance index")))
 
@@ -77,7 +78,7 @@ def pair_stability(s) -> np.ndarray:
 
     `s` is checked as in `hamiltonian`. Entry (i,j) is S_ij * (S^2)_ij / (N-2):
     +1 when the pair forms stable triads with every other node, -1 when none.
-    Diagonal is 0. S^2 is a float64 BLAS product, exact while N^3 < 2**53.
+    Diagonal is 0. S^2 is a float32 BLAS product cast to float64, exact while N < 2**24.
     """
     values = _signed_values(s, "pair stability")
     return _triad_products(values) / (len(values) - 2)

@@ -22,6 +22,7 @@ from .correlation import CORR_KINDS
 from .errors import DataError
 from .experiment import (
     MIN_BIN_WIDTH,
+    SCORE_KINDS,
     _window,
     aggregate_cells,
     build_dataset,
@@ -302,14 +303,8 @@ def cmd_predict(args) -> int:
         panel, args.end_date, args.tin, args.tout,
         corr_kind=args.corr_kind, median_scope=args.median_scope,
     )
-    curves = {
-        "delta": roc(ds.labels, ds.scores_delta),
-        "absphi": roc(ds.labels, ds.scores_absphi),
-    }
-    profiles = {
-        "delta": stability_profile(ds, "delta", args.bin_width),
-        "absphi": stability_profile(ds, "absphi", args.bin_width),
-    }
+    curves = {name: roc(ds.labels, getattr(ds, f"scores_{name}")) for name in SCORE_KINDS}
+    profiles = {name: stability_profile(ds, name, args.bin_width) for name in SCORE_KINDS}
     outdir = Path(args.output_dir)
     write_roc_csv(curves, outdir / f"roc_{args.end_date}.csv")
     write_stability_csv(profiles, outdir / f"stability_profile_{args.end_date}.csv")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .preprocess import BinaryPanel, ReturnPanel, _signs
-from .util import _check_symmetric
+from .util import _check_symmetric, count_product
 
 CORR_KINDS = ("phi", "pearson", "partial_pearson")
 
@@ -49,25 +49,32 @@ def _symmetrize(values: np.ndarray) -> np.ndarray:
     return (values + values.T) / 2.0
 
 
+def _phi_numerator(values: np.ndarray) -> np.ndarray:
+    """T*c - k k^T in float64 of +/-1 columns, c their `count_product` of up days and k = diag(c):
+    exact integers, so exactly symmetric, with phi's signs (an exact 0 is +0.0) and d on the diagonal."""
+    up = values > 0
+    num = count_product(up, up, np.float64)  # then in place: each N x N temporary costs more than its flops
+    k = num.diagonal().copy()
+    num *= len(values)
+    num -= np.outer(k, k)
+    return num
+
+
 def phi_matrix(b: BinaryPanel) -> CorrMatrix:
     """Phi coefficients of the +/-1 columns via contingency counts.
 
     With c the number of days both columns are +1 and k = diag(c) the per-column
     counts, phi = (T*c - k_i k_j) / sqrt(d_i d_j), d = k (T-k): the Pearson
-    correlation of the columns, which the test suite asserts entrywise. All is
-    float64: c is one BLAS product and T*c - k k^T holds integers below 2**53, so
-    phi is exactly symmetric. d_i d_j is exact below 2**53 (T < ~19,500), and one
-    correctly rounded product, the rounding of the exact integer, above.
+    correlation of the columns, which the test suite asserts entrywise. c is a float32
+    BLAS product cast to float64, exact below 2**24 days (DataError from there on), and
+    T*c - k k^T holds integers below 2**53, so phi is exactly symmetric. d_i d_j is
+    exact below 2**53 (T < ~19,500), and the rounding of the exact integer above.
     """
     t, n = b.values.shape
     if t < 2:
         raise DataError("need at least 2 days for a correlation window")
-    up = (b.values > 0).astype(np.float64)
-    values = up.T @ up  # c, then phi in place: each N x N temporary costs more than its flops
-    k = values.diagonal().copy()  # in [1, t-1]: BinaryPanel has no constant column
-    d = k * (t - k)
-    values *= t
-    values -= np.outer(k, k)
+    values = _phi_numerator(b.values)
+    d = values.diagonal().copy()  # k (t - k) > 0: BinaryPanel has no constant column
     den = np.outer(d, d)
     values /= np.sqrt(den, out=den)
     np.fill_diagonal(values, 1.0)

@@ -27,23 +27,20 @@ from .balance import _balance_index, _triad_products, eigvec_overlap, hamiltonia
 from .correlation import (
     CORR_KINDS,
     CorrMatrix,
+    _phi_numerator,
     partial_pearson,
     pearson_matrix,
     phi_matrix,
     sign_matrix,
 )
 from .errors import DataError
-from .graphmetrics import (
-    MIN_LINKS_FOR_ASSORTATIVITY,
-    LabeledGraph,
-    assortativity,
-    link_density,
-)
+from .graphmetrics import MIN_LINKS_FOR_ASSORTATIVITY, LabeledGraph, assortativity, link_density
 from .ingest import PricePanel
 from .preprocess import (
     MEDIAN_SCOPES,
     BinaryPanel,
     ReturnPanel,
+    _signs,
     _survivors,
     _with_mode,
     log_returns,
@@ -128,16 +125,11 @@ def _window(full, end_idx: int, t: int):
     return window, None if universe is None else tuple(a[rows] for a in universe)
 
 
-def _corr_from_data(data, corr_kind: str, subset=None) -> CorrMatrix:
-    """Correlation matrix of a window's survivor data, on `subset` of its assets if given."""
-    dates, assets, x = data
-    if subset is not None:
-        pos = {a: i for i, a in enumerate(assets)}
-        x = x[:, [pos[a] for a in subset]]
-        assets = subset
+def _corr_from_data(data, corr_kind: str) -> CorrMatrix:
+    """Correlation matrix of a window's survivor data (dates, assets, columns)."""
     if corr_kind == "phi":
-        return phi_matrix(BinaryPanel(dates, assets, x))
-    rp = ReturnPanel._trusted(dates, assets, x, np.ones_like(x, dtype=bool))
+        return phi_matrix(BinaryPanel(*data))
+    rp = ReturnPanel._trusted(*data, np.ones_like(data[2], dtype=bool))
     return (pearson_matrix if corr_kind == "pearson" else partial_pearson)(rp)
 
 
@@ -149,17 +141,29 @@ def window_correlation(
     return _corr_from_data(_survivors(*_with_mode(returns, median_scope), corr_kind), corr_kind)
 
 
-def _side(corr: CorrMatrix, scores: bool) -> dict:
-    """One window's part in a pair, on the pair's assets in panel order: "signs" (upper
-    triangle, True where nonnegative) and "h", from one S * S^2 product. With `scores`, also
-    each discriminator as a lattice (index, ascending values): the scores are values[index],
-    and pair stability's index is (N-2) - (S * S^2)_ij."""
-    s = sign_matrix(corr)
+def _product(data, corr_kind: str, make, scores: bool, subset=None):
+    """make(data, corr_kind, scores) of a window's survivor data, on `subset` of its assets if given."""
+    if subset is not None:
+        pos = {a: i for i, a in enumerate(data[1])}
+        data = data[0], subset, data[2][:, [pos[a] for a in subset]]
+    return make(data, corr_kind, scores)
+
+
+def _side(data, corr_kind: str, scores: bool) -> dict:
+    """One window's part in a pair, on the pair's assets in panel order: "signs" (upper triangle,
+    True where nonnegative) and "h", from one S * S^2 product; a phi S without `scores` is the signs
+    of phi's numerator T*c - k k^T. With `scores`, also each discriminator as a lattice (index,
+    ascending values): the scores are values[index]; pair stability's index is (N-2) - (S * S^2)_ij."""
+    if corr_kind == "phi" and not scores:
+        s = _signs(_phi_numerator(data[2]))
+        np.fill_diagonal(s, 0)
+    else:
+        s = sign_matrix(corr := _corr_from_data(data, corr_kind))
     products = _triad_products(s)
-    upper = ~np.tri(corr.n, dtype=bool)  # row-major, the order of np.triu_indices(n, 1)
+    upper = ~np.tri(len(s), dtype=bool)  # row-major, the order of np.triu_indices(n, 1)
     side = {"signs": s[upper] > 0, "h": _balance_index(products)}
     if scores:
-        n2 = corr.n - 2  # int32 indices halve what long-lived entries hold
+        n2 = len(s) - 2  # int32 indices halve what long-lived entries hold
         side["delta"] = n2 - products[upper].astype(np.int32), -((n2 - np.arange(2 * n2 + 1)) / n2)
         values, index = np.unique(-np.abs(corr.values[upper]), return_inverse=True)
         side["absphi"] = index.astype(np.int32), values
@@ -181,14 +185,14 @@ def _lattice_auc(lattice, labels) -> float:
 def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
     """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in
     end-date order. A pair is (common, in-product, out-product) or a message: it needs
-    `need` common assets, and each side's product is `make(corr, scores)` of its window's
-    correlation on them, with `scores` true for an in-window.
+    `need` common assets; each side is `_product` of its window's survivors on them, with
+    `scores` false only for an out-side on common assets or a window that is no task's in-window.
 
     Common assets are the in-window's survivors that also survive the out-window, in panel
     order. Each (t, end) window is preprocessed once and dropped after the last end date that
     uses it; pairs whose common assets are its survivors share its product. An entry
     holds an "error" (`_window`'s too) or, for an in-window, its "volatility" and,
-    with `row`, a message or `row(entry, phi signs, corr, product)` of its own correlation."""
+    with `row`, a message or `row(entry, phi signs)` once its own "product" is made."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
     last_use = {key: end for t_in, t_out, end in tasks for key in ((t_in, end), (t_out, end + t_out))}
     cache, fresh = {}, {}  # fresh: survivor data of windows first met in this task
@@ -205,14 +209,12 @@ def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
                 cache[key] = {"error": str(exc)}
             if row is not None and key in in_keys and "error" not in cache[key]:
                 try:  # a row is skipped when these fail; errors inside `row` propagate
-                    corr = _corr_from_data(data, corr_kind)
-                    e["product"] = make(corr, True)
-                    phi = data if corr_kind == "phi" else _survivors(*w, "phi", cc)
-                    signs = BinaryPanel(*phi)
+                    e["product"] = _product(data, corr_kind, make, True)
+                    signs = BinaryPanel(*(data if corr_kind == "phi" else _survivors(*w, "phi", cc)))
                 except DataError as exc:
                     e["row"] = str(exc)
                 else:
-                    e["row"] = row(e, signs, corr, e["product"])
+                    e["row"] = row(e, signs)
         return cache[key]
 
     def product(key, common, scores):
@@ -220,8 +222,8 @@ def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
         if common != e["assets"] or "product" not in e:
             data = fresh.get(key) or _survivors(*e["window"], corr_kind)
             if common != e["assets"]:
-                return make(_corr_from_data(data, corr_kind, common), scores)
-            e["product"] = make(_corr_from_data(data, corr_kind), key in in_keys)
+                return _product(data, corr_kind, make, scores, common)
+            e["product"] = _product(data, corr_kind, make, key in in_keys)
         return e["product"]
 
     for task in tasks:
@@ -465,13 +467,14 @@ def aggregate_cells(records) -> dict:
         key = (r.t_in, r.t_out)
         sd, sp, c = sums.get(key, (0.0, 0.0, 0))
         sums[key] = (sd + r.auc_delta, sp + r.auc_absphi, c + 1)
-    return {
-        key: (sd / c, sp / c, c) for key, (sd, sp, c) in sums.items()
-    }
+    return {key: (sd / c, sp / c, c) for key, (sd, sp, c) in sums.items()}
 
 
-def _timeseries_row(sectors, alpha, e, signs, corr, spectrum):
-    """A window's row, or why it has none, from `_sweep`'s entry; `spectrum` is its `_leading`."""
+def _timeseries_row(sectors, alpha, e, signs):
+    """A window's row, or why it has none, from `_sweep`'s entry. Its `_leading` product
+    (fracs, v1, corr) is cut to (fracs, v1) for its pairs: the correlation is not kept."""
+    fracs, v1, corr = e["product"]
+    e["product"] = fracs, v1
     if corr.n < 3:
         return "fewer than 3 surviving assets"
     net = build_svn(signs, alpha=alpha, polarity="positive")
@@ -481,11 +484,12 @@ def _timeseries_row(sectors, alpha, e, signs, corr, spectrum):
         g_value = assortativity(graph) if graph.m >= MIN_LINKS_FOR_ASSORTATIVITY else None
     density = link_density(graph) if graph.n_nodes >= 2 else None
     return {"h": hamiltonian(sign_matrix(corr)), "g": g_value, "density": density,
-            "volatility": e["volatility"], "lambda1_frac": max(float(spectrum[0][0]), 0.0)}
+            "volatility": e["volatility"], "lambda1_frac": max(float(fracs[0]), 0.0)}
 
 
-def _leading(corr, scores):
-    return spectral_summary(corr, k=1)
+def _leading(data, corr_kind, scores):
+    corr = _corr_from_data(data, corr_kind)
+    return (*spectral_summary(corr, k=1), corr)
 
 
 def _timeseries_chunk(full, tasks, corr_kind, sectors, alpha):

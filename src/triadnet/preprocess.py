@@ -91,10 +91,12 @@ def _universe_mode(returns: ReturnPanel) -> np.ndarray:
 
 
 def complete_case(returns: ReturnPanel) -> ReturnPanel:
-    """Drop every asset with any missing return in the window."""
+    """Drop every asset with any missing return in the window; a complete window is returned as is."""
     keep = returns.present.all(axis=0)
     if not keep.any():
         raise DataError("no asset survives complete-case filtering")
+    if keep.all():
+        return returns
     assets = tuple(compress(returns.assets, keep.tolist()))
     sub = returns.returns[:, keep]
     return ReturnPanel._trusted(returns.dates, assets, sub, np.ones_like(sub, dtype=bool))

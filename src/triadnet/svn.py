@@ -150,10 +150,10 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
     Positive polarity counts days both assets are up (above the median).
     Negative polarity counts up/down disagreement days in both directions,
     takes the smaller of the two tail p-values and doubles it before the
-    step-up selection. The counts come from one exact float64 BLAS product
-    (see `util.count_product`). Memory is O(N^2 + chunk): the tail p-values
-    come from one tail table per (k_i, k_j) law, built in fixed-size row
-    chunks (see `_tail_pvalues`), never as one pairs x tail-width array.
+    step-up selection. The counts come from one float32 BLAS product, exact
+    below 2**24 days (see `util.count_product`). Memory is O(N^2 + chunk): the
+    tail p-values come from one tail table per (k_i, k_j) law, built in fixed-size
+    row chunks (see `_tail_pvalues`), never as one pairs x tail-width array.
     """
     if polarity not in POLARITIES:
         raise DataError(f"polarity must be one of {POLARITIES}")

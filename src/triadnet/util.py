@@ -13,16 +13,22 @@ import numpy as np
 from .errors import DataError
 
 
-def count_product(a, b) -> np.ndarray:
-    """a.T @ b of 0/1 or +/-1 matrices as int64, via one float64 BLAS product.
+_EXACT_ROWS = 1 << 24  # float32 holds every integer up to this
 
-    numpy's integer matmul bypasses BLAS. Every partial sum is an integer
-    below 2**53, which float64 adds exactly in any order. When b is a, one
-    converted array serves both sides, so numpy can use the symmetric kernel.
+
+def count_product(a, b, dtype=np.int64) -> np.ndarray:
+    """a.T @ b of 0/1 or +/-1 matrices as `dtype`, via one float32 BLAS product.
+
+    numpy's integer matmul bypasses BLAS. Every partial sum is an integer no larger than
+    the row count, which float32 adds exactly in any order, and at about twice float64's
+    rate, below 2**24 rows; from there on it raises DataError. When b is a, one converted
+    array serves both sides, so numpy can use the symmetric kernel.
     """
-    fa = np.asarray(a, dtype=np.float64)
-    fb = fa if b is a else np.asarray(b, dtype=np.float64)
-    return (fa.T @ fb).astype(np.int64)
+    if len(a) >= _EXACT_ROWS:
+        raise DataError(f"count products need fewer than {_EXACT_ROWS} rows, got {len(a)}")
+    fa = np.asarray(a, dtype=np.float32)
+    fb = fa if b is a else np.asarray(b, dtype=np.float32)
+    return (fa.T @ fb).astype(dtype)
 
 
 def _check_symmetric(values: np.ndarray, n: int, what: str, diagonal=None) -> None:

@@ -27,15 +27,18 @@ from triadnet.ingest import load_panel  # noqa: E402
 
 # 12 records from 24 window slots, 9 of them distinct, and 4 timeseries rows.
 # The grid preprocesses each distinct window once, plus 4 times for pairs whose
-# common assets are not a window's survivors: 13 preprocessings and 13 phi
-# matrices. It takes every H from its own S * S^2 product, so `hamiltonian`
-# counts the timeseries rows only. The timeseries' own sweep builds each of its 4
-# windows once, with its row (the out-windows of the 2 rows that have a next window
-# are later rows' in-windows): 4 preprocessings, 4 phi matrices, 4 spectral
-# summaries and one validated network per row.
+# common assets are not a window's survivors: 13 preprocessings and 13 window
+# products. Only the 9 in-window products read phi's values (7 on a window's own
+# survivors, 2 on common assets); the 2 windows that are only ever out-windows and
+# the 2 out-sides on common assets take their signs from phi's numerator, so the
+# grid makes 9 phi matrices. It takes every H from its own S * S^2 product, so
+# `hamiltonian` counts the timeseries rows only. The timeseries' own sweep builds
+# each of its 4 windows once, with its row (the out-windows of the 2 rows that have
+# a next window are later rows' in-windows): 4 preprocessings, 4 phi matrices, 4
+# spectral summaries and one validated network per row.
 EXPECTED_CALLS = {
     "preprocess.complete_case": 17,
-    "correlation.phi_matrix": 17,
+    "correlation.phi_matrix": 13,
     "balance.spectral_summary": 4,
     "balance.hamiltonian": 4,
     "svn.build_svn": 4,

@@ -1,9 +1,13 @@
 """Fast paths against the slower code they replace.
 
 The count kernels (phi's co-occurrence counts, the SVN counts and S * S^2 for
-H and pair stability) run as float64 BLAS products. Phi and S * S^2 stay in
-float64 throughout; they must equal the int64 formulas they replace bitwise,
-and the SVN must not move with the int64 matmul swapped back in. The grouped SVN
+H and pair stability) run as float32 BLAS products cast once to float64 or
+int64, and refuse 2**24 rows or more. Phi and S * S^2 are float64 after the
+cast; they must equal the int64 formulas they replace bitwise, also where
+trace(S^3) passes 2**24, and the SVN must not move with the int64 matmul
+swapped back in. A grid out-window's signs come from phi's numerator alone
+and must equal the signs of phi. A complete window's complete case is the
+window itself and must equal the gathered panel. The grouped SVN
 tail kernel sums each law's terms in another order than the one-shot,
 per-pair kernel it replaces, so its p-values must agree with that reference
 to 1e-11 relative and select exactly the same links; across chunk sizes it
@@ -19,13 +23,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from triadnet import correlation, experiment, svn
+from triadnet import correlation, experiment, svn, util
 from triadnet.balance import hamiltonian, pair_stability
-from triadnet.correlation import CorrMatrix, phi_matrix
+from triadnet.correlation import phi_matrix, sign_matrix
 from triadnet.errors import DataError
 from triadnet.experiment import _average_ranks, auc, roc
 from triadnet.graphmetrics import LabeledGraph
-from triadnet.preprocess import BinaryPanel
+from triadnet.preprocess import BinaryPanel, ReturnPanel, _signs, complete_case
 from triadnet.svn import Svn, build_svn
 from triadnet.util import count_product
 
@@ -99,6 +103,8 @@ def test_blas_count_kernels_match_int64_reference(t, n, with_svn, monkeypatch):
     phi = fast["phi"][0]
     assert phi.tobytes() == phi.T.copy().tobytes()
     assert fast["h_all_equal"][0] == -1.0
+    if n >= 300:  # trace(S^3) = N(N-1)(N-2) is past float32's exact integers
+        assert int64_triads(all_equal_signs(n)).sum() > 2**24
     assert (fast["delta_all_equal"][0] == 1 - np.eye(n)).all()
     if with_svn:
         monkeypatch.setattr(svn, "count_product", int64_product)
@@ -116,6 +122,61 @@ def test_count_product_is_exact_int64():
         assert got.dtype == np.int64 and np.array_equal(got, int64_product(a, b))
     s = np.where(rng.random((3000, 40)) < 0.5, 1, -1).astype(np.int8)
     assert np.array_equal(count_product(s, s), int64_product(s, s))
+    got = count_product(up, up, np.float64)
+    assert got.dtype == np.float64 and np.array_equal(got, int64_product(up, up))
+
+
+def test_count_kernels_refuse_windows_past_the_exact_bound(monkeypatch):
+    """At 2**24 rows float32 no longer holds every count; the bound is lowered here."""
+    b = random_binary(np.random.default_rng(5), 12, 4)
+    monkeypatch.setattr(util, "_EXACT_ROWS", 13)
+    phi_matrix(b)
+    count_product(b.values, b.values)
+    monkeypatch.setattr(util, "_EXACT_ROWS", 12)
+    for kernel in (phi_matrix, lambda b: count_product(b.values, b.values)):
+        with pytest.raises(DataError, match="fewer than 12 rows"):
+            kernel(b)
+
+
+def numerator_sign_panels():
+    rng = np.random.default_rng(23)
+    # T = 4 with k_i = k_j = 2 and c_ij = 1: T*c - k_i k_j is exactly 0, and phi is +0.0
+    yield "exact-zero", make_binary([[1, 1, 1], [1, -1, -1], [-1, 1, 1], [-1, -1, 1]])
+    yield "t2", make_binary([[1, -1, 1, -1], [-1, 1, -1, 1]])
+    for t, n in ((3, 5), (4, 30), (9, 40), (60, 17), (155, 150)):
+        yield f"t{t}-n{n}", binary_with_extreme_columns(rng, t, n)
+
+
+@pytest.mark.parametrize("name,b", list(numerator_sign_panels()))
+def test_numerator_signs_equal_phi_signs(name, b):
+    """The grid's out-window side takes S from the signs of T*c - k k^T; it must equal
+    the in-window side's signs and H, which come from sign_matrix(phi_matrix(b))."""
+    num = correlation._phi_numerator(b.values)
+    s = _signs(num)
+    np.fill_diagonal(s, 0)
+    assert np.array_equal(s, sign_matrix(phi_matrix(b)))
+    if name == "exact-zero":
+        assert (num == 0).any() and (phi_matrix(b).values[num == 0] == 0).all()
+    if b.values.shape[1] >= 3:
+        data = (b.dates, b.assets, b.values)
+        out, full = (experiment._side(data, "phi", scores) for scores in (False, True))
+        assert out.keys() == {"signs", "h"}
+        assert out["signs"].tobytes() == full["signs"].tobytes() and out["h"] == full["h"]
+
+
+def test_complete_case_of_a_complete_window_is_the_gathered_panel():
+    rng = np.random.default_rng(9)
+    returns = rng.normal(size=(20, 6))
+    window = ReturnPanel(tuple(range(20)), tuple("abcdef"), returns, np.ones((20, 6), dtype=bool))
+    keep = np.ones(6, dtype=bool)
+    gathered = ReturnPanel(window.dates, window.assets, returns[:, keep], np.ones_like(returns, dtype=bool))
+    got = complete_case(window)
+    for name in ("dates", "assets", "returns", "present"):
+        value, expected = getattr(got, name), getattr(gathered, name)
+        if isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype and np.array_equal(value, expected), name
+        else:
+            assert value == expected, name
 
 
 def rank_auc(labels, scores):
@@ -149,11 +210,12 @@ def test_lattice_auc_equals_auc_bitwise():
     for n in range(3, 41):
         iu, ju = np.triu_indices(n, k=1)
         for t in (4, 9, 60):
-            corr = phi_matrix(random_binary(rng, t, n))
-            s = correlation.sign_matrix(corr)
-            if t == 60 and n % 4 == 0:
-                s, corr = all_equal_signs(n), CorrMatrix(corr.assets, np.ones((n, n)), "phi")
-            side = experiment._side(corr, scores=True)
+            b = random_binary(rng, t, n)
+            if t == 60 and n % 4 == 0:  # identical columns: phi is 1 everywhere
+                b = make_binary(np.repeat(b.values[:, :1], n, axis=1))
+            corr = phi_matrix(b)
+            s = sign_matrix(corr)
+            side = experiment._side((b.dates, b.assets, b.values), "phi", scores=True)
             scores = {"delta": -pair_stability(s)[iu, ju], "absphi": -np.abs(corr.values[iu, ju])}
             assert np.array_equal(side["signs"], s[iu, ju] > 0)
             assert side["h"] == hamiltonian(s)

@@ -318,51 +318,52 @@ def test_run_grid_matches_reference_whether_windows_are_reused_or_not(name, kind
 
 
 def counted_window_builds(monkeypatch, kind, scope, panel, t_values):
-    """Run a serial grid; return (survivor builds per (t, end idx) window, correlations
+    """Run a serial grid; return (survivor builds per (t, end idx) window, window products
     by whether they are on a window's own survivors, the distinct windows of the grid)."""
-    builds, corrs = {}, {"own survivors": 0, "pair subset": 0}
-    survivors, corr_from_data = experiment._survivors, experiment._corr_from_data
+    builds, products = {}, {"own survivors": 0, "pair subset": 0}
+    survivors, product = experiment._survivors, experiment._product
 
     def counted_survivors(returns, mode, *args):
         key = (len(returns.dates), panel.dates.index(returns.dates[-1]))  # (t, end price row)
         builds[key] = builds.get(key, 0) + 1
         return survivors(returns, mode, *args)
 
-    def counted_corr(data, corr_kind, subset=None):
-        corrs["own survivors" if subset is None else "pair subset"] += 1
-        return corr_from_data(data, corr_kind, subset)
+    def counted_product(data, corr_kind, make, scores, subset=None):
+        products["own survivors" if subset is None else "pair subset"] += 1
+        return product(data, corr_kind, make, scores, subset)
 
     monkeypatch.setattr(experiment, "_survivors", counted_survivors)
-    monkeypatch.setattr(experiment, "_corr_from_data", counted_corr)
+    monkeypatch.setattr(experiment, "_product", counted_product)
     records, _ = run_grid(panel, t_values, STEP, kind, scope)
     assert [vars(r) for r in records] == [vars(r) for r in ref_grid(panel, kind, scope, t_values)[0]]
     tasks = grid_tasks(panel, t_values, STEP)
     windows = {(t_in, end) for t_in, _, end in tasks} | {(t_out, end + t_out) for _, t_out, end in tasks}
-    return builds, corrs, windows
+    return builds, products, windows
 
 
 @pytest.mark.parametrize("kind,scope", KINDS)
 @pytest.mark.parametrize("name_order", [True, False], ids=["name-ordered", "not-name-ordered"])
 def test_serial_sweep_builds_each_window_once_when_every_pair_reuses_it(monkeypatch, kind, scope, name_order):
     """On a complete panel whose windows keep every asset, in name order or not, every
-    window is preprocessed and correlated exactly once, however many pairs use it."""
+    window is preprocessed once and gets exactly one product (signs, H and, as an
+    in-window, both score lattices), however many pairs use it."""
     t_values, panel = [12, 20, 30], complete_panel(16, name_order=name_order)
-    builds, corrs, windows = counted_window_builds(monkeypatch, kind, scope, panel, t_values)
+    builds, products, windows = counted_window_builds(monkeypatch, kind, scope, panel, t_values)
     assert builds == dict.fromkeys(windows, 1)
-    assert corrs == {"own survivors": len(windows), "pair subset": 0}
+    assert products == {"own survivors": len(windows), "pair subset": 0}
     assert len(windows) < 2 * len(grid_tasks(panel, t_values, STEP))
 
 
 @pytest.mark.parametrize("kind", ["phi", "pearson"])
 def test_serial_sweep_mixes_reused_and_direct_windows_on_gaps(monkeypatch, kind):
-    """With gaps, some pairs reuse a window's side and others correlate their
+    """With gaps, some pairs reuse a window's side and others build one on their
     common assets directly; a window is rebuilt only for such a direct pair."""
-    builds, corrs, windows = counted_window_builds(
+    builds, products, windows = counted_window_builds(
         monkeypatch, kind, "universe", gappy_panel(14, name_order=True), T_VALUES
     )
     assert set(builds) <= windows  # an out-window is not built when its in-window fails
-    assert corrs["own survivors"] > 0 and corrs["pair subset"] > 0
-    assert sum(builds.values()) - len(builds) <= corrs["pair subset"]
+    assert products["own survivors"] > 0 and products["pair subset"] > 0
+    assert sum(builds.values()) - len(builds) <= products["pair subset"]
 
 
 @pytest.mark.parametrize("kind,scope", KINDS)
@@ -432,17 +433,17 @@ def test_timeseries_mixes_reused_and_direct_eigenvectors_in_one_run(monkeypatch,
     side reuses the eigenvector of its window's one correlation on its own survivors."""
     panel = flat_in_one_window_panel()
     expected = ref_timeseries(panel, kind, scope)
-    corrs = {"own survivors": 0, "pair subset": 0}
-    corr_from_data = experiment._corr_from_data
+    products = {"own survivors": 0, "pair subset": 0}
+    product = experiment._product
 
-    def counted_corr(data, corr_kind, subset=None):
-        corrs["own survivors" if subset is None else "pair subset"] += 1
-        return corr_from_data(data, corr_kind, subset)
+    def counted_product(data, corr_kind, make, scores, subset=None):
+        products["own survivors" if subset is None else "pair subset"] += 1
+        return product(data, corr_kind, make, scores, subset)
 
-    monkeypatch.setattr(experiment, "_corr_from_data", counted_corr)
+    monkeypatch.setattr(experiment, "_product", counted_product)
     rows = timeseries_rows(panel, TS_WINDOW, STEP, kind, scope, ALPHA)
     assert rows == expected
-    assert corrs == {"own survivors": len(rows), "pair subset": 2}
+    assert products == {"own survivors": len(rows), "pair subset": 2}
     assert len(rows) == len(range(TS_WINDOW, panel.n_dates, STEP))
 
 
@@ -465,6 +466,21 @@ def test_timeseries_builds_each_window_once_when_step_is_the_window(monkeypatch,
         "complete_case": windows,
     }
     assert sum(row["v1_overlap"] is not None for row in rows) == windows - 1
+
+
+def test_timeseries_entries_keep_no_correlation(monkeypatch):
+    """A row's window entry keeps its leading eigenpair for later pairs, not its N x N correlation."""
+    entries, timeseries_row = [], experiment._timeseries_row
+
+    def spy(sectors, alpha, e, signs):
+        made = timeseries_row(sectors, alpha, e, signs)
+        entries.append(e)
+        return made
+
+    monkeypatch.setattr(experiment, "_timeseries_row", spy)
+    rows = timeseries_rows(complete_panel(16), TS_WINDOW, STEP, "phi", "universe", ALPHA)
+    assert len(entries) == len(rows) > 0
+    assert all(len(e["product"]) == 2 for e in entries)
 
 
 def test_timeseries_raises_what_its_network_raises():
