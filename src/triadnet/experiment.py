@@ -14,11 +14,13 @@ once; both AUCs count labels per score value instead of sorting the scores.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .errors import DataError
 from .graphmetrics import MIN_LINKS_FOR_ASSORTATIVITY, LabeledGraph, assortativity, link_density
 from .ingest import PricePanel
 from .preprocess import (
-    MEDIAN_SCOPES,
     BinaryPanel,
     ReturnPanel,
     _signs,
@@ -102,11 +103,9 @@ def default_t_values() -> list:
     return sorted({int(round(v)) for v in raw})
 
 
-def _check_kinds(corr_kind: str, median_scope: str) -> None:
+def _check_kind(corr_kind: str) -> None:
     if corr_kind not in CORR_KINDS:
         raise DataError(f"unknown correlation kind {corr_kind!r}: expected one of {CORR_KINDS}")
-    if median_scope not in MEDIAN_SCOPES:
-        raise DataError(f"unknown median scope {median_scope!r}: expected one of {MEDIAN_SCOPES}")
 
 
 def _window(full, end_idx: int, t: int):
@@ -137,16 +136,8 @@ def window_correlation(
     returns: ReturnPanel, corr_kind: str = "phi", median_scope: str = "universe"
 ) -> CorrMatrix:
     """Correlation matrix of one window, restricted to its surviving assets."""
-    _check_kinds(corr_kind, median_scope)
-    return _corr_from_data(_survivors(*_with_mode(returns, median_scope), corr_kind), corr_kind)
-
-
-def _product(data, corr_kind: str, make, scores: bool, subset=None):
-    """make(data, corr_kind, scores) of a window's survivor data, on `subset` of its assets if given."""
-    if subset is not None:
-        pos = {a: i for i, a in enumerate(data[1])}
-        data = data[0], subset, data[2][:, [pos[a] for a in subset]]
-    return make(data, corr_kind, scores)
+    _check_kind(corr_kind)
+    return _corr_from_data(_survivors(*_with_mode(returns, median_scope), corr_kind)[0], corr_kind)
 
 
 def _side(data, corr_kind: str, scores: bool) -> dict:
@@ -184,61 +175,59 @@ def _lattice_auc(lattice, labels) -> float:
 
 def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
     """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in
-    end-date order. A pair is (common, in-product, out-product) or a message: it needs
-    `need` common assets; each side is `_product` of its window's survivors on them, with
-    `scores` false only for an out-side on common assets or a window that is no task's in-window.
-
-    Common assets are the in-window's survivors that also survive the out-window, in panel
-    order. Each (t, end) window is preprocessed once and dropped after the last end date that
-    uses it; pairs whose common assets are its survivors share its product. An entry
-    holds an "error" (`_window`'s too) or, for an in-window, its "volatility" and,
-    with `row`, a message or `row(entry, phi signs)` once its own "product" is made."""
+    end-date order. A pair is (common, in-product, out-product) or a message: it needs `need`
+    common assets, the in-window's survivors that also survive the out-window, in panel order.
+    Each (t, end) window is preprocessed once and dropped after the last end date that uses it.
+    Its entry holds an "error" (`_window`'s too) or its survivors' "assets", their panel "mask"
+    and `_survivors` "cut" and, for an in-window, its "volatility" and, with `row`, a message or
+    `row(entry, phi signs)` once its own "product" is made. Every side is make(cut(mask, common)),
+    the window's shared "product" where common is its survivors, with `scores` false only for an
+    out-side on common assets or a window that is no task's in-window."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
     last_use = {key: end for t_in, t_out, end in tasks for key in ((t_in, end), (t_out, end + t_out))}
-    cache, fresh = {}, {}  # fresh: survivor data of windows first met in this task
+    cache = {}
 
     def entry(key):
         if key not in cache:
             try:
                 w = _window(full, key[1], key[0])
                 cc = preprocess.complete_case(w[0])  # also gives a non-phi row its phi signs
-                fresh[key] = data = _survivors(*w, corr_kind, cc)
+                data, mask, cut = _survivors(*w, corr_kind, cc)
                 vol = volatility(w[0]) if key in in_keys else None
-                cache[key] = e = {"window": w, "assets": data[1], "volatility": vol}
+                cache[key] = e = {"assets": data[1], "mask": mask, "cut": cut, "volatility": vol}
             except DataError as exc:
                 cache[key] = {"error": str(exc)}
             if row is not None and key in in_keys and "error" not in cache[key]:
                 try:  # a row is skipped when these fail; errors inside `row` propagate
-                    e["product"] = _product(data, corr_kind, make, True)
-                    signs = BinaryPanel(*(data if corr_kind == "phi" else _survivors(*w, "phi", cc)))
+                    product(key, mask, data[1], True)
+                    signs = BinaryPanel(*(data if corr_kind == "phi" else _survivors(*w, "phi", cc)[0]))
                 except DataError as exc:
                     e["row"] = str(exc)
                 else:
                     e["row"] = row(e, signs)
         return cache[key]
 
-    def product(key, common, scores):
+    def product(key, mask, common, scores):
         e = cache[key]
-        if common != e["assets"] or "product" not in e:
-            data = fresh.get(key) or _survivors(*e["window"], corr_kind)
-            if common != e["assets"]:
-                return _product(data, corr_kind, make, scores, common)
-            e["product"] = _product(data, corr_kind, make, key in in_keys)
+        if len(common) < len(e["assets"]):
+            return make(e["cut"](mask, common), corr_kind, scores)
+        if "product" not in e:
+            e["product"] = make(e["cut"](mask, common), corr_kind, key in in_keys)
         return e["product"]
 
     for task in tasks:
         t_in, t_out, end = task
         k_in, k_out = (t_in, end), (t_out, end + t_out)
         cache = {key: e for key, e in cache.items() if last_use[key] >= end}
-        fresh.clear()
         e_in = entry(k_in)
         pair = e_in.get("error") or entry(k_out).get("error")
         if pair is None:
-            common = tuple(filter(set(cache[k_out]["assets"]).__contains__, e_in["assets"]))
+            mask = e_in["mask"] & cache[k_out]["mask"]
+            common = tuple(compress(full[0].assets, mask.tolist()))
             try:
                 if len(common) < need:
                     raise DataError(f"only {len(common)} assets survive both windows (need {need})")
-                pair = common, product(k_in, common, True), product(k_out, common, False)
+                pair = common, product(k_in, mask, common, True), product(k_out, mask, common, False)
             except DataError as exc:
                 pair = str(exc)
         yield task, e_in, pair
@@ -260,7 +249,7 @@ def build_dataset(
     differs between the windows; both score vectors are negated stability
     measures, so a higher score predicts a switch.
     """
-    _check_kinds(corr_kind, median_scope)
+    _check_kind(corr_kind)
     if t_in < 1 or t_out < 1:
         raise DataError("window lengths must be positive")
     end_idx = panel.date_index(end_in)
@@ -384,8 +373,8 @@ def _evaluate(full, tasks, corr_kind):
 _POOL_STATE = {}
 
 
-def _pool_init(work, panel, median_scope, args):
-    _POOL_STATE.update(work=work, full=_with_mode(log_returns(panel), median_scope), args=args)
+def _pool_init(work, full, args):
+    _POOL_STATE.update(work=work, full=full, args=args)
 
 
 def _pool_run(chunk):
@@ -400,19 +389,20 @@ def _pool_size(jobs: int, n_chunks: int) -> int:
     return min(jobs, n_chunks, cores // next((int(v) for v in values if v.isdigit() and int(v) > 0), cores))
 
 
-def _map_chunks(work, tasks, jobs: int, panel, corr_kind, median_scope, *extra) -> list:
+def _map_chunks(work, tasks, jobs: int, full, corr_kind, *extra) -> list:
     """work(full, chunk, corr_kind, *extra) over `tasks` cut into jobs * 4 runs in order,
-    concatenated; `full` is `_with_mode` of `panel` under `median_scope`. Forked workers keep
-    the parent's BLAS threads, so results do not depend on `jobs`, and `_pool_size` workers never
-    run more BLAS threads than cores. Below 2 workers, one in-process `work` call takes all `tasks`."""
+    concatenated; `full` is a panel's `_with_mode`, made once in the parent. Workers are forked
+    whatever the Python's default start method, so they inherit `full` and the parent's BLAS
+    threads: results do not depend on `jobs`, and `_pool_size` workers never run more BLAS
+    threads than cores. Below 2 workers, one in-process `work` call takes all `tasks`."""
     k, args = jobs * 4, (corr_kind, *extra)
     chunks = [c for c in (tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)) if c]
     workers = _pool_size(jobs, len(chunks))
     if workers < 2:
-        return list(work(_with_mode(log_returns(panel), median_scope), tasks, *args))
+        return list(work(full, tasks, *args))
     logger.debug("process pool of %d workers for %d chunks", workers, len(chunks))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(work, panel, median_scope, args)) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_pool_init, initargs=(work, full, args)) as pool:
         return [r for part in pool.map(_pool_run, chunks) for r in part]
 
 
@@ -439,14 +429,15 @@ def run_grid(
     regardless of `jobs`. One sweep over end dates builds each window once; a
     pool (see `_map_chunks`) gives each worker contiguous runs of end dates.
     """
-    _check_kinds(corr_kind, median_scope)
+    _check_kind(corr_kind)
     t_values = list(t_values)
     if not t_values or any(t < 1 for t in t_values) or len(set(t_values)) < len(t_values):
         raise DataError(f"t_values must be distinct positive window lengths, got {t_values}")
     if step < 1:
         raise DataError("step must be at least 1 day")
+    full = _with_mode(log_returns(panel), median_scope)
     tasks = grid_tasks(panel, t_values, step)
-    results = _map_chunks(_evaluate, tasks, jobs, panel, corr_kind, median_scope)
+    results = _map_chunks(_evaluate, tasks, jobs, full, corr_kind)
     records = [r for _, r in results if isinstance(r, ExperimentRecord)]
     skipped = {"infeasible": 0, "single_class": 0}
     for task, skip in results:
@@ -524,12 +515,13 @@ def timeseries_rows(
     order, (end mod window, end), so where the step divides the window a row's out-window
     is the next row's in-window, and each cut costs at most one more window build.
     """
-    _check_kinds(corr_kind, median_scope)
+    _check_kind(corr_kind)
     if window < 2 or step < 1:
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
     ends = sorted(range(window, panel.n_dates, step), key=lambda end: end % window)  # stable: chain order
     tasks, rows = [(window, window, end) for end in ends], []
-    results = _map_chunks(_timeseries_chunk, tasks, jobs, panel, corr_kind, median_scope, panel.sectors, alpha)
+    full = _with_mode(log_returns(panel), median_scope)
+    results = _map_chunks(_timeseries_chunk, tasks, jobs, full, corr_kind, panel.sectors, alpha)
     for end_idx, made in sorted(results, key=lambda r: r[0]):
         if isinstance(made, str):
             logger.debug("timeseries skips %s: %s", panel.dates[end_idx], made)

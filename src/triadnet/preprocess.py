@@ -114,7 +114,7 @@ def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPane
     "universe" uses every asset present that day (before complete-case
     filtering), "window" uses only the complete-case survivors; see `_with_mode`.
     """
-    return BinaryPanel(*_survivors(*_with_mode(returns, median_scope), "phi"))
+    return BinaryPanel(*_survivors(*_with_mode(returns, median_scope), "phi")[0])
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -124,10 +124,10 @@ def _signs(x: np.ndarray) -> np.ndarray:
 
 def _with_mode(returns: ReturnPanel, median_scope: str) -> tuple:
     """(returns, their `_universe_arrays` under median_scope "universe", None under "window"):
-    the one place the scope is decided. Windows are row slices of both (`experiment._window`);
-    below here a `universe` of None means the window's survivors take their own median."""
+    the one place the scope is checked and decided. Windows are row slices of both (see
+    `experiment._window`); below, a `universe` of None means survivors take their own median."""
     if median_scope not in MEDIAN_SCOPES:
-        raise DataError(f"median_scope must be one of {MEDIAN_SCOPES}")
+        raise DataError(f"unknown median scope {median_scope!r}: expected one of {MEDIAN_SCOPES}")
     return returns, _universe_arrays(returns) if median_scope == "universe" else None
 
 
@@ -138,29 +138,36 @@ def _universe_arrays(returns: ReturnPanel) -> tuple:
 
 
 def _survivors(returns: ReturnPanel, universe, corr_kind: str, cc=None):
-    """(dates, assets, columns) of a window's complete-case assets that are not constant.
-
-    The columns are what the `corr_kind` correlation uses: the `_signs` of the partial returns
-    for phi, the partial returns for pearson, the raw returns for partial_pearson. `universe` is
-    the window's rows of `_universe_arrays`: its mode is subtracted and a phi window gathers its
-    signs. Under median_scope "window" it is None and the mode is the survivors' daily median.
-    Every kind and scope drops a column whose max equals its min. `cc` is the window's
-    `complete_case`, if the caller has it.
-    """
+    """((dates, assets, columns), their panel columns as a mask, cut) of a window's complete-case
+    assets that are not constant. The columns are what the `corr_kind` correlation uses: the
+    `_signs` of the partial returns for phi, the partial returns for pearson, the raw returns for
+    partial_pearson. `universe` is the window's rows of `_universe_arrays`: its mode is subtracted
+    and a phi window gathers its signs; of None, the mode is the complete-case columns' median.
+    `cut(mask, assets)` is the one gather: (dates, assets, columns) of the survivors where the
+    panel-column `mask` is true, named `assets`, from the window's row slices and mode, so a
+    subset's columns are the survivors' bit for bit. Every kind and scope drops a column whose
+    max equals its min. `cc` is the window's `complete_case`, if the caller has it."""
     cc = complete_case(returns) if cc is None else cc
-    if corr_kind == "phi" and universe is not None:
-        x = universe[1][:, returns.present.all(axis=0)]  # the columns of cc.assets
-    else:
-        x = cc.returns
-        if corr_kind != "partial_pearson":
-            # complete_case has raised if a date has no return, so the mode holds no NaN here
-            x = x - (np.median(x, axis=1) if universe is None else universe[0])[:, None]
-            if corr_kind == "phi":
-                x = _signs(x)
+    gathered = corr_kind == "phi" and universe is not None
+    source = universe[1] if gathered else returns.returns
+    # complete_case has raised if a date has no return, so the mode holds no NaN here
+    mode = None if gathered or corr_kind == "partial_pearson" else (
+        np.median(cc.returns, axis=1) if universe is None else universe[0])
+
+    def cut(mask, assets):
+        x = source[:, mask]
+        if mode is not None:
+            x = _signs(x - mode[:, None]) if corr_kind == "phi" else x - mode[:, None]
+        return returns.dates, assets, x
+
+    complete = returns.present.all(axis=0)  # the columns of cc.assets
+    x = cut(complete, cc.assets)[2]
     keep = x.max(axis=0) != x.min(axis=0)
     if not keep.any():
         raise DataError("no asset survives constant-column filtering")
-    return returns.dates, tuple(compress(cc.assets, keep.tolist())), x[:, keep]
+    mask = complete.copy()
+    mask[complete] = keep
+    return (returns.dates, tuple(compress(cc.assets, keep.tolist())), x[:, keep]), mask, cut
 
 
 def volatility(returns: ReturnPanel) -> float:

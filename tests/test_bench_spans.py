@@ -26,9 +26,10 @@ from triadnet.experiment import timeseries_rows  # noqa: E402
 from triadnet.ingest import load_panel  # noqa: E402
 
 # 12 records from 24 window slots, 9 of them distinct, and 4 timeseries rows.
-# The grid preprocesses each distinct window once, plus 4 times for pairs whose
-# common assets are not a window's survivors: 13 preprocessings and 13 window
-# products. Only the 9 in-window products read phi's values (7 on a window's own
+# The grid preprocesses each distinct window once, 9 preprocessings, and makes 13
+# window products: 9 on a window's own survivors and 4, for pairs whose common
+# assets are not a window's survivors, cut from that window's rows by its gather.
+# Only the 9 in-window products read phi's values (7 on a window's own
 # survivors, 2 on common assets); the 2 windows that are only ever out-windows and
 # the 2 out-sides on common assets take their signs from phi's numerator, so the
 # grid makes 9 phi matrices. It takes every H from its own S * S^2 product, so
@@ -37,7 +38,7 @@ from triadnet.ingest import load_panel  # noqa: E402
 # a next window are later rows' in-windows): 4 preprocessings, 4 phi matrices, 4
 # spectral summaries and one validated network per row.
 EXPECTED_CALLS = {
-    "preprocess.complete_case": 17,
+    "preprocess.complete_case": 13,
     "correlation.phi_matrix": 13,
     "balance.spectral_summary": 4,
     "balance.hamiltonian": 4,

@@ -286,7 +286,8 @@ def test_pool_starts_no_idle_workers(monkeypatch):
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            assert mp_context.get_start_method() == "fork"
             started.append(max_workers)
             initializer(*initargs)
 

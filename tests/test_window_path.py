@@ -317,23 +317,32 @@ def test_run_grid_matches_reference_whether_windows_are_reused_or_not(name, kind
     assert records
 
 
-def counted_window_builds(monkeypatch, kind, scope, panel, t_values):
-    """Run a serial grid; return (survivor builds per (t, end idx) window, window products
-    by whether they are on a window's own survivors, the distinct windows of the grid)."""
+def spy_window_builds(monkeypatch, panel):
+    """Count `_survivors` builds per (t, end price row) window into `builds`, and the window
+    products into `products` by whether they are on a window's own survivors or on a pair
+    subset of them: every product is made from one call of its window's gather."""
     builds, products = {}, {"own survivors": 0, "pair subset": 0}
-    survivors, product = experiment._survivors, experiment._product
+    survivors = experiment._survivors
 
     def counted_survivors(returns, mode, *args):
         key = (len(returns.dates), panel.dates.index(returns.dates[-1]))  # (t, end price row)
         builds[key] = builds.get(key, 0) + 1
-        return survivors(returns, mode, *args)
+        data, own, cut = survivors(returns, mode, *args)
 
-    def counted_product(data, corr_kind, make, scores, subset=None):
-        products["own survivors" if subset is None else "pair subset"] += 1
-        return product(data, corr_kind, make, scores, subset)
+        def counted_cut(mask, assets):
+            products["own survivors" if np.array_equal(mask, own) else "pair subset"] += 1
+            return cut(mask, assets)
+
+        return data, own, counted_cut
 
     monkeypatch.setattr(experiment, "_survivors", counted_survivors)
-    monkeypatch.setattr(experiment, "_product", counted_product)
+    return builds, products
+
+
+def counted_window_builds(monkeypatch, kind, scope, panel, t_values):
+    """Run a serial grid; return (survivor builds per (t, end idx) window, window products
+    by whether they are on a window's own survivors, the distinct windows of the grid)."""
+    builds, products = spy_window_builds(monkeypatch, panel)
     records, _ = run_grid(panel, t_values, STEP, kind, scope)
     assert [vars(r) for r in records] == [vars(r) for r in ref_grid(panel, kind, scope, t_values)[0]]
     tasks = grid_tasks(panel, t_values, STEP)
@@ -356,14 +365,14 @@ def test_serial_sweep_builds_each_window_once_when_every_pair_reuses_it(monkeypa
 
 @pytest.mark.parametrize("kind", ["phi", "pearson"])
 def test_serial_sweep_mixes_reused_and_direct_windows_on_gaps(monkeypatch, kind):
-    """With gaps, some pairs reuse a window's side and others build one on their
-    common assets directly; a window is rebuilt only for such a direct pair."""
+    """With gaps, some pairs reuse a window's side and others gather their common assets
+    from the window's rows; either way each window is preprocessed once."""
     builds, products, windows = counted_window_builds(
         monkeypatch, kind, "universe", gappy_panel(14, name_order=True), T_VALUES
     )
     assert set(builds) <= windows  # an out-window is not built when its in-window fails
     assert products["own survivors"] > 0 and products["pair subset"] > 0
-    assert sum(builds.values()) - len(builds) <= products["pair subset"]
+    assert builds == dict.fromkeys(builds, 1)
 
 
 @pytest.mark.parametrize("kind,scope", KINDS)
@@ -433,14 +442,7 @@ def test_timeseries_mixes_reused_and_direct_eigenvectors_in_one_run(monkeypatch,
     side reuses the eigenvector of its window's one correlation on its own survivors."""
     panel = flat_in_one_window_panel()
     expected = ref_timeseries(panel, kind, scope)
-    products = {"own survivors": 0, "pair subset": 0}
-    product = experiment._product
-
-    def counted_product(data, corr_kind, make, scores, subset=None):
-        products["own survivors" if subset is None else "pair subset"] += 1
-        return product(data, corr_kind, make, scores, subset)
-
-    monkeypatch.setattr(experiment, "_product", counted_product)
+    _, products = spy_window_builds(monkeypatch, panel)
     rows = timeseries_rows(panel, TS_WINDOW, STEP, kind, scope, ALPHA)
     assert rows == expected
     assert products == {"own survivors": len(rows), "pair subset": 2}
@@ -576,6 +578,17 @@ def test_timeseries_logs_its_skipped_end_dates_once(caplog):
     assert len(rows) < ends
 
 
+def assert_gather_recuts_survivors(assets, x, mask, cut):
+    """`cut` of the survivors' panel columns, and of every other one of them, gives their
+    columns byte for byte: the gather a pair subset of a window is cut with."""
+    for sub in (slice(None), slice(None, None, 2)):
+        sub_mask = np.zeros_like(mask)
+        sub_mask[np.flatnonzero(mask)[sub]] = True
+        _, got_assets, got_x = cut(sub_mask, assets[sub])
+        assert got_assets == assets[sub]
+        assert (got_x.dtype, got_x.tobytes()) == (x.dtype, np.ascontiguousarray(x[:, sub]).tobytes())
+
+
 @pytest.mark.parametrize("kind", ["phi", "pearson"])
 def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
     """The universe market mode is computed once per panel, NaN on the dates
@@ -593,9 +606,11 @@ def test_panel_market_mode_slices_match_per_window_reference(panel, kind):
                 _survivors(*w, kind)
             outcomes.add("infeasible")
             continue
-        dates, got_assets, got_x = _survivors(*w, kind)
+        (dates, got_assets, got_x), mask, cut = _survivors(*w, kind)
         assert dates == rp.dates and got_assets == assets
         assert got_x.dtype == x.dtype and np.array_equal(got_x, x)
+        assert got_assets == tuple(a for a, m in zip(panel.assets, mask) if m)
+        assert_gather_recuts_survivors(got_assets, got_x, mask, cut)
         outcomes.add("compared")
     assert outcomes == {"infeasible", "compared"}
 
@@ -631,14 +646,15 @@ def test_panel_sign_arrays_give_every_window_its_per_window_phi_survivors(make, 
                 assert str(raised.value) == str(exc), (t, end_idx)
                 messages.add(str(exc))
                 continue
-            dates, got_assets, got_x = _survivors(*w, "phi")
+            (dates, got_assets, got_x), mask, cut = _survivors(*w, "phi")
             assert (dates, got_assets) == (rp.dates, assets), (t, end_idx)
             assert (got_x.dtype, got_x.shape) == (x.dtype, x.shape), (t, end_idx)
             assert got_x.tobytes() == x.tobytes(), (t, end_idx)
+            assert_gather_recuts_survivors(got_assets, got_x, mask, cut)
             compared += 1
     assert messages == failures and compared > 1000
     if make is flat_in_one_window_panel:  # A06's flat column leaves the window of returns 40-59
-        assert "A06" not in _survivors(*_window(full, 60, 20), "phi")[1]
+        assert "A06" not in _survivors(*_window(full, 60, 20), "phi")[0][1]
 
 
 @pytest.mark.parametrize("scope", MEDIAN_SCOPES)
@@ -669,3 +685,17 @@ def test_unknown_kind_or_scope_rejected_before_any_window(kind, scope):
         build_dataset(panel, panel.dates[20], 12, 5, kind, scope)
     with pytest.raises(DataError, match=bad):
         window_correlation(log_returns(panel), kind, scope)
+
+
+@forks_blas_threads
+@pytest.mark.parametrize("kind,scope", [("spearman", "universe"), ("phi", "global")])
+def test_unknown_kind_or_scope_rejected_before_a_pool_starts(kind, scope, pool_spy):
+    """A pooled run checks its kind and scope in the parent, so the error names the bad
+    value; a check left to the workers would end in a BrokenProcessPool instead."""
+    panel = gappy_panel(14)
+    bad = kind if kind not in CORR_KINDS else scope
+    with pytest.raises(DataError, match=bad):
+        run_grid(panel, T_VALUES, STEP, corr_kind=kind, median_scope=scope, jobs=2)
+    with pytest.raises(DataError, match=bad):
+        timeseries_rows(panel, TS_WINDOW, STEP, kind, scope, jobs=2)
+    assert pool_spy.workers == []
