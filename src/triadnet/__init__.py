@@ -18,7 +18,7 @@ from .correlation import (
     phi_matrix,
     sign_matrix,
 )
-from .errors import DataError, UndefinedMetricError
+from .errors import DataError
 from .experiment import (
     ExperimentRecord,
     RocResult,
@@ -44,7 +44,7 @@ from .preprocess import (
     log_returns,
     volatility,
 )
-from .svn import Svn, bh_select, build_svn, link_pvalue
+from .svn import Svn, build_svn
 from .synth import SynthSpec, generate
 
 __all__ = [
@@ -60,12 +60,10 @@ __all__ = [
     "SignChangeDataset",
     "Svn",
     "SynthSpec",
-    "UndefinedMetricError",
     "aggregate_cells",
     "assortativity",
     "auc",
     "balance_report",
-    "bh_select",
     "binarize",
     "build_dataset",
     "build_svn",
@@ -76,7 +74,6 @@ __all__ = [
     "h_auc_association",
     "hamiltonian",
     "link_density",
-    "link_pvalue",
     "load_panel",
     "log_returns",
     "pair_stability",

@@ -45,10 +45,6 @@ class CorrMatrix:
         return len(self.assets)
 
 
-def _symmetrize(values: np.ndarray) -> np.ndarray:
-    return (values + values.T) / 2.0
-
-
 def _phi_numerator(values: np.ndarray) -> np.ndarray:
     """T*c - k k^T in float64 of +/-1 columns, c their `count_product` of up days and k = diag(c):
     exact integers, so exactly symmetric, with phi's signs (an exact 0 is +0.0) and d on the diagonal."""
@@ -96,7 +92,7 @@ def pearson_matrix(r: ReturnPanel) -> CorrMatrix:
     if (norm == 0).any():
         bad = r.assets[int(np.argmin(norm))]
         raise DataError(f"constant return column {bad!r}")
-    values = _symmetrize((z.T @ z) / np.outer(norm, norm))
+    values = (z.T @ z) / np.outer(norm, norm)  # z.T @ z is a syrk product: exactly symmetric
     np.fill_diagonal(values, 1.0)
     return CorrMatrix(r.assets, values, "pearson")
 
@@ -116,7 +112,7 @@ def partial_pearson(r: ReturnPanel) -> CorrMatrix:
     if lam1 - lam2 <= _EIG_GAP_TOL:
         raise DataError("leading eigenvalue is not separated from the second")
     v1 = v[:, -1]
-    values = _symmetrize(rho.values - lam1 * np.outer(v1, v1))
+    values = rho.values - lam1 * np.outer(v1, v1)  # a difference of symmetric arrays
     diag = np.diag(values)
     if (diag < -_BOUND_TOL).any():
         raise DataError("partial Pearson diagonal has a negative entry")

@@ -4,6 +4,3 @@
 class DataError(Exception):
     """Input data violate a documented contract (bad file, bad value, short history)."""
 
-
-class UndefinedMetricError(DataError):
-    """A statistic is mathematically undefined for the given input."""

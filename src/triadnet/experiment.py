@@ -144,7 +144,10 @@ def _side(data, corr_kind: str, scores: bool) -> dict:
     """One window's part in a pair, on the pair's assets in panel order: "signs" (upper triangle,
     True where nonnegative) and "h", from one S * S^2 product; a phi S without `scores` is the signs
     of phi's numerator T*c - k k^T. With `scores`, also each discriminator as a lattice (index,
-    ascending values): the scores are values[index]; pair stability's index is (N-2) - (S * S^2)_ij."""
+    ascending values): the scores are values[index]; pair stability's index is (N-2) - (S * S^2)_ij.
+    H divides by C(N, 3), so a pair of fewer than 3 assets raises DataError."""
+    if len(data[1]) < 3:
+        raise DataError(f"only {len(data[1])} assets survive both windows (need 3)")
     if corr_kind == "phi" and not scores:
         s = _signs(_phi_numerator(data[2]))
         np.fill_diagonal(s, 0)
@@ -173,18 +176,20 @@ def _lattice_auc(lattice, labels) -> float:
     return _groups_auc(*_tie_counts(index, labels, len(values)))
 
 
-def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
-    """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in
-    end-date order. A pair is (common, in-product, out-product) or a message: it needs `need`
-    common assets, the in-window's survivors that also survive the out-window, in panel order.
-    Each (t, end) window is preprocessed once and dropped after the last end date that uses it.
-    Its entry holds an "error" (`_window`'s too) or its survivors' "assets", their panel "mask"
-    and `_survivors` "cut" and, for an in-window, its "volatility" and, with `row`, a message or
-    `row(entry, phi signs)` once its own "product" is made. Every side is make(cut(mask, common)),
-    the window's shared "product" where common is its survivors, with `scores` false only for an
-    out-side on common assets or a window that is no task's in-window."""
+def _sweep(full, tasks, corr_kind: str, make, row=None):
+    """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in the
+    order given. A pair is (common, in-product, out-product), with common the in-window's
+    survivors that also survive the out-window in panel order, or a message: a window's "error"
+    or a DataError of `make`. Each (t, end) window is preprocessed once and dropped after the
+    last task that names it, in whatever order the tasks come. Its entry holds an "error"
+    (`_window`'s too) or its survivors' "assets", their panel "mask" and `_survivors` "cut" and,
+    for an in-window, its "volatility" and, with `row`, a message or `row(entry, phi signs)` once
+    its own "product" is made. Every side is make(cut(mask, common)), the window's shared
+    "product" where common is its survivors, with `scores` false only for an out-side on common
+    assets or a window that is no task's in-window."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
-    last_use = {key: end for t_in, t_out, end in tasks for key in ((t_in, end), (t_out, end + t_out))}
+    last_use = {key: i for i, (t_in, t_out, end) in enumerate(tasks)
+                for key in ((t_in, end), (t_out, end + t_out))}  # (t, end) -> its last task
     cache = {}
 
     def entry(key):
@@ -215,22 +220,22 @@ def _sweep(full, tasks, corr_kind: str, need: int, make, row=None):
             e["product"] = make(e["cut"](mask, common), corr_kind, key in in_keys)
         return e["product"]
 
-    for task in tasks:
+    for i, task in enumerate(tasks):
         t_in, t_out, end = task
         k_in, k_out = (t_in, end), (t_out, end + t_out)
-        cache = {key: e for key, e in cache.items() if last_use[key] >= end}
         e_in = entry(k_in)
         pair = e_in.get("error") or entry(k_out).get("error")
         if pair is None:
             mask = e_in["mask"] & cache[k_out]["mask"]
             common = tuple(compress(full[0].assets, mask.tolist()))
             try:
-                if len(common) < need:
-                    raise DataError(f"only {len(common)} assets survive both windows (need {need})")
                 pair = common, product(k_in, mask, common, True), product(k_out, mask, common, False)
             except DataError as exc:
                 pair = str(exc)
         yield task, e_in, pair
+        for key in (k_in, k_out):
+            if last_use[key] == i:
+                cache.pop(key, None)  # an out-window is never built when its in-window fails
 
 
 def build_dataset(
@@ -261,7 +266,7 @@ def build_dataset(
     if end_idx < t_in:
         raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
     full = _with_mode(log_returns(panel), median_scope)
-    ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, 3, _side)
+    ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, _side)
     if isinstance(pair, str):
         raise DataError(pair)
     common, side_in, side_out = pair
@@ -279,7 +284,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _tie_groups(labels, scores):
-    """Positive and negative label counts per tied-score group, scores ascending; one sort."""
+    """Positive and negative label counts per `np.unique` group of the scores, ascending."""
     y = np.asarray(labels, dtype=bool)
     s = np.asarray(scores, dtype=float)
     if y.shape != s.shape or y.ndim != 1:
@@ -288,10 +293,8 @@ def _tie_groups(labels, scores):
         raise DataError("scores must be finite")
     if y.all() or not y.any():
         raise DataError("roc needs at least one positive and one negative label")
-    order = np.argsort(s)
-    ordered = s[order]
-    group = np.cumsum(np.concatenate(([False], ordered[1:] != ordered[:-1])))
-    return _tie_counts(group, y[order], int(group[-1]) + 1)
+    values, group = np.unique(s, return_inverse=True)
+    return _tie_counts(group, y, len(values))
 
 
 def _groups_auc(pos, neg) -> float:
@@ -352,7 +355,7 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
 
 def _evaluate(full, tasks, corr_kind):
     """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
-    for task, e_in, pair in _sweep(full, tasks, corr_kind, 3, _side):
+    for task, e_in, pair in _sweep(full, tasks, corr_kind, _side):
         if isinstance(pair, str):
             yield task, ("infeasible", f"window infeasible: {pair}")
             continue
@@ -462,10 +465,8 @@ def aggregate_cells(records) -> dict:
 
 
 def _timeseries_row(sectors, alpha, e, signs):
-    """A window's row, or why it has none, from `_sweep`'s entry. Its `_leading` product
-    (fracs, v1, corr) is cut to (fracs, v1) for its pairs: the correlation is not kept."""
-    fracs, v1, corr = e["product"]
-    e["product"] = fracs, v1
+    """A window's row, or why it has none, from `_sweep`'s entry and its `_leading` product."""
+    fracs, _, corr = e["product"]
     if corr.n < 3:
         return "fewer than 3 surviving assets"
     net = build_svn(signs, alpha=alpha, polarity="positive")
@@ -484,9 +485,10 @@ def _leading(data, corr_kind, scores):
 
 
 def _timeseries_chunk(full, tasks, corr_kind, sectors, alpha):
-    """Yield (end index, row without its date, or skip message) for `tasks`, swept by end."""
-    tasks, row = sorted(tasks, key=lambda task: task[2]), partial(_timeseries_row, sectors, alpha)
-    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, 2, _leading, row):
+    """Yield (end index, row without its date, or skip message) for `tasks`, swept in the order
+    given; an overlap on fewer than 2 common assets is a DataError of its kernels, so null."""
+    row = partial(_timeseries_row, sectors, alpha)
+    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, _leading, row):
         made = e_in.get("error") or e_in["row"]
         if not isinstance(made, str):
             made["v1_overlap"] = None
@@ -511,9 +513,10 @@ def timeseries_rows(
     the leading-eigenvector overlap with the next (out-of-sample) window of the same
     length where one exists, on their common assets. `_sweep` builds each window once
     with its row; one eigh gives the eigenvalue fraction and the eigenvector it reuses.
-    Rows do not depend on `jobs`. A pool (see `_map_chunks`) cuts the end dates in chain
-    order, (end mod window, end), so where the step divides the window a row's out-window
-    is the next row's in-window, and each cut costs at most one more window build.
+    End dates are swept in chain order, (end mod window, end): where the step divides the
+    window a row's out-window is the next row's in-window, and each window is dropped after
+    its last use, so at most two are held. Rows do not depend on `jobs`. A pool (see
+    `_map_chunks`) cuts the chain order, and each cut costs at most one more window build.
     """
     _check_kind(corr_kind)
     if window < 2 or step < 1:

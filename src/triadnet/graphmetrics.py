@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UndefinedMetricError
+from .errors import DataError
 from .util import _check_symmetric
 
 # Networks below this link count give a noisy assortativity; callers report a
@@ -50,7 +50,7 @@ def assortativity(g: LabeledGraph) -> float:
     """
     two_m = int(g.adjacency.sum())
     if two_m == 0:
-        raise UndefinedMetricError("assortativity undefined on an empty graph")
+        raise DataError("assortativity undefined on an empty graph")
     codes = {lab: i for i, lab in enumerate(sorted(set(g.labels)))}
     lab = np.array([codes[x] for x in g.labels])
     k = g.adjacency.sum(axis=1).astype(np.int64)
@@ -60,9 +60,7 @@ def assortativity(g: LabeledGraph) -> float:
     expected = float((class_degree ** 2).sum()) / two_m
     denominator = two_m - expected
     if denominator <= 0:
-        raise UndefinedMetricError(
-            "assortativity undefined: all linked nodes share one label"
-        )
+        raise DataError("assortativity undefined: all linked nodes share one label")
     return (intra - expected) / denominator
 
 

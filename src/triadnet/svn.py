@@ -111,37 +111,14 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
     return p
 
 
-def link_pvalue(c: int, k_i: int, k_j: int, T: int) -> float:
-    """Right-tail p-value of observing at least c joint days; see _tail_pvalues."""
-    if T < 1:
-        raise DataError("window length must be positive")
-    c, k_i, k_j = int(c), int(k_i), int(k_j)
-    if not (0 <= k_i <= T and 0 <= k_j <= T):
-        raise DataError("per-asset counts must lie in [0, T]")
-    if not 0 <= c <= min(k_i, k_j):
-        raise DataError("co-occurrence count outside [0, min(k_i, k_j)]")
-    counts = (np.array([v], dtype=np.int64) for v in (c, k_i, k_j))
-    return float(_tail_pvalues(*counts, T, _log_factorials(T))[0])
-
-
 def _bh_cutoff(p: np.ndarray, alpha: float) -> float:
-    """The largest p-value the step-up rule keeps at level alpha; -inf if none."""
+    """Benjamini-Hochberg step-up cutoff: the largest sorted p_(r) <= r * alpha / p.size, or
+    -inf if none; every p-value at or below it is kept, ties included."""
     if not 0 < alpha < 1:
         raise DataError("alpha must be in (0, 1)")
     sorted_p = np.sort(p)
     ok = np.flatnonzero(sorted_p <= np.arange(1, p.size + 1) * alpha / p.size)
     return float(sorted_p[ok[-1]]) if ok.size else -np.inf
-
-
-def bh_select(pvalues, alpha: float) -> set:
-    """Benjamini-Hochberg step-up selection.
-
-    Sorts the p-values, finds the largest rank r with p_(r) <= r*alpha/M
-    (M = number of tests) and returns the indices of every p-value at or below
-    that cutoff; the empty set if no rank qualifies.
-    """
-    p = np.asarray(pvalues, dtype=float)
-    return set(np.flatnonzero(p <= _bh_cutoff(p, alpha)).tolist())
 
 
 def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") -> Svn:

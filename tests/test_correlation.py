@@ -10,6 +10,7 @@ from triadnet.correlation import (
     sign_matrix,
 )
 from triadnet.errors import DataError
+from triadnet.preprocess import complete_case
 
 from conftest import make_binary, make_returns, random_binary
 
@@ -97,6 +98,23 @@ def test_partial_pearson_degenerate_gap_rejected():
     x = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
     with pytest.raises(DataError, match="separated"):
         partial_pearson(make_returns(x))
+
+
+@pytest.mark.parametrize("t,n", [(5, 4), (30, 90), (120, 40), (300, 450)])
+def test_pearson_kernels_are_exactly_symmetric_on_gappy_windows(rng, t, n):
+    """Neither kernel symmetrizes: z.T @ z is one syrk product, and the partial matrix is
+    a difference of symmetric arrays. CorrMatrix rejects an asymmetric matrix, so a
+    platform whose product broke exact symmetry would make the grid skip its windows;
+    here it fails loudly. The complete-case columns are a gather, as in a gappy window."""
+    for _ in range(3):
+        x = 0.01 * (rng.normal(size=(t, 1)) + rng.normal(size=(t, n)))
+        present = np.ones((t, n), dtype=bool)
+        gaps = rng.choice(n, n // 4, replace=False)
+        present[rng.integers(0, t, gaps.size), gaps] = False
+        window = complete_case(make_returns(x, present))
+        for kernel in (pearson_matrix, partial_pearson):
+            values = kernel(window).values
+            assert np.array_equal(values, values.T), (kernel.__name__, t, n)
 
 
 def test_sign_matrix_rules():

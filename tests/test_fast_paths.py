@@ -42,13 +42,14 @@ def int64_product(a, b):
 
 def int64_phi(b):
     """Phi as formed on int64 counts: int64 counts and margins, an int64 outer product,
-    one conversion to float, then symmetrized."""
+    one conversion to float, then symmetrized as (v + v.T) / 2."""
     t = len(b.values)
     up = b.values > 0
     k = up.sum(axis=0)
     num = (t * int64_product(up, up) - np.outer(k, k)).astype(float)
     d = (k * (t - k)).astype(np.int64)
-    values = correlation._symmetrize(num / np.sqrt(np.outer(d, d).astype(float)))
+    values = num / np.sqrt(np.outer(d, d).astype(float))
+    values = (values + values.T) / 2.0
     np.fill_diagonal(values, 1.0)
     return values
 

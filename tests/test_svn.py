@@ -7,9 +7,9 @@ import pytest
 
 from triadnet.correlation import phi_matrix
 from triadnet.errors import DataError
-from triadnet.svn import _log_factorials, _tail_pvalues, bh_select, build_svn, link_pvalue
+from triadnet.svn import _bh_cutoff, _log_factorials, _tail_pvalues, build_svn
 
-from conftest import make_binary, random_binary, random_triples
+from conftest import make_binary, random_binary, random_triples, tail_pvalue
 
 
 def tail_oracle(c, k_i, k_j, t):
@@ -22,10 +22,10 @@ def tail_oracle(c, k_i, k_j, t):
 
 
 def test_link_pvalue_trivial_and_derived():
-    assert link_pvalue(0, 3, 4, 10) == 1.0
-    assert link_pvalue(5, 5, 5, 10) == pytest.approx(1 / 252, abs=1e-15)
+    assert tail_pvalue(0, 3, 4, 10) == 1.0
+    assert tail_pvalue(5, 5, 5, 10) == pytest.approx(1 / 252, abs=1e-15)
     # P(X >= 3) = (10*10 + 5*5 + 1) / 252 = 0.5
-    assert link_pvalue(3, 5, 5, 10) == pytest.approx(0.5, abs=1e-12)
+    assert tail_pvalue(3, 5, 5, 10) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_link_pvalue_matches_oracle_small_windows():
@@ -33,7 +33,7 @@ def test_link_pvalue_matches_oracle_small_windows():
         for k_i in range(t + 1):
             for k_j in range(t + 1):
                 for c in range(min(k_i, k_j) + 1):
-                    got = link_pvalue(c, k_i, k_j, t)
+                    got = tail_pvalue(c, k_i, k_j, t)
                     assert got == pytest.approx(tail_oracle(c, k_i, k_j, t), abs=1e-12)
 
 
@@ -41,18 +41,9 @@ def test_link_pvalue_monotone_in_count():
     t, k_i, k_j = 40, 17, 23
     previous = 1.0
     for c in range(min(k_i, k_j) + 1):
-        p = link_pvalue(c, k_i, k_j, t)
+        p = tail_pvalue(c, k_i, k_j, t)
         assert p <= previous + 1e-15
         previous = p
-
-
-def test_link_pvalue_bound_errors():
-    with pytest.raises(DataError):
-        link_pvalue(6, 5, 5, 10)
-    with pytest.raises(DataError):
-        link_pvalue(0, 11, 5, 10)
-    with pytest.raises(DataError):
-        link_pvalue(-1, 5, 5, 10)
 
 
 def test_tail_pvalues_reject_windows_beyond_the_dedup_key():
@@ -96,6 +87,12 @@ def test_tail_pvalues_at_the_edges_of_the_support():
     ki = np.array([0, 0, 1, 1], dtype=np.int64)
     kj = np.array([0, 1, 0, 1], dtype=np.int64)
     assert (_tail_pvalues(ki * kj, ki, kj, 1, _log_factorials(1)) == 1.0).all()
+
+
+def bh_select(p, alpha):
+    """Indices of the p-values `build_svn` keeps: those at or below the step-up cutoff."""
+    p = np.asarray(p, dtype=float)
+    return set(np.flatnonzero(p <= _bh_cutoff(p, alpha)).tolist())
 
 
 def test_bh_select_examples():
@@ -192,8 +189,8 @@ def test_retained_pvalues_below_realized_threshold(rng):
 
 def test_link_pvalue_stable_for_long_windows():
     # thousands of days: the log-space path neither overflows nor warns
-    p_mid = link_pvalue(510, 1000, 1000, 2000)
-    p_far = link_pvalue(600, 1000, 1000, 2000)
+    p_mid = tail_pvalue(510, 1000, 1000, 2000)
+    p_far = tail_pvalue(600, 1000, 1000, 2000)
     assert 0.0 <= p_far < p_mid <= 1.0
 
 

@@ -13,6 +13,9 @@ its windows (complete, in either asset order) and where some do (gaps).
 """
 
 import logging
+import weakref
+from collections import deque
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -317,6 +320,10 @@ def test_run_grid_matches_reference_whether_windows_are_reused_or_not(name, kind
     assert records
 
 
+def window_key(panel, dates):
+    return len(dates), panel.dates.index(dates[-1])  # (t, end price row)
+
+
 def spy_window_builds(monkeypatch, panel):
     """Count `_survivors` builds per (t, end price row) window into `builds`, and the window
     products into `products` by whether they are on a window's own survivors or on a pair
@@ -325,7 +332,7 @@ def spy_window_builds(monkeypatch, panel):
     survivors = experiment._survivors
 
     def counted_survivors(returns, mode, *args):
-        key = (len(returns.dates), panel.dates.index(returns.dates[-1]))  # (t, end price row)
+        key = window_key(panel, returns.dates)
         builds[key] = builds.get(key, 0) + 1
         data, own, cut = survivors(returns, mode, *args)
 
@@ -470,19 +477,83 @@ def test_timeseries_builds_each_window_once_when_step_is_the_window(monkeypatch,
     assert sum(row["v1_overlap"] is not None for row in rows) == windows - 1
 
 
-def test_timeseries_entries_keep_no_correlation(monkeypatch):
-    """A row's window entry keeps its leading eigenpair for later pairs, not its N x N correlation."""
-    entries, timeseries_row = [], experiment._timeseries_row
+def last_tasks(tasks):
+    """(t, end idx) window -> the index of the last of `tasks` that names it."""
+    last = {}
+    for i, (t_in, t_out, end) in enumerate(tasks):
+        last[t_in, end] = last[t_out, end + t_out] = i
+    return last
 
-    def spy(sectors, alpha, e, signs):
-        made = timeseries_row(sectors, alpha, e, signs)
-        entries.append(e)
-        return made
 
-    monkeypatch.setattr(experiment, "_timeseries_row", spy)
-    rows = timeseries_rows(complete_panel(16), TS_WINDOW, STEP, "phi", "universe", ALPHA)
-    assert len(entries) == len(rows) > 0
-    assert all(len(e["product"]) == 2 for e in entries)
+@pytest.mark.parametrize("kind", CORR_KINDS)
+def test_sweep_keeps_each_window_until_its_last_task_in_any_order(monkeypatch, kind):
+    """On a shuffled task list over a gappy panel, each window is preprocessed once, and
+    once the sweep yields a task, every product of a window whose last task came before
+    it is freed: no entry outlives its last task, whatever the order."""
+    panel = gappy_panel(14)
+    full = _with_mode(log_returns(panel), "universe")
+    tasks = grid_tasks(panel, T_VALUES, STEP)
+    np.random.default_rng(5).shuffle(tasks)
+    last, products = last_tasks(tasks), []
+
+    class Product:
+        pass
+
+    def make(data, corr_kind, scores):
+        product = Product()
+        products.append((window_key(panel, data[0]), weakref.ref(product)))
+        return product
+
+    builds, _ = spy_window_builds(monkeypatch, panel)
+    for i, (task, e_in, pair) in enumerate(experiment._sweep(full, tasks, kind, make)):
+        assert task == tasks[i]
+        assert not [key for key, ref in products if last[key] < i and ref() is not None], i
+    del e_in, pair
+    assert builds == dict.fromkeys(builds, 1) and len(builds) > 50
+    assert all(ref() is None for _, ref in products)
+    assert sum(last[key] < len(tasks) - 1 for key, _ in products) > 50
+    in_order = grid_tasks(panel, T_VALUES, STEP)
+    assert dict(experiment._evaluate(full, tasks, kind)) == dict(experiment._evaluate(full, in_order, kind))
+
+
+@pytest.mark.parametrize("kind", CORR_KINDS)
+@pytest.mark.parametrize("step", [STEP, 3], ids=["step-divides-window", "step-does-not"])
+def test_timeseries_sweeps_in_chain_order_and_holds_at_most_two_windows(monkeypatch, kind, step):
+    """`timeseries_rows` hands its sweep the end dates in chain order, unsorted, and a sweep
+    in that order holds at most two window entries: when a window is built, at most one
+    other is alive. Swept by end date instead, with the step dividing the window, a row's
+    out-window waits window / step rows for its own row, and that many are alive."""
+    panel, sweep = gappy_panel(14), experiment._sweep
+    ends = range(TS_WINDOW, panel.n_dates, step)
+    chain = [(TS_WINDOW, TS_WINDOW, end) for end in sorted(ends, key=lambda end: end % TS_WINDOW)]
+    swept = []
+
+    def spy(full, tasks, *args):
+        swept.append(list(tasks))
+        return sweep(full, tasks, *args)
+
+    monkeypatch.setattr(experiment, "_sweep", spy)
+    rows = timeseries_rows(panel, TS_WINDOW, step, kind, "universe", ALPHA)
+    assert rows == ref_timeseries(panel, kind, "universe", step)
+    assert swept == [chain]
+
+    survivors, masks, held = experiment._survivors, [], []
+
+    def tracked(returns, *args):
+        key = window_key(panel, returns.dates)
+        held.append(len({k for k, ref in masks if k != key and ref() is not None}))
+        data, mask, cut = survivors(returns, *args)
+        masks.append((key, weakref.ref(mask)))
+        return data, mask, cut
+
+    monkeypatch.setattr(experiment, "_survivors", tracked)
+    full = _with_mode(log_returns(panel), "universe")
+    row = partial(experiment._timeseries_row, panel.sectors, ALPHA)
+    deque(sweep(full, chain, kind, experiment._leading, row), maxlen=0)  # keeps no item
+    assert max(held) == 1
+    held.clear()  # by end date, each window that is a later in-window stays until then
+    deque(sweep(full, sorted(chain), kind, experiment._leading, row), maxlen=0)
+    assert max(held) == (TS_WINDOW // step if TS_WINDOW % step == 0 else 1)
 
 
 def test_timeseries_raises_what_its_network_raises():
