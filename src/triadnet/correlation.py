@@ -80,12 +80,11 @@ def phi_matrix(b: BinaryPanel) -> CorrMatrix:
 def pearson_matrix(r: ReturnPanel) -> CorrMatrix:
     """Sample Pearson correlation of the window's return columns.
 
-    Requires a complete-case window.
+    Requires a complete-case window: a NaN (missing) return raises DataError.
     """
-    if not r.present.all():
+    if np.isnan(r.returns).any():
         raise DataError("pearson_matrix needs a complete-case window")
-    t, n = r.returns.shape
-    if t < 2:
+    if len(r.returns) < 2:
         raise DataError("need at least 2 days for a correlation window")
     z = r.returns - r.returns.mean(axis=0)
     norm = np.sqrt((z * z).sum(axis=0))

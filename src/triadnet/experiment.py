@@ -110,17 +110,21 @@ def _check_kind(corr_kind: str) -> None:
 
 def _window(full, end_idx: int, t: int):
     """(returns, universe arrays or None) of the t returns ending at price row end_idx, cut from
-    `full`, a panel's `_with_mode`: return rows end_idx - t .. end_idx - 1. The one fit check:
-    a window that starts before the first return or ends after the last raises DataError."""
+    `full`, a panel's `_with_mode`: return rows end_idx - t .. end_idx - 1, NaN where missing. The
+    one fit check: a window of no returns, or one that starts before the first return or ends
+    after the last, raises DataError; a window too early names its last date, one too late its first."""
     r, universe = full
-    n = len(r.dates)
-    if end_idx > n:
-        raise DataError(f"insufficient history: a window ends {end_idx - n} returns after the last of {n}")
-    if end_idx < t:
+    n, start = len(r.dates), end_idx - t
+    if t < 1:
+        raise DataError("window lengths must be positive")
+    if start < 0:
         end = r.dates[end_idx - 1] if end_idx else "the first date"
         raise DataError(f"insufficient history: need {t} returns ending {end}, have {end_idx}")
-    rows = slice(end_idx - t, end_idx)
-    window = ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows], r.present[rows])
+    if end_idx > n:
+        first = r.dates[start] if start < n else f"the date after {r.dates[-1]}"
+        raise DataError(f"insufficient history: need {t} returns from {first}, have {max(n - start, 0)}")
+    rows = slice(start, end_idx)
+    window = ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows])
     return window, None if universe is None else tuple(a[rows] for a in universe)
 
 
@@ -128,8 +132,7 @@ def _corr_from_data(data, corr_kind: str) -> CorrMatrix:
     """Correlation matrix of a window's survivor data (dates, assets, columns)."""
     if corr_kind == "phi":
         return phi_matrix(BinaryPanel(*data))
-    rp = ReturnPanel._trusted(*data, np.ones_like(data[2], dtype=bool))
-    return (pearson_matrix if corr_kind == "pearson" else partial_pearson)(rp)
+    return (pearson_matrix if corr_kind == "pearson" else partial_pearson)(ReturnPanel._trusted(*data))
 
 
 def window_correlation(
@@ -181,7 +184,8 @@ def _sweep(full, tasks, corr_kind: str, make, row=None):
     order given. A pair is (common, in-product, out-product), with common the in-window's
     survivors that also survive the out-window in panel order, or a message: a window's "error"
     or a DataError of `make`. Each (t, end) window is preprocessed once and dropped after the
-    last task that names it, in whatever order the tasks come. Its entry holds an "error"
+    last task that names it, in whatever order the tasks come, as long as a consumer drops a
+    task's entry and pair before asking for the next task. Its entry holds an "error"
     (`_window`'s too) or its survivors' "assets", their panel "mask" and `_survivors` "cut" and,
     for an in-window, its "volatility" and, with `row`, a message or `row(entry, phi signs)` once
     its own "product" is made. Every side is make(cut(mask, common)), the window's shared
@@ -233,6 +237,7 @@ def _sweep(full, tasks, corr_kind: str, make, row=None):
             except DataError as exc:
                 pair = str(exc)
         yield task, e_in, pair
+        del e_in, pair  # the next task's windows are built without this one's
         for key in (k_in, k_out):
             if last_use[key] == i:
                 cache.pop(key, None)  # an out-window is never built when its in-window fails
@@ -252,19 +257,11 @@ def build_dataset(
     out-of-sample window holds the t_out returns starting the next trading
     day, so the two never overlap. Labels mark pairs whose correlation sign
     differs between the windows; both score vectors are negated stability
-    measures, so a higher score predicts a switch.
+    measures, so a higher score predicts a switch. A window that does not fit
+    in the returns raises `_window`'s DataError, the in-sample window's first.
     """
     _check_kind(corr_kind)
-    if t_in < 1 or t_out < 1:
-        raise DataError("window lengths must be positive")
     end_idx = panel.date_index(end_in)
-    if end_idx + t_out > panel.n_dates - 1:
-        raise DataError(
-            f"insufficient out-of-sample history after {end_in}: "
-            f"need {t_out} more dates, have {panel.n_dates - 1 - end_idx}"
-        )
-    if end_idx < t_in:
-        raise DataError(f"insufficient history for a {t_in}-return window ending {end_in}")
     full = _with_mode(log_returns(panel), median_scope)
     ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, _side)
     if isinstance(pair, str):
@@ -357,19 +354,16 @@ def _evaluate(full, tasks, corr_kind):
     """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
     for task, e_in, pair in _sweep(full, tasks, corr_kind, _side):
         if isinstance(pair, str):
-            yield task, ("infeasible", f"window infeasible: {pair}")
-            continue
-        common, side_in, side_out = pair
-        labels = side_in["signs"] != side_out["signs"]
-        if labels.all() or not labels.any():
-            yield task, ("single_class", "single-class window (no switch variation)")
-            continue
-        (t_in, t_out, end_idx), n = task, len(common)
-        aucs = (_lattice_auc(side_in[name], labels) for name in SCORE_KINDS)
-        yield task, ExperimentRecord(
-            full[0].dates[end_idx - 1], t_in, t_out, t_in / n, t_out / n, *aucs,
-            side_in["h"], side_out["h"], e_in["volatility"], labels.size,
-        )
+            outcome = "infeasible", f"window infeasible: {pair}"
+        elif (labels := pair[1]["signs"] != pair[2]["signs"]).all() or not labels.any():
+            outcome = "single_class", "single-class window (no switch variation)"
+        else:  # pair is (common, in-side, out-side)
+            (t_in, t_out, end_idx), n = task, len(pair[0])
+            outcome = ExperimentRecord(full[0].dates[end_idx - 1], t_in, t_out, t_in / n, t_out / n,
+                                       *(_lattice_auc(pair[1][name], labels) for name in SCORE_KINDS),
+                                       pair[1]["h"], pair[2]["h"], e_in["volatility"], labels.size)
+        del e_in, pair  # the next task's windows are built without this one's
+        yield task, outcome
 
 
 # A pool worker's `work`, its args and the returns and market mode its windows slice.
@@ -494,6 +488,7 @@ def _timeseries_chunk(full, tasks, corr_kind, sectors, alpha):
             made["v1_overlap"] = None
             with suppress(DataError):  # a constant eigenvector has no Pearson correlation
                 made["v1_overlap"] = None if isinstance(pair, str) else eigvec_overlap(pair[1][1], pair[2][1])
+        del e_in, pair  # the next task's windows are built without this one's
         yield end_idx, made
 
 

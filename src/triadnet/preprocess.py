@@ -20,29 +20,25 @@ MEDIAN_SCOPES = ("universe", "window")
 
 @dataclass(eq=False)
 class ReturnPanel:
-    """Daily log returns; returns[t, i] is valid only where present[t, i]."""
+    """Daily log returns; NaN in returns[t, i] is the one marker of a missing return."""
 
     dates: tuple
     assets: tuple
     returns: np.ndarray
-    present: np.ndarray
 
     def __post_init__(self):
         self.dates = tuple(self.dates)
         self.assets = tuple(self.assets)
         if self.returns.shape != (len(self.dates), len(self.assets)):
             raise DataError("return panel shape mismatch")
-        if self.present.shape != self.returns.shape:
-            raise DataError("return mask shape mismatch")
-        vals = self.returns[self.present]
-        if vals.size and not np.all(np.isfinite(vals)):
-            raise DataError("present returns must be finite")
+        if np.isinf(self.returns).any():
+            raise DataError("returns must be finite, or NaN where missing")
 
     @classmethod
-    def _trusted(cls, dates, assets, returns, present):
+    def _trusted(cls, dates, assets, returns):
         """A panel cut from one whose returns were checked: the same fields, no re-scan."""
         self = cls.__new__(cls)
-        self.dates, self.assets, self.returns, self.present = tuple(dates), tuple(assets), returns, present
+        self.dates, self.assets, self.returns = tuple(dates), tuple(assets), returns
         return self
 
 
@@ -66,40 +62,40 @@ class BinaryPanel:
 
 
 def log_returns(panel: PricePanel) -> ReturnPanel:
-    """Log price differences; a return exists only where both prices do."""
+    """Log price differences, NaN unless both prices are present: the price mask ends here,
+    and from here on a missing return is NaN, whatever number an absent price cell holds."""
     if panel.n_dates < 2:
         raise DataError("need at least 2 dates to compute returns")
-    present = panel.present[1:] & panel.present[:-1]
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.log(panel.prices[1:]) - np.log(panel.prices[:-1])
-    r = np.where(present, r, np.nan)
-    return ReturnPanel(panel.dates[1:], panel.assets, r, present)
+    r = np.where(panel.present[1:] & panel.present[:-1], r, np.nan)
+    return ReturnPanel(panel.dates[1:], panel.assets, r)
 
 
 def _universe_mode(returns: ReturnPanel) -> np.ndarray:
-    """Per-date median over the returns present that day, NaN on a date with none;
-    even counts use the mean of the two central order statistics. Dates with every
-    return present take np.median: nanmedian's bits without its masked-array path."""
-    some = returns.present.any(axis=1)
-    full = returns.present.all(axis=1) & some
+    """Per-date median over the returns that are not NaN that day, NaN on a date with none;
+    even counts use the mean of the two central order statistics. Dates with no NaN take
+    np.median: nanmedian's bits without its masked-array path."""
+    missing = np.isnan(returns.returns)
+    some = ~missing.all(axis=1)
+    full = ~missing.any(axis=1) & some
     mode = np.full(len(some), np.nan)
     mode[full] = np.median(returns.returns[full], axis=1)
     gaps = some & ~full
     with np.errstate(invalid="ignore"):
-        mode[gaps] = np.nanmedian(np.where(returns.present[gaps], returns.returns[gaps], np.nan), axis=1)
+        mode[gaps] = np.nanmedian(returns.returns[gaps], axis=1)
     return mode
 
 
 def complete_case(returns: ReturnPanel) -> ReturnPanel:
-    """Drop every asset with any missing return in the window; a complete window is returned as is."""
-    keep = returns.present.all(axis=0)
+    """Drop every asset with a NaN (missing) return in the window; a complete window is returned as is."""
+    keep = ~np.isnan(returns.returns).any(axis=0)
     if not keep.any():
         raise DataError("no asset survives complete-case filtering")
     if keep.all():
         return returns
-    assets = tuple(compress(returns.assets, keep.tolist()))
-    sub = returns.returns[:, keep]
-    return ReturnPanel._trusted(returns.dates, assets, sub, np.ones_like(sub, dtype=bool))
+    assets = compress(returns.assets, keep.tolist())
+    return ReturnPanel._trusted(returns.dates, assets, returns.returns[:, keep])
 
 
 def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPanel:
@@ -111,7 +107,7 @@ def binarize(returns: ReturnPanel, median_scope: str = "universe") -> BinaryPane
     phi coefficient is undefined at zero variance.
 
     median_scope selects the asset set the daily median is computed on:
-    "universe" uses every asset present that day (before complete-case
+    "universe" uses every asset with a return that day (before complete-case
     filtering), "window" uses only the complete-case survivors; see `_with_mode`.
     """
     return BinaryPanel(*_survivors(*_with_mode(returns, median_scope), "phi")[0])
@@ -139,7 +135,7 @@ def _universe_arrays(returns: ReturnPanel) -> tuple:
 
 def _survivors(returns: ReturnPanel, universe, corr_kind: str, cc=None):
     """((dates, assets, columns), their panel columns as a mask, cut) of a window's complete-case
-    assets that are not constant. The columns are what the `corr_kind` correlation uses: the
+    assets (no NaN return) that are not constant. The columns are what the `corr_kind` correlation uses: the
     `_signs` of the partial returns for phi, the partial returns for pearson, the raw returns for
     partial_pearson. `universe` is the window's rows of `_universe_arrays`: its mode is subtracted
     and a phi window gathers its signs; of None, the mode is the complete-case columns' median.
@@ -160,18 +156,18 @@ def _survivors(returns: ReturnPanel, universe, corr_kind: str, cc=None):
             x = _signs(x - mode[:, None]) if corr_kind == "phi" else x - mode[:, None]
         return returns.dates, assets, x
 
-    complete = returns.present.all(axis=0)  # the columns of cc.assets
-    x = cut(complete, cc.assets)[2]
+    mask = ~np.isnan(returns.returns).any(axis=0)  # the columns of cc.assets
+    x = cut(mask, cc.assets)[2]
     keep = x.max(axis=0) != x.min(axis=0)
     if not keep.any():
         raise DataError("no asset survives constant-column filtering")
-    mask = complete.copy()
-    mask[complete] = keep
+    mask[mask] = keep
     return (returns.dates, tuple(compress(cc.assets, keep.tolist())), x[:, keep]), mask, cut
 
 
 def volatility(returns: ReturnPanel) -> float:
-    """Mean absolute return over all present entries of the window."""
-    if not returns.present.any():
+    """Mean absolute return over the window's returns that are not NaN (missing)."""
+    values = returns.returns[~np.isnan(returns.returns)]
+    if not values.size:
         raise DataError("cannot compute volatility of an empty return panel")
-    return float(np.mean(np.abs(returns.returns[returns.present])))
+    return float(np.mean(np.abs(values)))

@@ -19,13 +19,14 @@ def make_panel(prices, dates=None, assets=None, sectors=None, present=None):
 
 
 def make_returns(returns, present=None):
+    """ReturnPanel from a plain array, NaN (missing) wherever `present` is given and false."""
     returns = np.asarray(returns, dtype=float)
     t, n = returns.shape
-    if present is None:
-        present = np.isfinite(returns)
+    if present is not None:
+        returns = np.where(present, returns, np.nan)
     dates = tuple(f"2020-02-{i + 1:02d}" for i in range(t))
     assets = tuple(f"A{i}" for i in range(n))
-    return ReturnPanel(dates, assets, np.where(present, returns, np.nan), present)
+    return ReturnPanel(dates, assets, returns)
 
 
 def make_binary(values):

@@ -123,11 +123,21 @@ def test_build_dataset_negated_group_switches_cross_pairs(rng):
 
 
 def test_build_dataset_window_errors(rng):
+    """`_window` is the one fit check: a window too late names the first date it needs, and
+    when both windows fail the in-sample shortfall is the one reported."""
     panel = panel_from_returns(0.01 * rng.normal(size=(30, 4)))
-    with pytest.raises(DataError, match="insufficient out-of-sample"):
+    too_late = f"insufficient history: need 15 returns from {panel.dates[21]}, have 10$"
+    with pytest.raises(DataError, match=too_late):
         build_dataset(panel, panel.dates[20], 10, 15)
-    with pytest.raises(DataError, match="insufficient history"):
-        build_dataset(panel, panel.dates[5], 10, 5)
+    with pytest.raises(DataError, match=f"need 5 returns from the date after {panel.dates[-1]}, have 0$"):
+        build_dataset(panel, panel.dates[-1], 10, 5)
+    too_early = f"insufficient history: need 10 returns ending {panel.dates[5]}, have 5$"
+    for t_out in (5, 40):  # with t_out 40 both windows fail
+        with pytest.raises(DataError, match=too_early):
+            build_dataset(panel, panel.dates[5], 10, t_out)
+    for t_in, t_out in ((0, 5), (10, 0), (-1, -1)):
+        with pytest.raises(DataError, match="window lengths must be positive"):
+            build_dataset(panel, panel.dates[20], t_in, t_out)
     with pytest.raises(DataError, match="not in panel"):
         build_dataset(panel, "1990-01-01", 10, 5)
 

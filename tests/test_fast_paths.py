@@ -168,11 +168,11 @@ def test_numerator_signs_equal_phi_signs(name, b):
 def test_complete_case_of_a_complete_window_is_the_gathered_panel():
     rng = np.random.default_rng(9)
     returns = rng.normal(size=(20, 6))
-    window = ReturnPanel(tuple(range(20)), tuple("abcdef"), returns, np.ones((20, 6), dtype=bool))
+    window = ReturnPanel(tuple(range(20)), tuple("abcdef"), returns)
     keep = np.ones(6, dtype=bool)
-    gathered = ReturnPanel(window.dates, window.assets, returns[:, keep], np.ones_like(returns, dtype=bool))
+    gathered = ReturnPanel(window.dates, window.assets, returns[:, keep])
     got = complete_case(window)
-    for name in ("dates", "assets", "returns", "present"):
+    for name in ("dates", "assets", "returns"):
         value, expected = getattr(got, name), getattr(gathered, name)
         if isinstance(expected, np.ndarray):
             assert value.dtype == expected.dtype and np.array_equal(value, expected), name

@@ -27,9 +27,9 @@ def test_log_returns_values():
 def test_log_returns_masks_gaps():
     panel = make_panel([[100.0, 50.0], [np.nan, 51.0], [102.0, 52.0]])
     r = log_returns(panel)
-    assert not r.present[0, 0]  # price missing at t
-    assert not r.present[1, 0]  # price missing at t-1
-    assert r.present[:, 1].all()
+    assert np.isnan(r.returns[0, 0])  # price missing at t
+    assert np.isnan(r.returns[1, 0])  # price missing at t-1
+    assert not np.isnan(r.returns[:, 1]).any()
 
 
 def test_log_returns_needs_two_dates():
@@ -52,10 +52,10 @@ def test_universe_mode_ignores_missing_and_is_nan_on_empty_date():
 
 def nanmedian_mode(returns):
     """The universe market mode as one nanmedian over every date with a return."""
-    some = returns.present.any(axis=1)
+    some = ~np.isnan(returns.returns).all(axis=1)
     mode = np.full(len(some), np.nan)
     with np.errstate(invalid="ignore"):
-        mode[some] = np.nanmedian(np.where(returns.present, returns.returns, np.nan)[some], axis=1)
+        mode[some] = np.nanmedian(returns.returns[some], axis=1)
     return mode
 
 
@@ -155,17 +155,18 @@ def test_complete_case():
     r = make_returns([[0.1, np.nan], [0.2, 0.3]])
     cc = complete_case(r)
     assert cc.assets == ("A0",)
-    assert cc.present.all()
+    assert not np.isnan(cc.returns).any()
     with pytest.raises(DataError):
         complete_case(make_returns([[np.nan], [0.1]]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_return_panel_constructor_rejects_a_non_finite_present_return(bad):
-    returns = np.array([[0.1, 0.2], [bad, 0.3]])
-    ReturnPanel(("d1", "d2"), ("A", "B"), returns, np.array([[True, True], [False, True]]))
-    with pytest.raises(DataError, match="present returns must be finite"):
-        ReturnPanel(("d1", "d2"), ("A", "B"), returns, np.ones((2, 2), dtype=bool))
+    """NaN is the one marker of a missing return; an infinite return is an error."""
+    r = ReturnPanel(("d1", "d2"), ("A", "B"), np.array([[0.1, 0.2], [np.nan, 0.3]]))
+    assert complete_case(r).assets == ("B",)
+    with pytest.raises(DataError, match="returns must be finite"):
+        ReturnPanel(("d1", "d2"), ("A", "B"), np.array([[0.1, 0.2], [bad, 0.3]]))
 
 
 def test_volatility():

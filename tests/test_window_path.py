@@ -16,6 +16,7 @@ import logging
 import weakref
 from collections import deque
 from functools import partial
+from itertools import compress
 from math import comb
 
 import numpy as np
@@ -134,8 +135,8 @@ def panel(request):
 
 
 def market_mode(returns):
-    """Per-date median over the returns present that day; a date with none is an error."""
-    counts = returns.present.sum(axis=1)
+    """Per-date median over the returns that are not NaN that day; a date with none is an error."""
+    counts = (~np.isnan(returns.returns)).sum(axis=1)
     if (counts == 0).any():
         bad = returns.dates[int(np.argmin(counts))]
         raise DataError(f"date {bad} has no present returns")
@@ -170,7 +171,7 @@ def ref_corr(rp, assets, x, names, kind):
     x = x[:, [assets.index(a) for a in names]]
     if kind == "phi":
         return phi_matrix(BinaryPanel(rp.dates, names, x))
-    sub = ReturnPanel(rp.dates, names, x, np.ones_like(x, dtype=bool))
+    sub = ReturnPanel(rp.dates, names, x)
     return pearson_matrix(sub) if kind == "pearson" else partial_pearson(sub)
 
 
@@ -489,12 +490,13 @@ def last_tasks(tasks):
 def test_sweep_keeps_each_window_until_its_last_task_in_any_order(monkeypatch, kind):
     """On a shuffled task list over a gappy panel, each window is preprocessed once, and
     once the sweep yields a task, every product of a window whose last task came before
-    it is freed: no entry outlives its last task, whatever the order."""
+    it is freed: no entry outlives its last task, whatever the order. Nor does the sweep
+    hold the last task's pair while it builds the next task's windows."""
     panel = gappy_panel(14)
     full = _with_mode(log_returns(panel), "universe")
     tasks = grid_tasks(panel, T_VALUES, STEP)
     np.random.default_rng(5).shuffle(tasks)
-    last, products = last_tasks(tasks), []
+    last, products, done = last_tasks(tasks), [], [-1]
 
     class Product:
         pass
@@ -505,10 +507,20 @@ def test_sweep_keeps_each_window_until_its_last_task_in_any_order(monkeypatch, k
         return product
 
     builds, _ = spy_window_builds(monkeypatch, panel)
-    for i, (task, e_in, pair) in enumerate(experiment._sweep(full, tasks, kind, make)):
+    counted = experiment._survivors
+
+    def checked(*args):  # at each window build, no product of a finished window is alive
+        assert not [key for key, ref in products if last[key] <= done[0] and ref() is not None], done[0]
+        return counted(*args)
+
+    monkeypatch.setattr(experiment, "_survivors", checked)
+    i = 0  # not enumerate: its reused result tuple would hold the last item into the next build
+    for task, e_in, pair in experiment._sweep(full, tasks, kind, make):
         assert task == tasks[i]
         assert not [key for key, ref in products if last[key] < i and ref() is not None], i
-    del e_in, pair
+        del e_in, pair
+        done[0], i = i, i + 1
+    assert i == len(tasks)
     assert builds == dict.fromkeys(builds, 1) and len(builds) > 50
     assert all(ref() is None for _, ref in products)
     assert sum(last[key] < len(tasks) - 1 for key, _ in products) > 50
@@ -517,12 +529,37 @@ def test_sweep_keeps_each_window_until_its_last_task_in_any_order(monkeypatch, k
 
 
 @pytest.mark.parametrize("kind", CORR_KINDS)
+def test_grid_holds_no_finished_window_while_it_builds_the_next(monkeypatch, kind):
+    """The grid's sweep and `_evaluate` drop a task's entry and pair before the next task's
+    windows are built: at each build, every window whose last task came before the first
+    task that names the new one has freed its survivors' mask."""
+    panel = gappy_panel(14)
+    tasks = grid_tasks(panel, T_VALUES, STEP)
+    last, first, masks = last_tasks(tasks), {}, []
+    for i, (t_in, t_out, end) in reversed(list(enumerate(tasks))):
+        first[t_in, end] = first[t_out, end + t_out] = i
+    survivors = experiment._survivors
+
+    def tracked(returns, *args):
+        key = window_key(panel, returns.dates)
+        assert not [k for k, ref in masks if last[k] < first[key] and ref() is not None], key
+        data, mask, cut = survivors(returns, *args)
+        masks.append((key, weakref.ref(mask)))
+        return data, mask, cut
+
+    monkeypatch.setattr(experiment, "_survivors", tracked)
+    assert run_grid(panel, T_VALUES, STEP, kind)[0] and len(masks) > 50
+
+
+@pytest.mark.parametrize("kind", CORR_KINDS)
 @pytest.mark.parametrize("step", [STEP, 3], ids=["step-divides-window", "step-does-not"])
 def test_timeseries_sweeps_in_chain_order_and_holds_at_most_two_windows(monkeypatch, kind, step):
     """`timeseries_rows` hands its sweep the end dates in chain order, unsorted, and a sweep
     in that order holds at most two window entries: when a window is built, at most one
-    other is alive. Swept by end date instead, with the step dividing the window, a row's
-    out-window waits window / step rows for its own row, and that many are alive."""
+    other is alive, through `timeseries_rows` as through a drained sweep, so neither the
+    sweep nor its consumer keeps the last task's entry or pair. Swept by end date instead,
+    with the step dividing the window, a row's out-window waits window / step rows for its
+    own row, and that many are alive."""
     panel, sweep = gappy_panel(14), experiment._sweep
     ends = range(TS_WINDOW, panel.n_dates, step)
     chain = [(TS_WINDOW, TS_WINDOW, end) for end in sorted(ends, key=lambda end: end % TS_WINDOW)]
@@ -547,6 +584,9 @@ def test_timeseries_sweeps_in_chain_order_and_holds_at_most_two_windows(monkeypa
         return data, mask, cut
 
     monkeypatch.setattr(experiment, "_survivors", tracked)
+    assert timeseries_rows(panel, TS_WINDOW, step, kind, "universe", ALPHA) == rows
+    assert max(held) == 1
+    held.clear()
     full = _with_mode(log_returns(panel), "universe")
     row = partial(experiment._timeseries_row, panel.sectors, ALPHA)
     deque(sweep(full, chain, kind, experiment._leading, row), maxlen=0)  # keeps no item
@@ -740,8 +780,82 @@ def test_a_window_that_does_not_fit_in_the_returns_is_a_data_error(scope):
             _window(full, end_idx, t)
     with pytest.raises(DataError, match=f"need 10 returns ending {panel.dates[5]}, have 5"):
         _window(full, 5, 10)
+    with pytest.raises(DataError, match=f"need 10 returns from {panel.dates[n - 8]}, have 9$"):
+        _window(full, n + 1, 10)
+    for t in (0, -3):
+        with pytest.raises(DataError, match="window lengths must be positive"):
+            _window(full, 10, t)
     first, last = _window(full, 10, 10)[0], _window(full, n, 10)[0]
     assert (first.dates[0], last.dates[-1]) == (panel.dates[1], panel.dates[-1])
+
+
+def filled_gaps(panel, seed=0):
+    """`panel` with a finite number, zero and negatives included, in every absent price
+    cell; the price mask is unchanged."""
+    fill = np.random.default_rng(seed).choice([-3.0, 0.0, 1e-300, 7.5, 1e300], panel.prices.shape)
+    prices = np.where(panel.present, panel.prices, fill)
+    return make_panel(prices, panel.dates, panel.assets, panel.sectors, present=panel.present)
+
+
+def dataset_or_error(panel, end_idx, kind, scope):
+    try:
+        ds = build_dataset(panel, panel.dates[end_idx], 12, 5, kind, scope)
+    except DataError as exc:
+        return str(exc)
+    arrays = (ds.iu, ds.ju, ds.labels, ds.scores_delta, ds.scores_absphi)
+    return ds.assets, [(a.dtype, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+def test_an_absent_price_gives_a_missing_return_whatever_number_it_holds(kind, scope):
+    """The price mask ends at log_returns: an absent price cell that holds a finite number
+    gives NaN returns, and the grid, timeseries and datasets equal those of the panel
+    with NaN in those cells."""
+    panel = gappy_panel(14)
+    filled = filled_gaps(panel)
+    assert np.isfinite(filled.prices).all() and not filled.present.all()
+    returns = log_returns(filled).returns
+    assert np.array_equal(np.isnan(returns), ~(panel.present[1:] & panel.present[:-1]))
+    assert returns.tobytes() == log_returns(panel).returns.tobytes()
+    grids = [run_grid(p, T_VALUES, STEP, kind, scope) for p in (panel, filled)]
+    assert [vars(r) for r in grids[0][0]] == [vars(r) for r in grids[1][0]] and grids[0][0]
+    assert grids[0][1] == grids[1][1]
+    rows = [timeseries_rows(p, TS_WINDOW, STEP, kind, scope, ALPHA) for p in (panel, filled)]
+    assert rows[0] == rows[1] and rows[0]
+    datasets = [[dataset_or_error(p, end, kind, scope) for end in range(p.n_dates)] for p in (panel, filled)]
+    assert datasets[0] == datasets[1]
+    assert any(not isinstance(d, str) for d in datasets[0]) and any(isinstance(d, str) for d in datasets[0])
+
+
+def test_complete_case_and_volatility_of_every_window_follow_the_price_mask(panel):
+    """For every window, with finite numbers in the absent price cells, complete_case keeps
+    the assets whose price pairs are all present and volatility averages the absolute log
+    returns of the present price pairs: the reference reads `panel.present`, not NaN."""
+    filled = filled_gaps(panel)
+    pairs = panel.present[1:] & panel.present[:-1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        logs = np.log(filled.prices)
+        steps = logs[1:] - logs[:-1]
+    full = _with_mode(log_returns(filled), "window")
+    checked = 0
+    for t in (1, 2, 5, 12, 30):
+        for end_idx in range(t, panel.n_dates):
+            window = _window(full, end_idx, t)[0]
+            present = pairs[end_idx - t : end_idx]
+            keep = present.all(axis=0)
+            if keep.any():
+                assert complete_case(window).assets == tuple(compress(panel.assets, keep)), (t, end_idx)
+            else:
+                with pytest.raises(DataError, match="complete-case"):
+                    complete_case(window)
+            if present.any():
+                expected = float(np.mean(np.abs(steps[end_idx - t : end_idx][present])))
+                assert volatility(window) == expected, (t, end_idx)
+            else:
+                with pytest.raises(DataError, match="empty"):
+                    volatility(window)
+            checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize("kind,scope", [("spearman", "universe"), ("phi", "global")])
