@@ -24,10 +24,8 @@ from .experiment import (
     RocResult,
     SignChangeDataset,
     aggregate_cells,
-    auc,
     build_dataset,
     default_t_values,
-    h_auc_association,
     roc,
     run_grid,
     stability_profile,
@@ -62,7 +60,6 @@ __all__ = [
     "SynthSpec",
     "aggregate_cells",
     "assortativity",
-    "auc",
     "balance_report",
     "binarize",
     "build_dataset",
@@ -71,7 +68,6 @@ __all__ = [
     "default_t_values",
     "eigvec_overlap",
     "generate",
-    "h_auc_association",
     "hamiltonian",
     "link_density",
     "load_panel",

@@ -48,7 +48,6 @@ from .preprocess import (
     volatility,
 )
 from .svn import build_svn
-from .util import _pearson
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +173,7 @@ def _tie_counts(index, labels, n: int):
 
 
 def _lattice_auc(lattice, labels) -> float:
-    """`auc` of the scores values[index] against `labels`."""
+    """`roc(labels, values[index]).auc`, counted per lattice value instead of sorted."""
     index, values = lattice
     return _groups_auc(*_tie_counts(index, labels, len(values)))
 
@@ -272,14 +271,6 @@ def build_dataset(
     return SignChangeDataset(common, iu, ju, side_in["signs"] != side_out["signs"], *scores)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    return ((starts + ends) / 2.0)[inverse]
-
-
 def _tie_groups(labels, scores):
     """Positive and negative label counts per `np.unique` group of the scores, ascending."""
     y = np.asarray(labels, dtype=bool)
@@ -295,24 +286,17 @@ def _tie_groups(labels, scores):
 
 
 def _groups_auc(pos, neg) -> float:
-    """AUC from `_tie_counts` of groups in ascending score order; see `auc`."""
+    """AUC from `_tie_counts` of groups in ascending score order; see `roc`."""
     twice_wins = int((pos * (2 * (np.cumsum(neg) - neg) + neg)).sum())
     return twice_wins / 2.0 / (int(pos.sum()) * int(neg.sum()))
-
-
-def auc(labels, scores) -> float:
-    """Area under the ROC curve of `scores` against boolean `labels`.
-
-    The rank statistic: the probability that a random positive outscores a
-    random negative, ties counting one half. Twice its numerator is an exact
-    integer, so the value equals the average-rank formula bit for bit.
-    """
-    return _groups_auc(*_tie_groups(labels, scores))
 
 
 def roc(labels, scores) -> RocResult:
     """ROC curve and AUC of `scores` against boolean `labels`.
 
+    `auc` is the rank statistic: the probability that a random positive
+    outscores a random negative, ties counting one half. Twice its numerator is
+    an exact integer, so it equals the average-rank formula bit for bit.
     `points` is the threshold sweep from the highest score down, one point per
     tied-score group; the trapezoidal area under it equals `auc`.
     """
@@ -387,13 +371,13 @@ def _pool_size(jobs: int, n_chunks: int) -> int:
 
 
 def _map_chunks(work, tasks, jobs: int, full, corr_kind, *extra) -> list:
-    """work(full, chunk, corr_kind, *extra) over `tasks` cut into jobs * 4 runs in order,
-    concatenated; `full` is a panel's `_with_mode`, made once in the parent. Workers are forked
-    whatever the Python's default start method, so they inherit `full` and the parent's BLAS
-    threads: results do not depend on `jobs`, and `_pool_size` workers never run more BLAS
-    threads than cores. Below 2 workers, one in-process `work` call takes all `tasks`."""
-    k, args = jobs * 4, (corr_kind, *extra)
-    chunks = [c for c in (tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)) if c]
+    """work(full, chunk, corr_kind, *extra) over `tasks` cut into min(jobs * 4, len(tasks))
+    runs in order, concatenated; `full` is a panel's `_with_mode`, made once in the parent.
+    Workers are forked whatever the Python's default start method, so they inherit `full` and
+    the parent's BLAS threads: results do not depend on `jobs`, and `_pool_size` workers never
+    run more BLAS threads than cores. Below 2 workers, one in-process `work` call takes all."""
+    k, args = min(jobs * 4, len(tasks)), (corr_kind, *extra)
+    chunks = [tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)]
     workers = _pool_size(jobs, len(chunks))
     if workers < 2:
         return list(work(full, tasks, *args))
@@ -529,13 +513,3 @@ def timeseries_rows(
         logger.info("timeseries skipped %d of %d end dates", len(tasks) - len(rows), len(tasks))
     return rows
 
-
-def h_auc_association(records) -> tuple:
-    """(Pearson, Spearman) correlation between auc_delta and out-of-sample balance."""
-    if len(records) < 3:
-        raise DataError("need at least 3 records")
-    aucs = np.array([r.auc_delta for r in records])
-    h_out = np.array([r.h_out for r in records])
-    pearson = _pearson(aucs, h_out)
-    spearman = _pearson(_average_ranks(aucs), _average_ranks(h_out))
-    return pearson, spearman

@@ -67,7 +67,7 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
     if panel.n_dates < 2:
         raise DataError("need at least 2 dates to compute returns")
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.log(panel.prices[1:]) - np.log(panel.prices[:-1])
+        r = np.diff(np.log(panel.prices), axis=0)
     r = np.where(panel.present[1:] & panel.present[:-1], r, np.nan)
     return ReturnPanel(panel.dates[1:], panel.assets, r)
 

@@ -13,7 +13,6 @@ from triadnet.experiment import (
     build_dataset,
     default_t_values,
     grid_tasks,
-    h_auc_association,
     roc,
     run_grid,
     stability_profile,
@@ -290,9 +289,10 @@ def test_pool_size_falls_back_to_cpu_count_without_affinity(monkeypatch):
     assert _pool_size(16, 64) == 1
 
 
-def test_pool_starts_no_idle_workers(monkeypatch):
-    """jobs 16 on a 3-task grid: 64 runs of which 3 are not empty, so 3 workers map 3
-    chunks. The pool here runs in-process and records what a real one would start."""
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """64 usable cores at one BLAS thread each, and a pool that runs in-process and records
+    what a real one would start: its max_workers and how many chunks it maps."""
     started = []
 
     class InProcessPool:
@@ -316,12 +316,34 @@ def test_pool_starts_no_idle_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiment, "_POOL_STATE", {})
+    return started
+
+
+def test_pool_starts_no_idle_workers(in_process_pool, monkeypatch):
+    """jobs 16 on a 3-task grid: 3 runs, so 3 workers map 3 chunks."""
     panel = generate(SynthSpec(n_assets=10, n_days=40, model="bipolar", seed=3))
     assert len(grid_tasks(panel, [10], 7)) == 3
     pooled = run_grid(panel, [10], 7, jobs=16)
-    assert started == [3, 3]
+    assert in_process_pool == [3, 3]
     monkeypatch.undo()
     assert pooled == run_grid(panel, [10], 7, jobs=1) and pooled[0]
+
+
+def test_huge_jobs_slice_the_tasks_at_most_once_per_task(in_process_pool):
+    """Chunks stop at one task each, so a huge --jobs slices the task list once per task."""
+    class SliceCountingList(list):
+        slices = 0
+
+        def __getitem__(self, index):
+            if isinstance(index, slice):
+                self.slices += 1
+            return super().__getitem__(index)
+
+    tasks = SliceCountingList([(10, 10, 10), (10, 10, 17), (10, 10, 24)])
+    chunks = experiment._map_chunks(lambda full, chunk, corr_kind: [chunk], tasks, 1000, None, "phi")
+    assert tasks.slices <= 3
+    assert chunks == [[task] for task in tasks]
+    assert in_process_pool == [3, 3]
 
 
 def test_serial_run_grid_leaves_no_worker_state():
@@ -365,34 +387,6 @@ def test_aggregate_cells():
     cells = aggregate_cells([rec(10, 10, 0.6, 0.5), rec(10, 10, 0.8, 0.7), rec(10, 20, 0.9, 0.4)])
     assert cells[(10, 10)] == (pytest.approx(0.7), pytest.approx(0.6), 2)
     assert cells[(10, 20)][2] == 1
-
-
-def test_h_auc_association_exact_and_null(rng):
-    def rec(auc, h):
-        return ExperimentRecord("d", 1, 1, 1.0, 1.0, auc, 0.5, 0.0, h, 0.01, 3)
-
-    records = [rec(0.9, -0.9), rec(0.7, -0.7), rec(0.6, -0.6), rec(0.55, -0.55)]
-    pearson, spearman = h_auc_association(records)
-    assert pearson == pytest.approx(-1.0, abs=1e-12)
-    assert spearman == pytest.approx(-1.0, abs=1e-12)
-    with pytest.raises(DataError):
-        h_auc_association(records[:2])
-    aucs = rng.uniform(0.4, 0.9, size=50)
-    hs = rng.uniform(-1, 0, size=50)
-    shuffled = []
-    for _ in range(50):
-        rng.shuffle(hs)
-        recs = [rec(a, h) for a, h in zip(aucs, hs)]
-        shuffled.append(abs(h_auc_association(recs)[0]))
-    assert np.mean(shuffled) < 0.2
-
-
-def test_h_auc_association_constant_series_rejected():
-    def rec(auc, h):
-        return ExperimentRecord("d", 1, 1, 1.0, 1.0, auc, 0.5, 0.0, h, 0.01, 3)
-
-    with pytest.raises(DataError, match="constant"):
-        h_auc_association([rec(0.5, -0.3), rec(0.5, -0.5), rec(0.5, -0.7)])
 
 
 def test_default_t_values():

@@ -27,7 +27,7 @@ from triadnet import correlation, experiment, svn, util
 from triadnet.balance import hamiltonian, pair_stability
 from triadnet.correlation import phi_matrix, sign_matrix
 from triadnet.errors import DataError
-from triadnet.experiment import _average_ranks, auc, roc
+from triadnet.experiment import roc
 from triadnet.graphmetrics import LabeledGraph
 from triadnet.preprocess import BinaryPanel, ReturnPanel, _signs, complete_case
 from triadnet.svn import Svn, build_svn
@@ -181,9 +181,12 @@ def test_complete_case_of_a_complete_window_is_the_gathered_panel():
 
 
 def rank_auc(labels, scores):
-    """The average-rank formula the single-sort AUC replaces."""
+    """The average-rank formula the single-sort AUC replaces: 1-based ranks, ties sharing
+    their average rank."""
     y = np.asarray(labels, dtype=bool)
-    ranks = _average_ranks(np.asarray(scores, dtype=float))
+    _, inverse, counts = np.unique(np.asarray(scores, dtype=float), return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = ((ends - counts + 1 + ends) / 2.0)[inverse]
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -197,9 +200,7 @@ def test_auc_equals_average_rank_formula_bitwise(size, levels):
         labels[:2] = [True, False]
         # scores on a lattice, as pair stability's k / (N-2), so ties are heavy
         scores = -rng.integers(-levels, levels + 1, size=size) / max(levels, 1)
-        value = auc(labels, scores)
-        assert value == rank_auc(labels, scores)
-        assert value == roc(labels, scores).auc
+        assert roc(labels, scores).auc == rank_auc(labels, scores)
 
 
 def test_lattice_auc_equals_auc_bitwise():
@@ -229,14 +230,14 @@ def test_lattice_auc_equals_auc_bitwise():
                 labels = rng.random(len(iu)) < rng.uniform(0.1, 0.9)
                 labels[rng.choice(len(iu), 2, replace=False)] = [True, False]
                 for name, expected in scores.items():
-                    assert experiment._lattice_auc(side[name], labels) == auc(labels, expected), name
+                    assert experiment._lattice_auc(side[name], labels) == roc(labels, expected).auc, name
                     compared += 1
     assert compared > 400
 
 
 def test_auc_rejects_non_finite_scores():
     with pytest.raises(DataError, match="finite"):
-        auc([True, False, True], [0.1, np.nan, 0.3])
+        roc([True, False, True], [0.1, np.nan, 0.3])
 
 
 BINARY_OK = np.array([[1, -1], [-1, 1], [1, 1]], dtype=float)
@@ -303,7 +304,7 @@ def test_roc_sorts_once(monkeypatch):
     monkeypatch.setattr(experiment, "_tie_groups", counted)
     result = roc([True, False, True, False], [0.9, 0.1, 0.5, 0.5])
     assert len(calls) == 1
-    assert result.auc == auc([True, False, True, False], [0.9, 0.1, 0.5, 0.5]) == 0.875
+    assert result.auc == 0.875
 
 
 def one_shot_tail_pvalues(c, ki, kj, t, lf):

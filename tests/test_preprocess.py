@@ -32,6 +32,21 @@ def test_log_returns_masks_gaps():
     assert not np.isnan(r.returns[:, 1]).any()
 
 
+def test_log_returns_diff_of_logs_equals_two_logs_bitwise():
+    """Absent cells may hold any number: 0 and a negative price log to -inf and NaN, and the
+    mask makes both NaN returns; a finite absent price is masked as well."""
+    rng = np.random.default_rng(5)
+    prices = np.exp(rng.normal(size=(30, 6)).cumsum(axis=0))
+    present = rng.random(prices.shape) > 0.2
+    absent = np.flatnonzero(~present)
+    prices.flat[absent] = np.resize([0.0, -3.0, 42.0], absent.size)
+    panel = make_panel(prices, present=present)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        two_logs = np.log(prices[1:]) - np.log(prices[:-1])
+    expected = np.where(present[1:] & present[:-1], two_logs, np.nan)
+    assert log_returns(panel).returns.tobytes() == expected.tobytes()
+
+
 def test_log_returns_needs_two_dates():
     with pytest.raises(DataError, match="at least 2"):
         log_returns(make_panel([[100.0]]))
