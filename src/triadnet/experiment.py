@@ -362,26 +362,26 @@ def _pool_run(chunk):
     return list(_POOL_STATE["work"](_POOL_STATE["full"], chunk, *_POOL_STATE["args"]))
 
 
-def _pool_size(jobs: int, n_chunks: int) -> int:
-    """min(jobs, n_chunks, usable cores // BLAS threads), with OpenBLAS's thread count read
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """min(jobs, n_tasks, usable cores // BLAS threads), with OpenBLAS's thread count read
     as it reads it: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else the usable cores."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     values = (os.environ.get(var, "").strip() for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    return min(jobs, n_chunks, cores // next((int(v) for v in values if v.isdigit() and int(v) > 0), cores))
+    return min(jobs, n_tasks, cores // next((int(v) for v in values if v.isdigit() and int(v) > 0), cores))
 
 
 def _map_chunks(work, tasks, jobs: int, full, corr_kind, *extra) -> list:
-    """work(full, chunk, corr_kind, *extra) over `tasks` cut into min(jobs * 4, len(tasks))
-    runs in order, concatenated; `full` is a panel's `_with_mode`, made once in the parent.
-    Workers are forked whatever the Python's default start method, so they inherit `full` and
-    the parent's BLAS threads: results do not depend on `jobs`, and `_pool_size` workers never
-    run more BLAS threads than cores. Below 2 workers, one in-process `work` call takes all."""
-    k, args = min(jobs * 4, len(tasks)), (corr_kind, *extra)
-    chunks = [tasks[i * len(tasks) // k : (i + 1) * len(tasks) // k] for i in range(k)]
-    workers = _pool_size(jobs, len(chunks))
+    """work(full, chunk, corr_kind, *extra) over `tasks` cut into one contiguous run per
+    `_pool_size` worker, in order, concatenated; `full` is a panel's `_with_mode`, made once in
+    the parent. Below 2 workers, one in-process `work` call takes all. Workers are forked
+    whatever the Python's default start method, so they inherit `full` and the parent's BLAS
+    threads: results do not depend on `jobs`, workers never run more BLAS threads than cores,
+    and each cut adds at most the windows that straddle it."""
+    workers, args = _pool_size(jobs, len(tasks)), (corr_kind, *extra)
     if workers < 2:
         return list(work(full, tasks, *args))
-    logger.debug("process pool of %d workers for %d chunks", workers, len(chunks))
+    chunks = [tasks[i * len(tasks) // workers : (i + 1) * len(tasks) // workers] for i in range(workers)]
+    logger.debug("process pool of %d workers for %d tasks, one run each", workers, len(tasks))
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_pool_init, initargs=(work, full, args)) as pool:
         return [r for part in pool.map(_pool_run, chunks) for r in part]
@@ -408,7 +408,7 @@ def run_grid(
     fail preprocessing or have no class variation are skipped, counted and
     logged, not errors. Records come back sorted by (t_in, t_out, end_date)
     regardless of `jobs`. One sweep over end dates builds each window once; a
-    pool (see `_map_chunks`) gives each worker contiguous runs of end dates.
+    pool (see `_map_chunks`) gives each worker one contiguous run of end dates.
     """
     _check_kind(corr_kind)
     t_values = list(t_values)
@@ -495,7 +495,7 @@ def timeseries_rows(
     End dates are swept in chain order, (end mod window, end): where the step divides the
     window a row's out-window is the next row's in-window, and each window is dropped after
     its last use, so at most two are held. Rows do not depend on `jobs`. A pool (see
-    `_map_chunks`) cuts the chain order, and each cut costs at most one more window build.
+    `_map_chunks`) cuts the chain order between workers, so it adds at most workers - 1 builds.
     """
     _check_kind(corr_kind)
     if window < 2 or step < 1:

@@ -278,6 +278,33 @@ def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert code == 1 and "usage error:" in err and "c.json" in err, err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "must be a JSON object"),
+    ('{"sectors": "s.csv", "output_dir": "o"}', "is missing required key 'prices'"),
+], ids=["list", "no-prices"])
+def test_config_that_is_not_a_complete_object_is_a_usage_error(text, message, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    code, _, err = run(["grid", "--config", str(cfg)], capsys)
+    assert code == 1 and "usage error:" in err and message in err, err
+
+
+def test_synth_blocks_that_are_not_integers_are_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    code, _, err = run(["synth", "--model", "sector_block", "--n", "9", "--t", "20",
+                        "--blocks", "3,x", "--out", str(out)], capsys)
+    assert code == 1 and "usage error: cannot parse --blocks '3,x'" in err, err
+    assert not out.exists()
+
+
+def test_output_path_under_a_file_is_an_io_error(tmp_path, capsys):
+    prices, sectors = make_market(tmp_path, capsys)
+    end_date = prices.read_text().splitlines()[-1].split(",")[0]
+    code, _, err = run(["balance", "--prices", str(prices), "--sectors", str(sectors), "--end-date",
+                        end_date, "--window", "60", "--out", str(prices / "b.json")], capsys)
+    assert code == 2 and "io error:" in err and "Traceback" not in err, err
+
+
 def test_synth_sector_block_cli(tmp_path, capsys):
     code, out, _ = run(
         [

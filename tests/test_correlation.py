@@ -100,6 +100,11 @@ def test_partial_pearson_degenerate_gap_rejected():
         partial_pearson(make_returns(x))
 
 
+def test_partial_pearson_of_one_asset_rejected():
+    with pytest.raises(DataError, match="needs at least 2 assets"):
+        partial_pearson(make_returns([[0.1], [-0.2], [0.3]]))
+
+
 @pytest.mark.parametrize("t,n", [(5, 4), (30, 90), (120, 40), (300, 450)])
 def test_pearson_kernels_are_exactly_symmetric_on_gappy_windows(rng, t, n):
     """Neither kernel symmetrizes: z.T @ z is one syrk product, and the partial matrix is

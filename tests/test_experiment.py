@@ -275,7 +275,7 @@ def test_pool_size_never_runs_more_blas_threads_than_usable_cores(monkeypatch, e
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     assert _pool_size(16, 64) == expected
-    assert _pool_size(16, 1) == min(expected, 1)  # never more workers than chunks
+    assert _pool_size(16, 1) == min(expected, 1)  # never more workers than tasks
     assert _pool_size(1, 64) == min(expected, 1)  # nor than jobs
 
 
@@ -320,7 +320,7 @@ def in_process_pool(monkeypatch):
 
 
 def test_pool_starts_no_idle_workers(in_process_pool, monkeypatch):
-    """jobs 16 on a 3-task grid: 3 runs, so 3 workers map 3 chunks."""
+    """jobs 16 on a 3-task grid: 3 workers, each mapping a run of one task."""
     panel = generate(SynthSpec(n_assets=10, n_days=40, model="bipolar", seed=3))
     assert len(grid_tasks(panel, [10], 7)) == 3
     pooled = run_grid(panel, [10], 7, jobs=16)
@@ -330,7 +330,8 @@ def test_pool_starts_no_idle_workers(in_process_pool, monkeypatch):
 
 
 def test_huge_jobs_slice_the_tasks_at_most_once_per_task(in_process_pool):
-    """Chunks stop at one task each, so a huge --jobs slices the task list once per task."""
+    """Workers stop at one per task, and each takes one run, so a huge --jobs slices the
+    task list at most once per task."""
     class SliceCountingList(list):
         slices = 0
 
@@ -407,3 +408,10 @@ def test_timeseries_rows_shape():
         assert 0 <= row["density"] <= 1
     # trailing windows have no out-of-sample partner for the overlap
     assert rows[-1]["v1_overlap"] is None
+
+
+@pytest.mark.parametrize("window,step", [(1, 1), (25, 0)])
+def test_timeseries_rows_rejects_a_short_window_or_a_zero_step(window, step):
+    panel = generate(SynthSpec(n_assets=6, n_days=40, model="bipolar", seed=2))
+    with pytest.raises(DataError, match="window of at least 2 returns and a step of at least 1"):
+        timeseries_rows(panel, window, step)

@@ -93,6 +93,12 @@ def test_load_unreadable_file(tmp_path):
         load_panel(tmp_path / "absent.csv", _sectors_file(tmp_path), "long")
 
 
+def test_load_unknown_format_rejected(tmp_path):
+    prices = _write(tmp_path / "p.csv", "date,ticker,adj_close\n2020-01-02,AAA,10.0\n")
+    with pytest.raises(DataError, match="unknown panel format 'tall'"):
+        load_panel(prices, _sectors_file(tmp_path), "tall")
+
+
 def test_load_wide_duplicate_date_rejected(tmp_path):
     prices = _write(
         tmp_path / "p.csv",

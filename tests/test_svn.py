@@ -118,6 +118,13 @@ def test_build_svn_identical_columns_selected():
     assert np.array_equal(net.adjacency, net.adjacency.T)
 
 
+@pytest.mark.parametrize("polarity", ["positive", "negative"])
+def test_build_svn_of_one_asset_has_no_pairs_to_test(polarity):
+    net = build_svn(make_binary([[1], [-1], [1], [1]]), alpha=0.1, polarity=polarity)
+    assert net.assets == ("A0",) and net.pvalues == {}
+    assert net.adjacency.shape == (1, 1) and not net.adjacency.any()
+
+
 def test_build_svn_opposite_columns_negative_polarity():
     col = np.tile([1, -1], 10)
     noise = np.array([1 if i % 3 else -1 for i in range(20)])

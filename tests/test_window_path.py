@@ -117,8 +117,34 @@ def flat_in_one_window_panel(seed=3, n=13, t=90):
     rises = rng.permuted(np.tile(np.arange(n - 1) < (n - 1) // 2, (20, 1)), axis=1)
     r[40:60, others] = np.where(rises, 1.0, -1.0) * np.abs(r[40:60, others])
     r[40:60, 6] = 0.0
-    prices = 100.0 * np.exp(np.vstack([np.zeros(n), np.cumsum(r, axis=0)]))
-    return labeled_panel(prices, tuple(f"A{i:02d}" for i in range(n)))
+    return returns_panel(r)
+
+
+def returns_panel(r):
+    """Complete and name-ordered, with log returns r up to rounding."""
+    prices = 100.0 * np.exp(np.vstack([np.zeros(r.shape[1]), np.cumsum(r, axis=0)]))
+    return labeled_panel(prices, tuple(f"A{i:02d}" for i in range(r.shape[1])))
+
+
+def hadamard_panel(seed=4):
+    """3 assets whose first 8 returns repeat columns 2-4 of the 4 x 4 Hadamard matrix, times 0.01:
+    over any 4 consecutive ones each column has zero mean and the columns are orthogonal, so a
+    window of 4 there has the identity as its Pearson matrix, a spectrum partial Pearson
+    refuses. The last 8 returns are random, and every window that reaches them keeps 3 assets."""
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)[:, 1:]
+    random = np.random.default_rng(seed).normal(size=(8, 3))
+    return returns_panel(0.01 * np.vstack([np.tile(h, (2, 1)), random]))
+
+
+def ordered_panel(seed=4):
+    """3 assets whose first 8 returns keep one order, A00 above A01 above A02, by gaps that
+    vary: A01 is each day's median under either scope, so a window of 4 there has no asset
+    whose phi sign changes, while A00 and A02 vary in their raw and partial returns. The last
+    8 returns are random, and every window that reaches them keeps 3 assets."""
+    rng = np.random.default_rng(seed)
+    b, gaps = rng.normal(size=8), 0.5 + rng.random((8, 2))
+    ordered = np.column_stack([b + gaps[:, 0], b, b - gaps[:, 1]])
+    return returns_panel(0.01 * np.vstack([ordered, rng.normal(size=(8, 3))]))
 
 
 # panels for the grid differential beyond the `panel` fixture's two gappy ones
@@ -236,11 +262,11 @@ def ref_grid(panel, kind, scope, t_values=T_VALUES):
     return records, skips
 
 
-def ref_timeseries(panel, kind, scope, step=STEP):
+def ref_timeseries(panel, kind, scope, step=STEP, window=TS_WINDOW):
     rows = []
-    for end_idx in range(TS_WINDOW, panel.n_dates, step):
+    for end_idx in range(window, panel.n_dates, step):
         try:
-            r_in, a_in, x_in = ref_survivors(panel, end_idx, TS_WINDOW, kind, scope)
+            r_in, a_in, x_in = ref_survivors(panel, end_idx, window, kind, scope)
             if len(a_in) < 3:
                 raise DataError("fewer than 3 surviving assets")
             corr_in = ref_corr(r_in, a_in, x_in, a_in, kind)
@@ -256,11 +282,9 @@ def ref_timeseries(panel, kind, scope, step=STEP):
             except DataError:
                 pass
         overlap = None
-        if end_idx + TS_WINDOW <= panel.n_dates - 1:
+        if end_idx + window <= panel.n_dates - 1:
             try:
-                r_out, a_out, x_out = ref_survivors(
-                    panel, end_idx + TS_WINDOW, TS_WINDOW, kind, scope
-                )
+                r_out, a_out, x_out = ref_survivors(panel, end_idx + window, window, kind, scope)
                 common = tuple(a for a in a_in if a in a_out)
                 if len(common) >= 2:
                     v_in = spectral_summary(ref_corr(r_in, a_in, x_in, common, kind), k=1)[1]
@@ -347,15 +371,18 @@ def spy_window_builds(monkeypatch, panel):
     return builds, products
 
 
+def task_windows(tasks):
+    """The distinct (t, end price row) windows that `tasks` name."""
+    return {(t_in, end) for t_in, _, end in tasks} | {(t_out, end + t_out) for _, t_out, end in tasks}
+
+
 def counted_window_builds(monkeypatch, kind, scope, panel, t_values):
     """Run a serial grid; return (survivor builds per (t, end idx) window, window products
     by whether they are on a window's own survivors, the distinct windows of the grid)."""
     builds, products = spy_window_builds(monkeypatch, panel)
     records, _ = run_grid(panel, t_values, STEP, kind, scope)
     assert [vars(r) for r in records] == [vars(r) for r in ref_grid(panel, kind, scope, t_values)[0]]
-    tasks = grid_tasks(panel, t_values, STEP)
-    windows = {(t_in, end) for t_in, _, end in tasks} | {(t_out, end + t_out) for _, t_out, end in tasks}
-    return builds, products, windows
+    return builds, products, task_windows(grid_tasks(panel, t_values, STEP))
 
 
 @pytest.mark.parametrize("kind,scope", KINDS)
@@ -609,13 +636,10 @@ def test_pooled_timeseries_raises_what_a_worker_raises(pool_spy):
     assert pool_spy.workers == [2]
 
 
-@forks_blas_threads
-@pytest.mark.parametrize("kind", CORR_KINDS)
-def test_pooled_timeseries_builds_at_most_one_more_window_per_cut(tmp_path, monkeypatch, pool_spy, kind):
-    """With the step dividing the window, chain order puts a row's out-window, the next
-    row's in-window, in the same chunk but at a cut. `_survivors` calls, counted through a
-    file across the forked workers, exceed the serial count by at most one per cut; runs
-    of contiguous end dates would build most out-windows twice."""
+@pytest.fixture
+def count_survivors(tmp_path, monkeypatch):
+    """counted(fn, *args, **kwargs) -> (fn's result, the `_survivors` calls it made), counted
+    through a file, so the calls of forked pool workers count too."""
     log = tmp_path / "survivors.log"
     survivors = experiment._survivors
 
@@ -624,17 +648,45 @@ def test_pooled_timeseries_builds_at_most_one_more_window_per_cut(tmp_path, monk
             fh.write(".\n")
         return survivors(*args)
 
-    def calls(jobs):
+    def counted(fn, *args, **kwargs):
         log.write_text("", encoding="utf-8")
-        rows = timeseries_rows(panel, TS_WINDOW, STEP, kind, "universe", ALPHA, jobs=jobs)
-        return rows, len(log.read_text(encoding="utf-8").splitlines())
+        result = fn(*args, **kwargs)
+        return result, len(log.read_text(encoding="utf-8").splitlines())
 
     monkeypatch.setattr(experiment, "_survivors", logged)
+    return counted
+
+
+@forks_blas_threads
+@pytest.mark.parametrize("kind", CORR_KINDS)
+def test_pooled_timeseries_builds_at_most_one_more_window_per_cut(count_survivors, pool_spy, kind):
+    """With the step dividing the window, chain order puts a row's out-window, the next
+    row's in-window, in the same run. The one cut between 2 workers falls inside a chain,
+    so the second worker builds that window again: one build more than serially. Runs of
+    contiguous end dates would build most out-windows twice."""
     panel = complete_panel(16)
     assert TS_WINDOW % STEP == 0
-    (serial, n_serial), (pooled, n_pooled) = calls(1), calls(2)
-    assert pooled == serial and pool_spy.workers == [2]
-    assert n_serial < n_pooled <= n_serial + pool_spy.chunks[0] - 1
+    args = panel, TS_WINDOW, STEP, kind, "universe", ALPHA
+    (serial, n_serial), (pooled, n_pooled) = (count_survivors(timeseries_rows, *args, jobs=j) for j in (1, 2))
+    assert pooled == serial and pool_spy.workers == [2] and pool_spy.chunks == [2]
+    assert n_pooled == n_serial + 1
+
+
+@forks_blas_threads
+def test_pooled_grid_cuts_one_run_per_worker_whatever_jobs(count_survivors, pool_spy):
+    """At step 1 neighbouring end dates share most windows. Jobs 2 and 1000 both start 2
+    workers, each sweeping one contiguous run of end dates, so both build each window once
+    plus, once more, each window that tasks on both sides of the cut name. Cutting a run
+    per task would build a window once for every task that names it."""
+    panel, t_values = complete_panel(16), [5, 12]
+    tasks = grid_tasks(panel, t_values, 1)
+    first, second = task_windows(tasks[: len(tasks) // 2]), task_windows(tasks[len(tasks) // 2 :])
+    serial, n_serial = count_survivors(run_grid, panel, t_values, 1)
+    assert n_serial == len(first | second)
+    for jobs in (2, 1000):
+        pooled, n_pooled = count_survivors(run_grid, panel, t_values, 1, jobs=jobs)
+        assert pooled == serial and n_pooled == n_serial + len(first & second)
+    assert serial[0] and pool_spy.workers == [2, 2] and pool_spy.chunks == [2, 2]
 
 
 @pytest.mark.parametrize("kind", CORR_KINDS)
@@ -687,6 +739,29 @@ def test_timeseries_logs_its_skipped_end_dates_once(caplog):
         f"timeseries skipped {ends - len(rows)} of {ends} end dates"
     ]
     assert len(rows) < ends
+
+
+NO_PHI_SIGNS = "no asset survives constant-column filtering"
+
+
+@pytest.mark.parametrize("kind,scope", KINDS)
+@pytest.mark.parametrize("make,skips", [
+    (hadamard_panel, {"partial_pearson": "leading eigenvalue is not separated from the second"}),
+    (ordered_panel, {"pearson": NO_PHI_SIGNS, "partial_pearson": NO_PHI_SIGNS}),
+], ids=["hadamard", "ordered"])
+def test_timeseries_skips_a_row_whose_own_product_or_phi_signs_fail(make, skips, kind, scope, caplog):
+    """A window of 4 that preprocesses, but whose own correlation or, for a non-phi kind, whose
+    phi signs for the network raise DataError, has no row, and the error is its skip reason:
+    the 5 windows of the first 8 returns skip under a kind in `skips`, and 8 of 13 rows remain."""
+    panel = make()
+    with caplog.at_level(logging.DEBUG, logger="triadnet.experiment"):
+        rows = timeseries_rows(panel, 4, 1, kind, scope, ALPHA)
+    assert rows == ref_timeseries(panel, kind, scope, step=1, window=4)
+    reasons = [rec.args[1] for rec in caplog.records if rec.msg == "timeseries skips %s: %s"]
+    if kind in skips:
+        assert len(rows) == 8 and reasons == [skips[kind]] * 5
+    elif make is hadamard_panel and kind == "pearson":
+        assert len(rows) == 13  # the identity is a valid Pearson matrix
 
 
 def assert_gather_recuts_survivors(assets, x, mask, cut):
