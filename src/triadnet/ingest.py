@@ -9,8 +9,8 @@ simply a row of the panel.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -125,15 +125,40 @@ def load_sectors(path) -> dict:
     return sectors
 
 
-def _load_long(header, body, line, path):
+_BLOCK = 1 << 18  # bytes of whole lines that a long file is parsed in at a time
+
+
+def _long_columns(header, path):
+    """The (date, ticker, adj_close) column indexes of a long file's header."""
     columns = [c.strip().lower() for c in header]
     if not {"date", "ticker", "adj_close"} <= set(columns):
         raise DataError(f"{path}: long format needs header columns date,ticker,adj_close; got {header}")
-    i_date, i_tick, i_price = (columns.index(name) for name in ("date", "ticker", "adj_close"))
-    top = max(i_date, i_tick, i_price)
-    d_ix, a_ix = {}, {}  # the grid row of each date and column of each ticker, in first-seen order
-    # A flat dates x width grid, row by row; NaN marks a (date, ticker) cell not seen yet.
-    width, grid, last, base = 64, array("d"), None, 0
+    return tuple(columns.index(name) for name in ("date", "ticker", "adj_close"))
+
+
+def _fit(grid, rows, width):
+    """grid, or a copy of it doubled in height and width until it holds rows x width; new cells are NaN."""
+    r, w = grid.shape
+    if rows <= r and width <= w:
+        return grid
+    while r < rows:
+        r *= 2
+    while w < width:
+        w *= 2
+    out = np.full((r, w), np.nan)
+    out[: len(grid), : grid.shape[1]] = grid
+    return out
+
+
+def _records(body, line, path, cols, d_ix, a_ix, grid):
+    """grid, or a grown copy, with body's (k, cells) records loaded one at a time.
+
+    d_ix and a_ix give the grid row of each date and column of each ticker; a name new to them
+    takes the next index. NaN marks a (date, ticker) cell not seen yet. A record whose cells are
+    all blank is skipped; any other fault raises DataError naming record k's line(k)."""
+    i_date, i_tick, i_price = cols
+    top, width = max(cols), grid.shape[1]
+    cells, last, base = memoryview(grid.reshape(-1)), None, 0
     for k, row in body:
         date, ticker = (row[i_date].strip(), row[i_tick].strip()) if len(row) > top else ("", "")
         if not (date and ticker):
@@ -143,26 +168,130 @@ def _load_long(header, body, line, path):
             raise DataError(f"{path} line {line(k)}: {fault}")
         if date != last:  # consecutive records mostly share a date: keep its row offset
             d = d_ix.setdefault(date, len(d_ix))
-            if d * width == len(grid):
-                grid.extend(array("d", [math.nan]) * width)
+            if d >= len(grid):
+                grid = _fit(grid, d + 1, width)
+                cells = memoryview(grid.reshape(-1))
             last, base = date, d * width
         a = a_ix.setdefault(ticker, len(a_ix))
-        if a == width:  # one past the right edge: re-lay the rows out at double width
-            old, width = grid, 2 * width
-            grid = array("d", [math.nan]) * (len(d_ix) * width)
-            for r in range(len(d_ix)):
-                grid[r * width : r * width + a] = old[r * a : r * a + a]
+        if a >= width:  # past the right edge: re-lay the rows out wider
+            grid = _fit(grid, len(grid), a + 1)
+            width, cells = grid.shape[1], memoryview(grid.reshape(-1))
             base = d_ix[date] * width
         i = base + a
-        if grid[i] == grid[i]:  # not NaN: the pair was seen before
+        if cells[i] == cells[i]:  # not NaN: the pair was seen before
             raise DataError(f"{path} line {line(k)}: duplicate (date,ticker) pair {(date, ticker)}")
         try:
             value = float(row[i_price])
         except ValueError:
             value = 0.0  # _price raises for it, naming the fault
-        grid[i] = value if 0 < value < math.inf else _price(row[i_price], path, line, k, date, ticker)
+        cells[i] = value if 0 < value < math.inf else _price(row[i_price], path, line, k, date, ticker)
+    return grid
+
+
+def _codes(names, ix):
+    """The index in ix of each of a block's names, stripped, with the new ones added in
+    first-seen order; None, and nothing added, if one is empty."""
+    try:
+        return np.fromiter(map(ix.__getitem__, names), np.intp, len(names))
+    except KeyError:
+        pass
+    new = [name for name in dict.fromkeys(names) if name not in ix]
+    if any(name != name.strip() for name in new):
+        names = list(map(str.strip, names))
+        new = [name for name in dict.fromkeys(names) if name not in ix]
+    if "" in new:
+        return None
+    ix.update(zip(new, range(len(ix), len(ix) + len(new))))
+    return np.fromiter(map(ix.__getitem__, names), np.intp, len(names))
+
+
+def _block(raw, text, cols, m, d_ix, a_ix, grid):
+    """grid, or a grown copy, with the records of a block of whole lines loaded at once, or None
+    if the block is not plain. A plain block has no quote, CR or NUL, exactly m cells on every
+    line, no empty date or ticker, finite positive prices and no (date, ticker) pair that repeats
+    within it or one loaded before. Split at commas, such a block is what csv.reader reads. The
+    names it meets stay in d_ix and a_ix even when it returns None, maybe past grid's edges."""
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    if not raw.endswith(b"\n"):  # the file's last line
+        raw, text = raw + b"\n", text + "\n"
+    chars = np.frombuffer(raw, np.uint8)
+    ends = chars == ord("\n")
+    seps = np.flatnonzero(ends | (chars == ord(",")))  # where each cell ends
+    if len(seps) != np.count_nonzero(ends) * m or not (chars[seps[m - 1 :: m]] == ord("\n")).all():
+        return None
+    if np.diff(seps, prepend=-1).max() > csv.field_size_limit() + 1:  # a cell csv.reader refuses
+        return None
+    cells = text.replace("\n", ",").split(",")
+    del cells[-1]  # after the last line's end
+    i_date, i_tick, i_price = cols
+    d = _codes(cells[i_date::m], d_ix)
+    a = None if d is None else _codes(cells[i_tick::m], a_ix)
+    if a is None:
+        return None
+    try:
+        values = np.array(cells[i_price::m], dtype=float)  # each as float() reads it
+    except ValueError:
+        return None
+    if not ((values > 0) & (values < math.inf)).all():
+        return None
+    grid = _fit(grid, len(d_ix), len(a_ix))
+    flat, at = grid.reshape(-1), d * grid.shape[1] + a
+    if not np.isnan(flat[at]).all():
+        return None
+    order = np.arange(len(at), dtype=float)
+    flat[at] = order  # a cell written twice keeps only its last record's number
+    if not (flat[at] == order).all():
+        flat[at] = np.nan
+        return None
+    flat[at] = values
+    return grid
+
+
+def _long_blocks(path, d_ix, a_ix, grid):
+    """grid, or a grown copy, with a long file's records loaded block by block: a plain block
+    (see `_block`) at once, any other one by `_records`, its lines split as a file opened with
+    newline="" splits them. A fault raises, but its message, and the line lookup `int` stands
+    in for, are not the ones to report (see `_load_long`)."""
+    with open(path, "rb") as fh:
+        def rest_of_line():  # with its "\n"
+            raw = fh.readline(_BLOCK)
+            if len(raw) == _BLOCK and not raw.endswith(b"\n"):
+                raise DataError(f"{path}: a line longer than {_BLOCK} bytes")
+            return raw
+
+        header = next(csv.reader(map(bytes.decode, iter(rest_of_line, b""))), None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        cols = _long_columns(header, path)
+        while raw := fh.read(_BLOCK):
+            raw += rest_of_line()
+            text = raw.decode()
+            loaded = _block(raw, text, cols, len(header), d_ix, a_ix, grid)
+            if loaded is None:  # strict: a quoted field still open at the block's end raises
+                rows = csv.reader(io.StringIO(text, newline=""), strict=True)
+                loaded = _records(enumerate(rows), int, path, cols, d_ix, a_ix, grid)
+            grid = loaded
+    return grid
+
+
+def _load_long(path):
+    """(dates, assets, dates x assets prices) of a long file, both in name order.
+
+    The file is parsed in blocks of whole lines of about _BLOCK bytes (see `_long_blocks`). A
+    fault, a line longer than a block, or a block that csv.reader's strict mode refuses, as it
+    does one that ends inside a quoted field, makes the record loop read the file again from
+    its start as one text stream, as csv.reader reads it, so that a message, its line and which
+    fault comes first (a bad row, or a byte that is not UTF-8 in an 8 KB chunk the reader
+    decodes) do not depend on where the blocks were cut."""
+    try:
+        d_ix, a_ix, grid = {}, {}, np.full((64, 64), np.nan)
+        grid = _long_blocks(path, d_ix, a_ix, grid)
+    except (OSError, UnicodeDecodeError, csv.Error, DataError):
+        d_ix, a_ix, grid = {}, {}, np.full((64, 64), np.nan)
+        with _csv(path, f"{path}: empty file") as (header, body, line):
+            grid = _records(body, line, path, _long_columns(header, path), d_ix, a_ix, grid)
     dates, assets = sorted(d_ix), sorted(a_ix)
-    grid = np.frombuffer(grid, dtype=float).reshape(len(d_ix), width)
     return dates, assets, grid[np.ix_([d_ix[d] for d in dates], [a_ix[a] for a in assets])]
 
 
@@ -213,20 +342,29 @@ def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
             listed get the label "UNKNOWN".
         format: "long" or "wide".
 
-    Each record is parsed as it is read, so memory is O(dates x assets) and
-    does not grow with the file's length. A long file's assets come in name
-    order, a wide file's in its header's order.
+    A long file is parsed a block of whole lines (about 256 KB) at a time into a
+    dates x assets grid that doubles as dates and tickers come. A block with no
+    quote, CR or NUL, the header's cell count on every line and no fault is
+    split at commas, its prices parsed by one numpy call and scattered at once;
+    any other block goes through the record loop a record at a time. A wide
+    file is parsed a row at a time. Memory is O(dates x assets + one block)
+    and does not grow with the file's length. A long file's assets come in
+    name order, a wide file's in its header's order.
 
     Raises:
-        DataError: the first fault the reader meets: an unreadable or non-UTF-8
-            file, a duplicate (date,ticker), a non-positive or non-finite price
-            (the message names the row).
+        DataError: the first fault a record-by-record reader meets: an
+            unreadable or non-UTF-8 file, a duplicate (date,ticker), a
+            non-positive or non-finite price (the message names the row). A
+            long file with a fault is read again by the record loop alone, from
+            its start, so the fault reported does not depend on the blocks.
     """
-    with _csv(prices_path, f"{prices_path}: empty file") as (header, body, line):
-        load = {"long": _load_long, "wide": _load_wide}.get(format)
-        if load is None:
-            raise DataError(f"unknown panel format {format!r} (expected one of {PANEL_FORMATS})")
-        dates, assets, prices = load(header, body, line, prices_path)
+    if format == "long":
+        dates, assets, prices = _load_long(prices_path)
+    elif format == "wide":
+        with _csv(prices_path, f"{prices_path}: empty file") as (header, body, line):
+            dates, assets, prices = _load_wide(header, body, line, prices_path)
+    else:
+        raise DataError(f"unknown panel format {format!r} (expected one of {PANEL_FORMATS})")
     if not dates:
         raise DataError(f"{prices_path}: no data rows")
     known = load_sectors(sectors_path)

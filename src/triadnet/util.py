@@ -73,7 +73,10 @@ def atomic_write_text(path, text) -> None:
     """Write `text` (a string, or strings written as they come) to `path` via a temp file in
     the same directory plus rename. The file gets open()'s mode, 0o666 less the umask."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # a file stands where a directory must be
+        raise NotADirectoryError(f"cannot write {path}: its parent is not a directory") from None
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

@@ -303,6 +303,7 @@ def test_output_path_under_a_file_is_an_io_error(tmp_path, capsys):
     code, _, err = run(["balance", "--prices", str(prices), "--sectors", str(sectors), "--end-date",
                         end_date, "--window", "60", "--out", str(prices / "b.json")], capsys)
     assert code == 2 and "io error:" in err and "Traceback" not in err, err
+    assert f"cannot write {prices / 'b.json'}: its parent is not a directory" in err, err
 
 
 def test_synth_sector_block_cli(tmp_path, capsys):

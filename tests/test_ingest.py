@@ -1,10 +1,12 @@
 import csv
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from triadnet import ingest
 from triadnet.errors import DataError
 from triadnet.ingest import UNKNOWN_SECTOR, PricePanel, load_panel, write_panel_long
 
@@ -660,3 +662,134 @@ def test_load_panel_memory_does_not_grow_with_the_file(tmp_path):
     assert np.array_equal(loaded.prices, panel.prices)
     assert written < 2 * 2**20, written
     assert peak < 16 * 2**20, peak
+
+
+def test_crlf_and_fully_quoted_copies_load_as_the_plain_file(tmp_path):
+    """A long file of 300 dates x 40 assets with 15% of its cells absent (about 370 KB, so
+    more than one block of the block loader) loads to the same panel, byte for byte, from a
+    copy with CRLF line ends and from a copy with every cell quoted."""
+    rng = np.random.default_rng(31)
+    prices = rng.uniform(1, 100, size=(300, 40))
+    prices[rng.random(prices.shape) < 0.15] = np.nan
+    dates = [f"2020-{i:04d}" for i in range(300)]
+    p, s = tmp_path / "p.csv", tmp_path / "s.csv"
+    write_panel_long(make_panel(prices, dates=dates), p, s)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    crlf = _write_bytes(tmp_path / "crlf.csv", "".join(line + "\r\n" for line in lines))
+    quoted = _write_bytes(
+        tmp_path / "quoted.csv", "".join(",".join(f'"{c}"' for c in line.split(",")) + "\n" for line in lines)
+    )
+    want = _outcome(load_panel, p, s, "long")
+    assert not isinstance(want, str) and len(want[0]) == 300
+    assert _outcome(load_panel, crlf, s, "long") == want
+    assert _outcome(load_panel, quoted, s, "long") == want
+
+
+# --- the block loader: a long file is parsed a block of whole lines at a time --------
+
+
+def _fixed_lines(n):
+    """n fixed-width long records of 64 tickers a date; after the first date every 7th
+    (date, ticker) pair is absent."""
+    pairs = ((k // 64, k % 64) for k in range(n * 7 // 6 + 64) if k < 64 or k % 7 != 3)
+    return [f"2020-{d:05d},T{t:02d},{10 + k % 90}.{k % 7}" for k, (d, t) in zip(range(n), pairs)]
+
+
+def _block_spans(data, block):
+    """(first, last) line, counted from 1 after the header, of each block that the long
+    loader reads from `data` at a block size of `block` bytes."""
+    fh = io.BytesIO(data)
+    fh.readline()
+    spans, first = [], 1
+    while raw := fh.read(block):
+        raw += fh.readline()
+        n = raw.count(b"\n") + (not raw.endswith(b"\n"))
+        spans.append((first, first + n - 1))
+        first += n
+    return spans
+
+
+def _with_feature(lines, i, feature):
+    """`lines` with `feature` at line i (counted from 0)."""
+    lines = list(lines)
+    date, ticker, price = lines[i].split(",")
+    if feature == "bad price":
+        lines[i] = f"{date},{ticker},abc"
+    elif feature == "short row":
+        lines[i] = f"{date},{ticker}"
+    elif feature == "duplicate":
+        lines[i] = lines[i - 1]
+    elif feature == "65th ticker":
+        lines[i] = f"{date},T64,{price}"
+    elif feature == "quote":
+        lines[i] = f'{date},"{ticker}",{price}'
+    elif feature == "quoted newline":  # a ticker that spans lines i and i + 1
+        lines[i : i + 2] = [f'{date},"{ticker[:2]}', f'{ticker[2:]}",{price}']
+    elif feature == "quoted note":  # a 4th cell from line i's end to line i + 1's, which it takes in
+        lines[i : i + 2] = [f'{lines[i]},"x', f'{lines[i + 1]},"']
+    elif feature == "crlf":
+        lines[i] += "\r"
+    elif feature == "cr in a line":  # a line break to a file opened with newline=""
+        lines[i] = f"{date},{ticker}\r,{price}"
+    elif feature == "padded names":
+        lines[i] = f" {date}\t, {ticker} ,{price}"
+    elif feature == "long ticker":  # one character more than csv.reader takes in a cell
+        lines[i] = f"{date},{ticker:T<{csv.field_size_limit() + 1}},{price}"
+    elif feature == "blank line":
+        lines.insert(i, "")
+    elif feature == "blank cells":
+        lines[i] = " " * 10 + ",   , "
+    return lines
+
+
+BLOCK_FEATURES = [
+    "bad price", "short row", "duplicate", "65th ticker", "quote", "quoted newline", "quoted note",
+    "crlf", "cr in a line", "padded names", "long ticker", "blank line", "blank cells",
+]
+
+
+@pytest.mark.parametrize("feature", BLOCK_FEATURES)
+def test_block_loader_matches_the_reference_wherever_a_block_is_cut(tmp_path, monkeypatch, feature):
+    """At block sizes of 64, 300 and 4096 bytes and the default, a feature swept over lines
+    64-99 of a long file gives the reference loader's panel bytes or message. Among those
+    files the feature sits on the first line of a block and on the last one: a duplicate
+    of the previous block's last record, a quoted field that runs on into the next block,
+    and the 65th distinct ticker, which widens the grid, as the first record of a block."""
+    p, s = tmp_path / "p.csv", _write(tmp_path / "s.csv", "ticker,sector\nT00,X\nT64,Y\n")
+    base = _fixed_lines(140)
+    placed = set()
+    for block in (64, 300, 4096, ingest._BLOCK):
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        for i in range(64, 100):
+            data = (LONG + "\n".join(_with_feature(base, i, feature)) + "\n").encode()
+            p.write_bytes(data)
+            assert _outcome(load_panel, p, s, "long") == _outcome(ref_load_panel, p, s, "long")
+            for first, last in _block_spans(data, block):
+                placed.update({"first"} if first == i + 1 else set())
+                placed.update({"last"} if last == i + 1 else set())
+    assert placed == {"first", "last"}
+
+
+def test_block_loader_reports_a_bad_row_before_an_undecodable_byte_8kb_on(tmp_path, monkeypatch):
+    """A bad price swept over lines 64-99, with a byte that is not UTF-8 more than 8 KB
+    further on, is the fault reported at every block size, on the first line of a block
+    and on the last one: the message is the one the reference gives for the file without
+    that byte, which the reference, reading every record first, reports instead."""
+    p, s = tmp_path / "p.csv", _write(tmp_path / "s.csv", SECTORS)
+    base = _fixed_lines(600)
+    placed = set()
+    for block in (64, 300, 4096, ingest._BLOCK):
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        for i in range(64, 100):
+            data = (LONG + "\n".join(_with_feature(base, i, "bad price")) + "\n").encode()
+            assert len(data) - data.index(b"abc") > 8 * 1024
+            p.write_bytes(data)
+            want = _outcome(ref_load_panel, p, s, "long")
+            assert want.startswith(f"unparseable price 'abc' at {p} line {i + 2} ")
+            p.write_bytes(data + b"\xff\n")
+            assert _outcome(load_panel, p, s, "long") == want
+            assert _outcome(ref_load_panel, p, s, "long").startswith(f"unreadable file {p}: 'utf-8' codec")
+            for first, last in _block_spans(data, block):
+                placed.update({"first"} if first == i + 1 else set())
+                placed.update({"last"} if last == i + 1 else set())
+    assert placed == {"first", "last"}

@@ -764,6 +764,21 @@ def test_timeseries_skips_a_row_whose_own_product_or_phi_signs_fail(make, skips,
         assert len(rows) == 13  # the identity is a valid Pearson matrix
 
 
+@pytest.mark.parametrize("kind", ["pearson", "partial_pearson"])
+@pytest.mark.parametrize("scope", MEDIAN_SCOPES)
+def test_timeseries_row_without_phi_signs_takes_no_eigh(monkeypatch, kind, scope):
+    """A non-phi row takes its phi signs before its own correlation, and a skipped row makes
+    no pair: on `ordered_panel` the 5 window-4 rows with no phi sign change take no eigh, so
+    only the 8 kept rows take one each (partial Pearson's kernel takes one more). Every
+    out-window of a kept row is a kept row's in-window, all on 3 assets, so pairs add none."""
+    panel = ordered_panel()
+    calls = {}
+    count_calls(monkeypatch, np.linalg, "eigh", calls)
+    rows = timeseries_rows(panel, 4, 1, kind, scope, ALPHA)
+    assert len(rows) == 8
+    assert calls == {"eigh": len(rows) * (2 if kind == "partial_pearson" else 1)}
+
+
 def assert_gather_recuts_survivors(assets, x, mask, cut):
     """`cut` of the survivors' panel columns, and of every other one of them, gives their
     columns byte for byte: the gather a pair subset of a window is cut with."""
