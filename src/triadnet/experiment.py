@@ -182,15 +182,15 @@ def _sweep(full, tasks, corr_kind: str, make, row=None):
     """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in the
     order given. A pair is (common, in-product, out-product), with common the in-window's
     survivors that also survive the out-window in panel order, or a message: a window's "error",
-    the in-window's "skip" or a DataError of `make`. Each (t, end) window is preprocessed once
-    and dropped after the last task that names it, in whatever order the tasks come, as long as
-    a consumer drops a task's entry and pair before asking for the next task. Its entry holds an
-    "error" (`_window`'s too) or its survivors' "assets", their panel "mask" and `_survivors`
-    "cut" and, for an in-window, its "volatility" and, with `row`, its "row", row(entry, phi
-    signs), made after its phi signs and then its own "product", or the "skip" message of the
-    first of those to fail. Every side is make(cut(mask, common)), the window's shared
-    "product" where common is its survivors, with `scores` false only for an out-side on common
-    assets or a window that is no task's in-window."""
+    the in-window's "row" when that is a message, or a DataError of `make`. Each (t, end) window
+    is preprocessed once and dropped after the last task that names it, in whatever order the
+    tasks come, as long as a consumer drops a task's entry and pair before asking for the next
+    task. Its entry holds an "error" (`_window`'s too) or its survivors' "assets", their panel
+    "mask" and `_survivors` "cut" and, for an in-window, its "volatility" and, with `row`, its
+    "row": row(entry, phi signs), made after its phi signs and then its own "product", or the
+    message of the first of those to fail. Every side is make(cut(mask, common)), the window's
+    shared "product" where common is its survivors, with `scores` false only for an out-side on
+    common assets or a window that is no task's in-window."""
     in_keys = {(t_in, end) for t_in, _, end in tasks}
     last_use = {key: i for i, (t_in, t_out, end) in enumerate(tasks)
                 for key in ((t_in, end), (t_out, end + t_out))}  # (t, end) -> its last task
@@ -211,7 +211,7 @@ def _sweep(full, tasks, corr_kind: str, make, row=None):
                     signs = BinaryPanel(*(data if corr_kind == "phi" else _survivors(*w, "phi", cc)[0]))
                     product(key, mask, data[1], True)
                 except DataError as exc:
-                    e["skip"] = str(exc)
+                    e["row"] = str(exc)
                 else:
                     e["row"] = row(e, signs)
         return cache[key]
@@ -228,7 +228,8 @@ def _sweep(full, tasks, corr_kind: str, make, row=None):
         t_in, t_out, end = task
         k_in, k_out = (t_in, end), (t_out, end + t_out)
         e_in = entry(k_in)
-        pair = e_in.get("error") or e_in.get("skip") or entry(k_out).get("error")
+        skip = e_in.get("row")
+        pair = e_in.get("error") or (skip if isinstance(skip, str) else entry(k_out).get("error"))
         if pair is None:
             mask = e_in["mask"] & cache[k_out]["mask"]
             common = tuple(compress(full[0].assets, mask.tolist()))
@@ -468,7 +469,7 @@ def _timeseries_chunk(full, tasks, corr_kind, sectors, alpha):
     given; an overlap on fewer than 2 common assets is a DataError of its kernels, so null."""
     row = partial(_timeseries_row, sectors, alpha)
     for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, _leading, row):
-        made = e_in.get("error") or e_in.get("skip") or e_in["row"]
+        made = e_in.get("error") or e_in["row"]
         if not isinstance(made, str):
             made["v1_overlap"] = None
             with suppress(DataError):  # a constant eigenvector has no Pearson correlation

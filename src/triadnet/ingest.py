@@ -9,7 +9,6 @@ simply a row of the panel.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -137,26 +136,28 @@ def _long_columns(header, path):
 
 
 def _fit(grid, rows, width):
-    """grid, or a copy of it doubled in height and width until it holds rows x width; new cells are NaN."""
+    """grid, or a copy of it that holds rows x width, grown by at least a quarter in each
+    direction it has to grow; new cells are NaN."""
     r, w = grid.shape
     if rows <= r and width <= w:
         return grid
-    while r < rows:
-        r *= 2
-    while w < width:
-        w *= 2
+    if rows > r:
+        r = max(rows, r + r // 4)
+    if width > w:
+        w = max(width, w + w // 4)
     out = np.full((r, w), np.nan)
     out[: len(grid), : grid.shape[1]] = grid
     return out
 
 
-def _records(body, line, path, cols, d_ix, a_ix, grid):
-    """grid, or a grown copy, with body's (k, cells) records loaded one at a time.
+def _records(body, line, path, cols):
+    """(d_ix, a_ix, grid) of body's (k, cells) records, loaded one at a time.
 
-    d_ix and a_ix give the grid row of each date and column of each ticker; a name new to them
-    takes the next index. NaN marks a (date, ticker) cell not seen yet. A record whose cells are
-    all blank is skipped; any other fault raises DataError naming record k's line(k)."""
+    d_ix and a_ix give the grid row of each date and column of each ticker, in first-seen order.
+    NaN marks a (date, ticker) cell not seen. A record whose cells are all blank is skipped; any
+    other fault raises DataError naming record k's line(k)."""
     i_date, i_tick, i_price = cols
+    d_ix, a_ix, grid = {}, {}, np.full((64, 64), np.nan)
     top, width = max(cols), grid.shape[1]
     cells, last, base = memoryview(grid.reshape(-1)), None, 0
     for k, row in body:
@@ -168,12 +169,12 @@ def _records(body, line, path, cols, d_ix, a_ix, grid):
             raise DataError(f"{path} line {line(k)}: {fault}")
         if date != last:  # consecutive records mostly share a date: keep its row offset
             d = d_ix.setdefault(date, len(d_ix))
-            if d >= len(grid):
+            if d == len(grid):
                 grid = _fit(grid, d + 1, width)
                 cells = memoryview(grid.reshape(-1))
             last, base = date, d * width
         a = a_ix.setdefault(ticker, len(a_ix))
-        if a >= width:  # past the right edge: re-lay the rows out wider
+        if a == width:  # one past the right edge: re-lay the rows out wider
             grid = _fit(grid, len(grid), a + 1)
             width, cells = grid.shape[1], memoryview(grid.reshape(-1))
             base = d_ix[date] * width
@@ -185,12 +186,12 @@ def _records(body, line, path, cols, d_ix, a_ix, grid):
         except ValueError:
             value = 0.0  # _price raises for it, naming the fault
         cells[i] = value if 0 < value < math.inf else _price(row[i_price], path, line, k, date, ticker)
-    return grid
+    return d_ix, a_ix, grid
 
 
 def _codes(names, ix):
     """The index in ix of each of a block's names, stripped, with the new ones added in
-    first-seen order; None, and nothing added, if one is empty."""
+    first-seen order; None if one is empty."""
     try:
         return np.fromiter(map(ix.__getitem__, names), np.intp, len(names))
     except KeyError:
@@ -205,16 +206,15 @@ def _codes(names, ix):
     return np.fromiter(map(ix.__getitem__, names), np.intp, len(names))
 
 
-def _block(raw, text, cols, m, d_ix, a_ix, grid):
+def _block(raw, cols, m, d_ix, a_ix, grid):
     """grid, or a grown copy, with the records of a block of whole lines loaded at once, or None
     if the block is not plain. A plain block has no quote, CR or NUL, exactly m cells on every
     line, no empty date or ticker, finite positive prices and no (date, ticker) pair that repeats
-    within it or one loaded before. Split at commas, such a block is what csv.reader reads. The
-    names it meets stay in d_ix and a_ix even when it returns None, maybe past grid's edges."""
+    within it or one loaded before. Split at commas, such a block is what csv.reader reads."""
     if b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
     if not raw.endswith(b"\n"):  # the file's last line
-        raw, text = raw + b"\n", text + "\n"
+        raw += b"\n"
     chars = np.frombuffer(raw, np.uint8)
     ends = chars == ord("\n")
     seps = np.flatnonzero(ends | (chars == ord(",")))  # where each cell ends
@@ -222,7 +222,7 @@ def _block(raw, text, cols, m, d_ix, a_ix, grid):
         return None
     if np.diff(seps, prepend=-1).max() > csv.field_size_limit() + 1:  # a cell csv.reader refuses
         return None
-    cells = text.replace("\n", ",").split(",")
+    cells = raw.decode().replace("\n", ",").split(",")
     del cells[-1]  # after the last line's end
     i_date, i_tick, i_price = cols
     d = _codes(cells[i_date::m], d_ix)
@@ -242,17 +242,15 @@ def _block(raw, text, cols, m, d_ix, a_ix, grid):
     order = np.arange(len(at), dtype=float)
     flat[at] = order  # a cell written twice keeps only its last record's number
     if not (flat[at] == order).all():
-        flat[at] = np.nan
         return None
     flat[at] = values
     return grid
 
 
-def _long_blocks(path, d_ix, a_ix, grid):
-    """grid, or a grown copy, with a long file's records loaded block by block: a plain block
-    (see `_block`) at once, any other one by `_records`, its lines split as a file opened with
-    newline="" splits them. A fault raises, but its message, and the line lookup `int` stands
-    in for, are not the ones to report (see `_load_long`)."""
+def _long_blocks(path):
+    """(d_ix, a_ix, grid) of a long file loaded a plain block (see `_block`) at a time, or None
+    at its first block that is not plain. A fault raises, but its message is not the one to
+    report (see `_load_long`)."""
     with open(path, "rb") as fh:
         def rest_of_line():  # with its "\n"
             raw = fh.readline(_BLOCK)
@@ -263,34 +261,31 @@ def _long_blocks(path, d_ix, a_ix, grid):
         header = next(csv.reader(map(bytes.decode, iter(rest_of_line, b""))), None)
         if header is None:
             raise DataError(f"{path}: empty file")
-        cols = _long_columns(header, path)
+        cols, d_ix, a_ix, grid = _long_columns(header, path), {}, {}, np.full((64, 64), np.nan)
         while raw := fh.read(_BLOCK):
             raw += rest_of_line()
-            text = raw.decode()
-            loaded = _block(raw, text, cols, len(header), d_ix, a_ix, grid)
-            if loaded is None:  # strict: a quoted field still open at the block's end raises
-                rows = csv.reader(io.StringIO(text, newline=""), strict=True)
-                loaded = _records(enumerate(rows), int, path, cols, d_ix, a_ix, grid)
-            grid = loaded
-    return grid
+            grid = _block(raw, cols, len(header), d_ix, a_ix, grid)
+            if grid is None:
+                return None
+    return d_ix, a_ix, grid
 
 
 def _load_long(path):
     """(dates, assets, dates x assets prices) of a long file, both in name order.
 
     The file is parsed in blocks of whole lines of about _BLOCK bytes (see `_long_blocks`). A
-    fault, a line longer than a block, or a block that csv.reader's strict mode refuses, as it
-    does one that ends inside a quoted field, makes the record loop read the file again from
-    its start as one text stream, as csv.reader reads it, so that a message, its line and which
-    fault comes first (a bad row, or a byte that is not UTF-8 in an 8 KB chunk the reader
-    decodes) do not depend on where the blocks were cut."""
+    block that is not plain, a fault or a line longer than a block makes the record loop read
+    the whole file from its start as one text stream, as csv.reader reads it, so that a
+    message, its line and which fault comes first (a bad row, or a byte that is not UTF-8 in an
+    8 KB chunk the reader decodes) do not depend on where the blocks were cut."""
     try:
-        d_ix, a_ix, grid = {}, {}, np.full((64, 64), np.nan)
-        grid = _long_blocks(path, d_ix, a_ix, grid)
+        loaded = _long_blocks(path)
     except (OSError, UnicodeDecodeError, csv.Error, DataError):
-        d_ix, a_ix, grid = {}, {}, np.full((64, 64), np.nan)
+        loaded = None
+    if loaded is None:
         with _csv(path, f"{path}: empty file") as (header, body, line):
-            grid = _records(body, line, path, _long_columns(header, path), d_ix, a_ix, grid)
+            loaded = _records(body, line, path, _long_columns(header, path))
+    d_ix, a_ix, grid = loaded
     dates, assets = sorted(d_ix), sorted(a_ix)
     return dates, assets, grid[np.ix_([d_ix[d] for d in dates], [a_ix[a] for a in assets])]
 
@@ -343,20 +338,21 @@ def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
         format: "long" or "wide".
 
     A long file is parsed a block of whole lines (about 256 KB) at a time into a
-    dates x assets grid that doubles as dates and tickers come. A block with no
-    quote, CR or NUL, the header's cell count on every line and no fault is
-    split at commas, its prices parsed by one numpy call and scattered at once;
-    any other block goes through the record loop a record at a time. A wide
-    file is parsed a row at a time. Memory is O(dates x assets + one block)
-    and does not grow with the file's length. A long file's assets come in
-    name order, a wide file's in its header's order.
+    dates x assets grid that grows by a quarter or more as dates and tickers
+    come. A block with no quote, CR or NUL, the header's cell count on every
+    line and no fault is split at commas, its prices parsed by one numpy call
+    and scattered at once. At the first other block, such as one of a CRLF or
+    a quoted file, the whole file is read again from its start by the record
+    loop, a record at a time. A wide file is parsed a row at a time. Memory is
+    O(dates x assets + one block) and does not grow with the file's length. A
+    long file's assets come in name order, a wide file's in its header's order.
 
     Raises:
         DataError: the first fault a record-by-record reader meets: an
             unreadable or non-UTF-8 file, a duplicate (date,ticker), a
             non-positive or non-finite price (the message names the row). A
-            long file with a fault is read again by the record loop alone, from
-            its start, so the fault reported does not depend on the blocks.
+            long file's fault is always the record loop's, so the fault
+            reported does not depend on where the blocks were cut.
     """
     if format == "long":
         dates, assets, prices = _load_long(prices_path)

@@ -793,3 +793,14 @@ def test_block_loader_reports_a_bad_row_before_an_undecodable_byte_8kb_on(tmp_pa
                 placed.update({"first"} if first == i + 1 else set())
                 placed.update({"last"} if last == i + 1 else set())
     assert placed == {"first", "last"}
+
+
+def test_block_loader_header_cell_over_the_csv_field_limit_is_the_reference_message(tmp_path):
+    """A header cell one character longer than csv.reader takes makes the block loader's own
+    header read fail; the record loop then reads the file and reports it as unreadable."""
+    header = f"date,ticker,adj_close,{'x' * (csv.field_size_limit() + 1)}\n"
+    p = _write(tmp_path / "p.csv", header + "2020-01-01,A,1\n")
+    s = _write(tmp_path / "s.csv", SECTORS)
+    want = _outcome(ref_load_panel, p, s, "long")
+    assert want.startswith(f"unreadable file {p}: field larger than field limit")
+    assert _outcome(load_panel, p, s, "long") == want

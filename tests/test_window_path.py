@@ -779,6 +779,22 @@ def test_timeseries_row_without_phi_signs_takes_no_eigh(monkeypatch, kind, scope
     assert calls == {"eigh": len(rows) * (2 if kind == "partial_pearson" else 1)}
 
 
+@pytest.mark.parametrize("kind", ["phi", "pearson", "partial_pearson"])
+def test_timeseries_row_that_its_row_rejects_makes_no_pair(monkeypatch, kind, caplog):
+    """On the first 2 assets of `ordered_panel` every window that reaches its row is rejected
+    there with "fewer than 3 surviving assets", after its own `_leading` product. Such a row
+    makes no pair, so those products are the only `_leading` calls."""
+    panel = ordered_panel()
+    two = PricePanel(panel.dates, panel.assets[:2], panel.prices[:, :2], panel.present[:, :2], panel.sectors)
+    calls = {}
+    count_calls(monkeypatch, experiment, "_leading", calls)
+    with caplog.at_level(logging.DEBUG, logger="triadnet.experiment"):
+        assert timeseries_rows(two, 4, 1, kind, "universe", ALPHA) == []
+    reasons = [rec.args[1] for rec in caplog.records if rec.msg == "timeseries skips %s: %s"]
+    assert len(reasons) == 13
+    assert calls == {"_leading": reasons.count("fewer than 3 surviving assets")} != {"_leading": 0}
+
+
 def assert_gather_recuts_survivors(assets, x, mask, cut):
     """`cut` of the survivors' panel columns, and of every other one of them, gives their
     columns byte for byte: the gather a pair subset of a window is cut with."""
