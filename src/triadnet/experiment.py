@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -125,6 +126,19 @@ def _window(full, end_idx: int, t: int):
     rows = slice(start, end_idx)
     window = ReturnPanel._trusted(r.dates[rows], r.assets, r.returns[rows])
     return window, None if universe is None else tuple(a[rows] for a in universe)
+
+
+_FULL = weakref.WeakKeyDictionary()  # panel -> (its fields, scope, `_with_mode` of its returns)
+
+
+def _full(panel: PricePanel, median_scope: str):
+    """`_with_mode(log_returns(panel), median_scope)`, kept while the panel lives for its last scope
+    and as long as its prices, present, dates and assets are the objects it was made from."""
+    fields = panel.prices, panel.present, panel.dates, panel.assets
+    kept = _FULL.get(panel)
+    if kept is None or kept[1] != median_scope or any(x is not y for x, y in zip(kept[0], fields)):
+        _FULL[panel] = kept = fields, median_scope, _with_mode(log_returns(panel), median_scope)
+    return kept[2]
 
 
 def _corr_from_data(data, corr_kind: str) -> CorrMatrix:
@@ -263,7 +277,7 @@ def build_dataset(
     """
     _check_kind(corr_kind)
     end_idx = panel.date_index(end_in)
-    full = _with_mode(log_returns(panel), median_scope)
+    full = _full(panel, median_scope)
     ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, _side)
     if isinstance(pair, str):
         raise DataError(pair)
@@ -418,7 +432,7 @@ def run_grid(
         raise DataError(f"t_values must be distinct positive window lengths, got {t_values}")
     if step < 1:
         raise DataError("step must be at least 1 day")
-    full = _with_mode(log_returns(panel), median_scope)
+    full = _full(panel, median_scope)
     tasks = grid_tasks(panel, t_values, step)
     results = _map_chunks(_evaluate, tasks, jobs, full, corr_kind)
     records = [r for _, r in results if isinstance(r, ExperimentRecord)]
@@ -504,7 +518,7 @@ def timeseries_rows(
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
     ends = sorted(range(window, panel.n_dates, step), key=lambda end: end % window)  # stable: chain order
     tasks, rows = [(window, window, end) for end in ends], []
-    full = _with_mode(log_returns(panel), median_scope)
+    full = _full(panel, median_scope)
     results = _map_chunks(_timeseries_chunk, tasks, jobs, full, corr_kind, panel.sectors, alpha)
     for end_idx, made in sorted(results, key=lambda r: r[0]):
         if isinstance(made, str):

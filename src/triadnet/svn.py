@@ -42,12 +42,61 @@ class Svn:
         return int(self.adjacency.sum()) // 2
 
 
-_CHUNK_ELEMS = 1 << 17  # float64 entries per (groups x width) table chunk: 1 MB
-_MAX_T = 1 << 21  # ki and kj each take 21 bits of the int64 group key
+_CHUNK_ELEMS = 1 << 17  # float64 entries per (laws x width) table chunk: 1 MB
+_STORE_ELEMS = 1 << 20  # float64 entries of the law store: 8 MB, more than any row (< 2**20)
+_MAX_T = 1 << 21  # t, a and b each take 21 bits of the int64 law key
 
 
 def _log_factorials(t: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1) for i in range(t + 1)])
+
+
+class _LawStore:
+    """Log-tail rows kept across calls in a buffer of `_STORE_ELEMS` float64s made at first use: the
+    law (a, b) of window length t, key (t << 42) | (a << 21) | b, has log P(X >= a - j) at
+    rows[start + j] for j < width. `keys` is sorted and ends in a sentinel above every key."""
+
+    def __init__(self):
+        self.rows = None
+        self.clear()
+
+    def clear(self):
+        self.keys, (self.start, self.width), self.used = np.array([2**63 - 1]), np.zeros((2, 1), int), 0
+
+    def add(self, laws, width, t, lf):
+        """Build `laws`' rows, `width` long, into the room left; a shallower row becomes dead space."""
+        if self.rows is None:
+            self.rows = np.empty(_STORE_ELEMS)
+        i = np.searchsorted(self.keys, laws)
+        held, was = np.where(found := self.keys[i] == laws, self.width[i], 0), self.start[i]
+        start = self.used + np.cumsum(width) - width
+        src = np.arange(held.sum()) + np.repeat(was - np.cumsum(held) + held, held)
+        self.rows[src + np.repeat(start - was, held)] = self.rows[src]  # a deeper row keeps its head
+        a, b = (laws[:, None] >> 21) & (_MAX_T - 1), laws[:, None] & (_MAX_T - 1)
+        order = np.argsort(held - width)  # most new columns first
+        while order.size:  # a chunk pads its rows to its first's new columns: at most 2x plus 32 KB
+            n = (width - held)[order]
+            fit = np.arange(1, n.size + 1) * n[0] <= np.minimum(_CHUNK_ELEMS, 2 * np.cumsum(n) + 4096)
+            g, order = np.split(order, [max(1, np.count_nonzero(fit))])
+            w = int(n[0])
+            # columns held .. width - 1; past a - width + 1 a column repeats that one's term
+            x = np.maximum(a[g] - held[g, None] - np.arange(w), a[g] - width[g, None] + 1)
+            terms = (
+                lf[a[g]] - lf[x] - lf[a[g] - x]
+                + lf[t - a[g]] - lf[b[g] - x] - lf[t - a[g] - b[g] + x]
+                - (lf[t] - lf[b[g]] - lf[t - b[g]])
+            )
+            head = np.where(held[g] > 0, self.rows[was[g] + held[g] - 1], -np.inf)  # -inf adds nothing
+            tail = np.logaddexp.accumulate(np.column_stack([head, terms]), axis=1)[:, 1:]
+            new = np.arange(w) < (width - held)[g, None]
+            self.rows[((start + held)[g, None] + np.arange(w))[new]] = tail[new]
+        self.used += int(width.sum())
+        self.start[i[found]], self.width[i[found]] = start[found], width[found]
+        self.keys, self.start, self.width = (np.insert(v, i[~found], u[~found]) for v, u in (
+            (self.keys, laws), (self.start, start), (self.width, width)))
+
+
+_STORE = _LawStore()
 
 
 def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
@@ -59,18 +108,16 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
     the lower end of the support get exactly 1.
 
     The tail is symmetric in the margins, so the other pairs are grouped by
-    their law (a, b) = (min(ki, kj), max(ki, kj)). Each group gets one table
-    row of log-terms for x = a, a-1, ... down to the smallest c of the group,
-    and a running `np.logaddexp` along the row turns it into log P(X >= x):
-    the sum stays in log space, so deep tails of long windows cannot
-    underflow, and it starts from the far end of the tail. A pair reads its
-    p-value at column a - c. Groups are processed in width order,
-    `_CHUNK_ELEMS // width` rows at a time, and each chunk's pairs read their
-    p-values before the next chunk, so memory is O(pairs + chunk), not
-    O(groups x width). A p-value depends on (c, a, b, t) alone: it is the
-    same for (c, kj, ki), whatever else the call holds and wherever the
-    chunks break. The group key packs each margin into 21 bits, hence
-    t < 2**21.
+    their law (a, b) = (min(ki, kj), max(ki, kj)). A law's row holds log-terms
+    for x = a, a-1, ... down to the smallest c asked of it, and a running
+    `np.logaddexp` from the far end of the tail turns them into log P(X >= x),
+    which deep tails of long windows cannot underflow. Rows stay in `_STORE`
+    across calls; a smaller c extends its law's row, whose head keeps its bits.
+    A pair reads its p-value at column a - c in one gather, so it depends on
+    (c, a, b, t) alone, not on the call, the store or the chunks. Memory is
+    O(pairs) plus the store's 8 MB and a 1 MB chunk: new rows that do not fit
+    empty the store, which takes as many as fit, until every pair is read. The
+    key packs t, a and b into 21 bits each, hence t < 2**21.
     """
     if t >= _MAX_T:
         raise DataError(f"window length must be below {_MAX_T} days")
@@ -78,37 +125,34 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
     todo = np.flatnonzero(c > np.maximum(0, ki + kj - t))
     if todo.size == 0:
         return p
-    c = c[todo]
-    key = (np.minimum(ki[todo], kj[todo]) << 21) | np.maximum(ki[todo], kj[todo])
-    laws, group = np.unique(key, return_inverse=True)
-    a, b = laws >> 21, laws & (_MAX_T - 1)
-    c_min = a.copy()
-    np.minimum.at(c_min, group, c)
-    width = a - c_min + 1
-    by_width = np.argsort(-width)
-    rank = np.empty_like(by_width)
-    rank[by_width] = np.arange(by_width.size)
-    pair_rank = rank[group]
-    pairs = np.argsort(pair_rank)
-    sorted_rank = pair_rank[pairs]
-    start = 0
-    while start < by_width.size:
-        w = int(width[by_width[start]])
-        stop = min(by_width.size, start + max(1, _CHUNK_ELEMS // w))
-        g = by_width[start:stop, None]
-        # past c_min the row repeats the term at c_min; those columns are never read
-        x = np.maximum(a[g] - np.arange(w), c_min[g])
-        terms = (
-            lf[a[g]] - lf[x] - lf[a[g] - x]
-            + lf[t - a[g]] - lf[b[g] - x] - lf[t - a[g] - b[g] + x]
-            - (lf[t] - lf[b[g]] - lf[t - b[g]])
-        )
-        table = np.logaddexp.accumulate(terms, axis=1)
-        lo, hi = np.searchsorted(sorted_rank, [start, stop])
-        r = pairs[lo:hi]
-        p[todo[r]] = np.minimum(np.exp(table[pair_rank[r] - start, a[group[r]] - c[r]]), 1.0)
-        start = stop
-    return p
+    a, b = np.minimum(ki[todo], kj[todo]), np.maximum(ki[todo], kj[todo])
+    col, lo, span = a - c[todo], int(a.min()), int(b.max() - a.min()) + 1
+    if span * span <= todo.size:  # laws from a table of the (a, b) box, no larger than the pairs
+        seen, cell = np.zeros(span * span, dtype=bool), (a - lo) * span + (b - lo)
+        seen[cell] = True
+        law, laws = (np.cumsum(seen) - 1)[cell], np.flatnonzero(seen)
+        laws = (t << 42) | ((laws // span + lo) << 21) | (laws % span + lo)
+    else:
+        laws, law = np.unique((t << 42) | (a << 21) | b, return_inverse=True)
+    del a, b
+    need = np.zeros_like(laws)
+    np.maximum.at(need, law, col)  # each law's deepest column
+    left = np.ones(laws.size, dtype=bool)  # laws whose pairs have no p-value yet
+    while True:
+        i = np.searchsorted(_STORE.keys, laws)
+        ready = left & (_STORE.keys[i] == laws) & (_STORE.width[i] > need)
+        if ready.any():
+            pairs = slice(None) if ready.all() else ready[law]
+            v = _STORE.rows[_STORE.start[i][law[pairs]] + col[pairs]]
+            p[todo[pairs]] = np.minimum(np.exp(v, out=v), 1.0, out=v)
+            left &= ~ready
+        if not left.any():
+            return p
+        new = np.flatnonzero(left)
+        if _STORE.used + need[new].sum() + new.size > _STORE_ELEMS:
+            _STORE.clear()
+        new = new[np.cumsum(need[new] + 1) <= _STORE_ELEMS - _STORE.used]
+        _STORE.add(laws[new], need[new] + 1, t, lf)
 
 
 def _bh_cutoff(p: np.ndarray, alpha: float) -> float:
@@ -128,9 +172,10 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
     Negative polarity counts up/down disagreement days in both directions,
     takes the smaller of the two tail p-values and doubles it before the
     step-up selection. The counts come from one float32 BLAS product, exact
-    below 2**24 days (see `util.count_product`). Memory is O(N^2 + chunk): the
-    tail p-values come from one tail table per (k_i, k_j) law, built in fixed-size
-    row chunks (see `_tail_pvalues`), never as one pairs x tail-width array.
+    below 2**24 days (see `util.count_product`). Memory is O(N^2) plus the law
+    store's fixed 8 MB and a 1 MB chunk: the tail p-values come from one tail row
+    per (k_i, k_j) law, kept across calls (see `_tail_pvalues`), never from one
+    pairs x tail-width array.
     """
     if polarity not in POLARITIES:
         raise DataError(f"polarity must be one of {POLARITIES}")

@@ -61,6 +61,15 @@ def tail_pvalue(c, k_i, k_j, t):
     return float(_tail_pvalues(*counts, t, _log_factorials(t))[0])
 
 
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """An empty SVN law store for the test, so that no row an earlier test built answers it."""
+    from triadnet import svn
+
+    monkeypatch.setattr(svn, "_STORE", store := svn._LawStore())
+    return store
+
+
 def random_triples(rng, t, size):
     """Counts (c, ki, kj) with c anywhere on the support [max(0, ki+kj-t), min(ki, kj)]."""
     ki = rng.integers(0, t + 1, size)

@@ -155,6 +155,36 @@ def test_grid_outputs_and_determinism(tmp_path, capsys):
     assert summary["windows_attempted"] >= summary["records"]
 
 
+@pytest.mark.parametrize("scope,universe_calls", [("universe", 1), ("window", 0)])
+def test_grid_makes_the_panels_returns_and_universe_arrays_once(scope, universe_calls, tmp_path,
+                                                                 capsys, monkeypatch):
+    """The grid and the timeseries of one `grid` command share the panel's log returns and,
+    under the universe scope, its `_universe_arrays`: each is computed once."""
+    from triadnet import experiment, preprocess
+
+    prices, sectors = make_market(tmp_path, capsys, n=12, t=70, seed=11)
+    calls = {"log_returns": 0, "_universe_arrays": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(experiment, "log_returns")
+    count(preprocess, "_universe_arrays")
+    config = {"prices": str(prices), "sectors": str(sectors), "output_dir": str(tmp_path / "out"),
+              "t_values": [15, 25], "step": 6, "timeseries_window": 25, "median_scope": scope}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code, out, _ = run(["grid", "--config", str(tmp_path / "c.json"), "--jobs", "1"], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "out" / "run_summary.json").read_text())["timeseries_rows"] > 0
+    assert calls == {"log_returns": 1, "_universe_arrays": universe_calls}
+
+
 @pytest.mark.parametrize("kind", ["phi", "pearson", "partial_pearson"])
 def test_grid_outputs_do_not_depend_on_the_panels_asset_order(kind, tmp_path, capsys):
     """One panel as a long file, which loads its assets in name order, and as a wide file

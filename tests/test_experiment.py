@@ -366,6 +366,32 @@ def test_run_grid_scans_returns_for_finiteness_once_per_panel(monkeypatch, corr_
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("field", ["prices", "present", "both"])
+def test_a_panel_with_a_rebound_field_gets_the_new_fields_results(field):
+    """A panel's returns are made once and kept with it, and rebinding its `prices` or
+    `present`, as the benchmark's workload generator does, makes them anew: run_grid,
+    timeseries_rows and build_dataset then give what a new panel of those fields gives."""
+    panel = generate(SynthSpec(n_assets=10, n_days=80, model="bipolar", rho_in=0.4, rho_out=-0.2, seed=4))
+
+    def results(p):
+        ds = build_dataset(p, p.dates[40], 20, 20)
+        return (run_grid(p, [10, 20], 5), timeseries_rows(p, 20, step=5),
+                [ds.labels.tobytes(), ds.scores_delta.tobytes(), ds.scores_absphi.tobytes()])
+
+    before = results(panel)
+    rng = np.random.default_rng(0)
+    if field in ("prices", "both"):
+        panel.prices = panel.prices * np.exp(0.02 * rng.normal(size=panel.prices.shape))
+    if field in ("present", "both"):
+        present = panel.present.copy()
+        present[:30, 0] = present[60, 3] = False  # a late listing and a missing cell
+        panel.present = present
+    fresh = make_panel(panel.prices, panel.dates, panel.assets, panel.sectors, panel.present)
+    after = results(panel)
+    assert after == results(fresh)
+    assert after != before
+
+
 def test_run_grid_infeasible_windows_give_empty_list(rng):
     panel = panel_from_returns(0.01 * rng.normal(size=(20, 4)))
     assert run_grid(panel, [50], 1) == ([], {"infeasible": 0, "single_class": 0})

@@ -370,11 +370,13 @@ def test_grouped_tail_pvalues_match_one_shot_kernel(name, counts, t, monkeypatch
     expected = one_shot_tail_pvalues(c, ki, kj, t, lf)
     if name == "all-full-support":
         assert (expected == 1.0).all()
+    monkeypatch.setattr(svn, "_STORE", svn._LawStore())  # each call builds all its rows
     default = svn._tail_pvalues(c, ki, kj, t, lf)
     assert default.dtype == expected.dtype
     assert np.all(np.abs(default - expected) <= 1e-11 * expected), name
     for chunk in chunk_sizes(c, ki, kj, t):
         monkeypatch.setattr(svn, "_CHUNK_ELEMS", chunk)
+        monkeypatch.setattr(svn, "_STORE", svn._LawStore())
         got = svn._tail_pvalues(c, ki, kj, t, lf)
         assert got.tobytes() == default.tobytes(), (name, chunk)
 
@@ -393,6 +395,7 @@ def test_build_svn_under_forced_chunks_matches_one_shot_kernel(polarity, monkeyp
     # the default, one row per chunk, and chunks of a few rows
     for chunk in (svn._CHUNK_ELEMS, 1, 7 * 301):
         monkeypatch.setattr(svn, "_CHUNK_ELEMS", chunk)
+        monkeypatch.setattr(svn, "_STORE", svn._LawStore())  # each chunk size builds every row
         results.append(build_svn(b, alpha=0.1, polarity=polarity))
     monkeypatch.setattr(svn, "_tail_pvalues", one_shot_tail_pvalues)
     reference = build_svn(b, alpha=0.1, polarity=polarity)
@@ -403,3 +406,148 @@ def test_build_svn_under_forced_chunks_matches_one_shot_kernel(polarity, monkeyp
         assert net.pvalues == results[0].pvalues
         for link, p in reference.pvalues.items():
             assert abs(net.pvalues[link] - p) <= 1e-11 * p, link
+
+
+def chunked_tail_pvalues(c, ki, kj, t, lf):
+    """The SVN tail kernel before the law store, kept as its oracle: each call groups its own
+    pairs by law, builds the laws' rows widest first in chunks of `svn._CHUNK_ELEMS` entries,
+    and reads each chunk's pairs, argsorted by chunk rank, before the next chunk."""
+    p = np.ones(c.shape, dtype=float)
+    todo = np.flatnonzero(c > np.maximum(0, ki + kj - t))
+    if todo.size == 0:
+        return p
+    c = c[todo]
+    key = (np.minimum(ki[todo], kj[todo]) << 21) | np.maximum(ki[todo], kj[todo])
+    laws, group = np.unique(key, return_inverse=True)
+    a, b = laws >> 21, laws & (svn._MAX_T - 1)
+    c_min = a.copy()
+    np.minimum.at(c_min, group, c)
+    width = a - c_min + 1
+    by_width = np.argsort(-width)
+    rank = np.empty_like(by_width)
+    rank[by_width] = np.arange(by_width.size)
+    pair_rank = rank[group]
+    pairs = np.argsort(pair_rank)
+    sorted_rank = pair_rank[pairs]
+    start = 0
+    while start < by_width.size:
+        w = int(width[by_width[start]])
+        stop = min(by_width.size, start + max(1, svn._CHUNK_ELEMS // w))
+        g = by_width[start:stop, None]
+        x = np.maximum(a[g] - np.arange(w), c_min[g])
+        terms = (
+            lf[a[g]] - lf[x] - lf[a[g] - x]
+            + lf[t - a[g]] - lf[b[g] - x] - lf[t - a[g] - b[g] + x]
+            - (lf[t] - lf[b[g]] - lf[t - b[g]])
+        )
+        table = np.logaddexp.accumulate(terms, axis=1)
+        lo, hi = np.searchsorted(sorted_rank, [start, stop])
+        r = pairs[lo:hi]
+        p[todo[r]] = np.minimum(np.exp(table[pair_rank[r] - start, a[group[r]] - c[r]]), 1.0)
+        start = stop
+    return p
+
+
+class CountingStore(svn._LawStore):
+    """A law store that counts the times it is emptied to make room and the laws it builds
+    again deeper, and checks after every build that it holds no more than its budget and
+    one row per law, its keys strictly ascending."""
+
+    def __init__(self):
+        self.evictions, self.deepened = -1, 0  # the constructor empties it once
+        super().__init__()
+
+    def clear(self):
+        self.evictions += 1
+        super().clear()
+
+    def add(self, laws, width, t, lf):
+        self.deepened += int(np.isin(laws, self.keys).sum())
+        super().add(laws, width, t, lf)
+        assert self.used <= svn._STORE_ELEMS and self.rows.size == svn._STORE_ELEMS
+        assert (np.diff(self.keys) > 0).all()
+
+
+def law_sequence(rng, t, calls=6, pairs=400):
+    """Count triples for `calls` calls. Margins stay near t/2, so laws recur from call to call,
+    and each call's counts may reach further down the support, so recurring laws deepen. Every
+    call ends with the support's edges: c at its lower end, one above it and at its top."""
+    spread = max(1, t // 20)
+    k = np.unique(np.clip([0, 1, 2, t // 2 - 1, t // 2, t // 2 + 1, t - 2, t - 1, t], 0, t))
+    ek, ej = np.repeat(k, k.size), np.tile(k, k.size)
+    lower, top = np.maximum(0, ek + ej - t), np.minimum(ek, ej)
+    edges = [np.concatenate(v) for v in ((lower, np.minimum(lower + 1, top), top), (ek,) * 3, (ej,) * 3)]
+    for r in range(calls):
+        ki, kj = (np.clip(t // 2 + rng.integers(-spread, spread + 1, pairs), 0, t) for _ in range(2))
+        lo, hi = np.maximum(0, ki + kj - t), np.minimum(ki, kj)
+        c = lo + ((hi - lo + 1) * rng.uniform((calls - 1 - r) / calls, 1, pairs)).astype(np.int64)
+        yield (np.concatenate([v, e]) for v, e in zip((c, ki, kj), edges))
+
+
+# per t, a budget that the six calls of `law_sequence` fill by their third to fifth call
+A_FEW_CALLS = {1: 2, 7: 8, 40: 500, 400: 20_000, 3000: 150_000}
+
+
+@pytest.mark.parametrize("t", [1, 7, 40, 400, 3000])
+@pytest.mark.parametrize("budget", ["default", "a few calls", "one row"])
+def test_law_store_pvalues_match_the_chunked_kernel_bitwise(t, budget, monkeypatch):
+    """Six calls at one t whose laws come and come back deeper. Under a budget that a few of
+    the calls fill, they are also evicted, and under one of the widest row a window of t days
+    can ask for, at nearly every row. Every call gives the chunked kernel's bytes, and the
+    store never holds more than its budget."""
+    if budget != "default":
+        monkeypatch.setattr(svn, "_STORE_ELEMS", A_FEW_CALLS[t] if budget == "a few calls" else t // 2 + 1)
+    monkeypatch.setattr(svn, "_STORE", store := CountingStore())
+    lf = svn._log_factorials(t)
+    for counts in law_sequence(np.random.default_rng(t), t):
+        c, ki, kj = counts
+        got = svn._tail_pvalues(c, ki, kj, t, lf)
+        assert got.tobytes() == chunked_tail_pvalues(c, ki, kj, t, lf).tobytes()
+    if t >= 40:
+        assert (store.evictions > 0) == (budget != "default")
+        assert store.deepened > 0 or budget == "one row"
+
+
+@pytest.mark.parametrize("polarity", svn.POLARITIES)
+def test_build_svn_through_the_law_store_matches_the_chunked_kernel_bitwise(polarity, monkeypatch):
+    """Rolling 120-day windows of one panel, under the default budget and under one that the
+    first few windows fill: every tail call `build_svn` makes, both of the negative polarity's
+    at one t, gives the chunked kernel's bytes."""
+    rng = np.random.default_rng(41)
+    driver = rng.choice([-1, 1], size=260)
+    cols = [sign * np.where(rng.random(260) < 0.25, -driver, driver) for sign in (1, -1) * 5]
+    values = np.column_stack(cols + [rng.choice([-1, 1], size=260) for _ in range(20)]).astype(np.int8)
+    real, calls = svn._tail_pvalues, []
+
+    def checked(c, ki, kj, t, lf):
+        got = real(c, ki, kj, t, lf)
+        assert got.tobytes() == chunked_tail_pvalues(c, ki, kj, t, lf).tobytes()
+        calls.append(t)
+        return got
+
+    monkeypatch.setattr(svn, "_tail_pvalues", checked)
+    for budget in (svn._STORE_ELEMS, 8000):
+        monkeypatch.setattr(svn, "_STORE_ELEMS", budget)
+        monkeypatch.setattr(svn, "_STORE", store := CountingStore())
+        links = 0
+        for end in range(120, 261, 20):
+            window = BinaryPanel(tuple(range(120)), tuple(range(30)), values[end - 120 : end])
+            links += build_svn(window, alpha=0.1, polarity=polarity).n_links
+        assert links > 0 and store.deepened > 0
+        assert (store.evictions > 0) == (budget == 8000)
+    assert calls == [120] * (32 if polarity == "negative" else 16)
+
+
+def test_law_store_empties_and_refills_within_its_budget_when_a_call_needs_more(monkeypatch):
+    """The budget is at most 8 MB and holds the widest row any window can ask for (t/2 < 2**20
+    columns). 400 assets over 1,200 days need more rows than that: the call empties the store
+    to make room, holds no more than the budget, and gives the chunked kernel's bytes."""
+    assert 8 * svn._STORE_ELEMS <= 8 * 2**20 and svn._STORE_ELEMS > (svn._MAX_T - 1) // 2
+    up = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8), size=(1200, 400)) > 0
+    k, (iu, ju) = up.sum(axis=0), np.triu_indices(400, k=1)
+    c, ki, kj = count_product(up, up)[iu, ju], k[iu], k[ju]
+    lf = svn._log_factorials(1200)
+    monkeypatch.setattr(svn, "_STORE", store := CountingStore())
+    got = svn._tail_pvalues(c, ki, kj, 1200, lf)
+    assert store.evictions > 0 and store.used <= svn._STORE_ELEMS
+    assert got.tobytes() == chunked_tail_pvalues(c, ki, kj, 1200, lf).tobytes()

@@ -795,6 +795,27 @@ def test_block_loader_reports_a_bad_row_before_an_undecodable_byte_8kb_on(tmp_pa
     assert placed == {"first", "last"}
 
 
+def test_a_crlf_file_stays_on_the_block_path_and_a_lone_cr_rereads_it(tmp_path, monkeypatch):
+    """A CRLF copy of a long file of 31 blocks never enters the record loop. A copy
+    with one lone CR ending a line, a line break to csv.reader, is read again by it. Both
+    load to the LF file's panel, byte for byte."""
+    monkeypatch.setattr(ingest, "_BLOCK", 1024)
+    lines = [LONG.rstrip("\n")] + _fixed_lines(1500)
+    s = _write(tmp_path / "s.csv", SECTORS)
+    lf = _write_bytes(tmp_path / "lf.csv", "\n".join(lines) + "\n")
+    crlf = _write_bytes(tmp_path / "crlf.csv", "\r\n".join(lines) + "\r\n")
+    lone = _write_bytes(tmp_path / "lone.csv", "\n".join(lines[:700]) + "\r" + "\n".join(lines[700:]) + "\n")
+    assert len(_block_spans(crlf.read_bytes(), ingest._BLOCK)) == 31
+    want = _outcome(load_panel, lf, s, "long")
+    assert not isinstance(want, str) and len(want[0]) > 20
+    calls, records = [], ingest._records
+    monkeypatch.setattr(ingest, "_records", lambda *args: calls.append(args) or records(*args))
+    assert _outcome(load_panel, crlf, s, "long") == want
+    assert calls == []
+    assert _outcome(load_panel, lone, s, "long") == want
+    assert len(calls) == 1
+
+
 def test_block_loader_header_cell_over_the_csv_field_limit_is_the_reference_message(tmp_path):
     """A header cell one character longer than csv.reader takes makes the block loader's own
     header read fail; the record loop then reads the file and reports it as unreadable."""

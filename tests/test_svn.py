@@ -12,6 +12,12 @@ from triadnet.svn import _bh_cutoff, _log_factorials, _tail_pvalues, build_svn
 from conftest import make_binary, random_binary, random_triples, tail_pvalue
 
 
+@pytest.fixture(autouse=True)
+def _empty_law_store(fresh_store):
+    """Every test here starts from an empty law store: a row cached by an earlier test cannot
+    stand in for one this test builds."""
+
+
 def tail_oracle(c, k_i, k_j, t):
     """Exhaustive hypergeometric right tail from exact integer binomials."""
     total = 0
