@@ -28,7 +28,10 @@ class PricePanel:
     """Dates x assets adjusted-close matrix with presence mask and sector labels.
 
     prices[t, i] is only meaningful where present[t, i] is True; absent cells
-    hold NaN. All present prices are finite and strictly positive.
+    hold NaN. All present prices are finite and strictly positive. The
+    experiments keep a panel's returns while its fields are the same objects,
+    so once a panel has been run, rebind a field to change it: an in-place
+    edit of `prices` or `present` is not seen.
     """
 
     dates: tuple

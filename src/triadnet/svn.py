@@ -11,6 +11,7 @@ the other, in both directions with a Bonferroni factor of two.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,39 +65,36 @@ class _LawStore:
         self.keys, (self.start, self.width), self.used = np.array([2**63 - 1]), np.zeros((2, 1), int), 0
 
     def add(self, laws, width, t, lf):
-        """Build `laws`' rows, `width` long, into the room left; a shallower row becomes dead space."""
+        """Build `laws`' rows, `width` long, into the room left, widest first in chunks of at most
+        `_CHUNK_ELEMS` entries padded to their first row; a law's shallower row becomes dead space."""
         if self.rows is None:
             self.rows = np.empty(_STORE_ELEMS)
-        i = np.searchsorted(self.keys, laws)
-        held, was = np.where(found := self.keys[i] == laws, self.width[i], 0), self.start[i]
         start = self.used + np.cumsum(width) - width
-        src = np.arange(held.sum()) + np.repeat(was - np.cumsum(held) + held, held)
-        self.rows[src + np.repeat(start - was, held)] = self.rows[src]  # a deeper row keeps its head
-        a, b = (laws[:, None] >> 21) & (_MAX_T - 1), laws[:, None] & (_MAX_T - 1)
-        order = np.argsort(held - width)  # most new columns first
-        while order.size:  # a chunk pads its rows to its first's new columns: at most 2x plus 32 KB
-            n = (width - held)[order]
-            fit = np.arange(1, n.size + 1) * n[0] <= np.minimum(_CHUNK_ELEMS, 2 * np.cumsum(n) + 4096)
-            g, order = np.split(order, [max(1, np.count_nonzero(fit))])
-            w = int(n[0])
-            # columns held .. width - 1; past a - width + 1 a column repeats that one's term
-            x = np.maximum(a[g] - held[g, None] - np.arange(w), a[g] - width[g, None] + 1)
+        a, b = (laws >> 21) & (_MAX_T - 1), laws & (_MAX_T - 1)
+        by_width = np.argsort(-width)
+        while by_width.size:
+            w = int(width[by_width[0]])
+            n = max(1, _CHUNK_ELEMS // w)
+            g, by_width = by_width[:n, None], by_width[n:]
+            # x = a, a-1, ... down to c; a padded column repeats c's term and is not stored
+            x = np.maximum(a[g] - np.arange(w), a[g] - width[g] + 1)
             terms = (
                 lf[a[g]] - lf[x] - lf[a[g] - x]
                 + lf[t - a[g]] - lf[b[g] - x] - lf[t - a[g] - b[g] + x]
                 - (lf[t] - lf[b[g]] - lf[t - b[g]])
             )
-            head = np.where(held[g] > 0, self.rows[was[g] + held[g] - 1], -np.inf)  # -inf adds nothing
-            tail = np.logaddexp.accumulate(np.column_stack([head, terms]), axis=1)[:, 1:]
-            new = np.arange(w) < (width - held)[g, None]
-            self.rows[((start + held)[g, None] + np.arange(w))[new]] = tail[new]
+            row = np.arange(w) < width[g]
+            self.rows[(start[g] + np.arange(w))[row]] = np.logaddexp.accumulate(terms, axis=1)[row]
         self.used += int(width.sum())
+        i = np.searchsorted(self.keys, laws)
+        found = self.keys[i] == laws
         self.start[i[found]], self.width[i[found]] = start[found], width[found]
         self.keys, self.start, self.width = (np.insert(v, i[~found], u[~found]) for v, u in (
             (self.keys, laws), (self.start, start), (self.width, width)))
 
 
 _STORE = _LawStore()
+_LOCK = threading.Lock()  # one call at a time reads and fills the store
 
 
 def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
@@ -112,47 +110,46 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
     for x = a, a-1, ... down to the smallest c asked of it, and a running
     `np.logaddexp` from the far end of the tail turns them into log P(X >= x),
     which deep tails of long windows cannot underflow. Rows stay in `_STORE`
-    across calls; a smaller c extends its law's row, whose head keeps its bits.
-    A pair reads its p-value at column a - c in one gather, so it depends on
-    (c, a, b, t) alone, not on the call, the store or the chunks. Memory is
-    O(pairs) plus the store's 8 MB and a 1 MB chunk: new rows that do not fit
-    empty the store, which takes as many as fit, until every pair is read. The
-    key packs t, a and b into 21 bits each, hence t < 2**21.
+    across calls; a smaller c builds its law's row again, deeper, from x = a,
+    so the columns both rows have keep their bits. A pair reads its p-value at
+    column a - c in one gather, so it depends on (c, a, b, t) alone, not on the
+    call, the store or the chunks. Memory is O(pairs) plus the store's 8 MB and
+    a 1 MB chunk: new rows that do not fit empty the store, which takes as many
+    as fit, until every pair is read. Calls from several threads take turns at
+    the store. The key packs t, a and b into 21 bits each, hence t < 2**21.
     """
     if t >= _MAX_T:
         raise DataError(f"window length must be below {_MAX_T} days")
-    p = np.ones(c.shape, dtype=float)
     todo = np.flatnonzero(c > np.maximum(0, ki + kj - t))
     if todo.size == 0:
-        return p
-    a, b = np.minimum(ki[todo], kj[todo]), np.maximum(ki[todo], kj[todo])
-    col, lo, span = a - c[todo], int(a.min()), int(b.max() - a.min()) + 1
-    if span * span <= todo.size:  # laws from a table of the (a, b) box, no larger than the pairs
-        seen, cell = np.zeros(span * span, dtype=bool), (a - lo) * span + (b - lo)
-        seen[cell] = True
-        law, laws = (np.cumsum(seen) - 1)[cell], np.flatnonzero(seen)
-        laws = (t << 42) | ((laws // span + lo) << 21) | (laws % span + lo)
-    else:
-        laws, law = np.unique((t << 42) | (a << 21) | b, return_inverse=True)
-    del a, b
+        return np.ones(c.shape, dtype=float)
+    key = np.minimum(ki[todo], kj[todo])  # a, then in place the law's key
+    col = key - c[todo]
+    key <<= 21
+    key |= np.maximum(ki[todo], kj[todo])
+    key |= t << 42
+    laws, law = np.unique(key, return_inverse=True)
+    del key
+    p = np.ones(c.shape, dtype=float)
     need = np.zeros_like(laws)
     np.maximum.at(need, law, col)  # each law's deepest column
     left = np.ones(laws.size, dtype=bool)  # laws whose pairs have no p-value yet
-    while True:
-        i = np.searchsorted(_STORE.keys, laws)
-        ready = left & (_STORE.keys[i] == laws) & (_STORE.width[i] > need)
-        if ready.any():
-            pairs = slice(None) if ready.all() else ready[law]
-            v = _STORE.rows[_STORE.start[i][law[pairs]] + col[pairs]]
-            p[todo[pairs]] = np.minimum(np.exp(v, out=v), 1.0, out=v)
-            left &= ~ready
-        if not left.any():
-            return p
-        new = np.flatnonzero(left)
-        if _STORE.used + need[new].sum() + new.size > _STORE_ELEMS:
-            _STORE.clear()
-        new = new[np.cumsum(need[new] + 1) <= _STORE_ELEMS - _STORE.used]
-        _STORE.add(laws[new], need[new] + 1, t, lf)
+    with _LOCK:
+        while True:
+            i = np.searchsorted(_STORE.keys, laws)
+            ready = left & (_STORE.keys[i] == laws) & (_STORE.width[i] > need)
+            if ready.any():
+                pairs = slice(None) if ready.all() else ready[law]
+                v = _STORE.rows[_STORE.start[i][law[pairs]] + col[pairs]]
+                p[todo[pairs]] = np.minimum(np.exp(v, out=v), 1.0, out=v)
+                left &= ~ready
+            if not left.any():
+                return p
+            new = np.flatnonzero(left)
+            if _STORE.used + need[new].sum() + new.size > _STORE_ELEMS:
+                _STORE.clear()
+            new = new[np.cumsum(need[new] + 1) <= _STORE_ELEMS - _STORE.used]
+            _STORE.add(laws[new], need[new] + 1, t, lf)
 
 
 def _bh_cutoff(p: np.ndarray, alpha: float) -> float:

@@ -18,6 +18,7 @@ and of the sign-matrix entry of `hamiltonian` and `pair_stability` must still
 reject every value outside their alphabet.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import numpy as np
@@ -551,3 +552,24 @@ def test_law_store_empties_and_refills_within_its_budget_when_a_call_needs_more(
     got = svn._tail_pvalues(c, ki, kj, 1200, lf)
     assert store.evictions > 0 and store.used <= svn._STORE_ELEMS
     assert got.tobytes() == chunked_tail_pvalues(c, ki, kj, 1200, lf).tobytes()
+
+
+def test_threads_that_share_the_law_store_get_the_chunked_kernels_bytes(monkeypatch):
+    """Four threads call the kernel at once, at four t, under a budget that a few calls fill,
+    so the store is emptied and refilled while the others read it: every call gives the
+    chunked kernel's bytes."""
+    monkeypatch.setattr(svn, "_STORE_ELEMS", 20_000)
+    monkeypatch.setattr(svn, "_STORE", store := CountingStore())
+    ts = (40, 41, 400, 401)
+    calls = {t: [tuple(counts) for counts in law_sequence(np.random.default_rng(t), t)] * 3 for t in ts}
+
+    def run(t):
+        lf = svn._log_factorials(t)
+        return [svn._tail_pvalues(c, ki, kj, t, lf).tobytes() for c, ki, kj in calls[t]]
+
+    with ThreadPoolExecutor(len(ts)) as pool:
+        got = dict(zip(ts, pool.map(run, ts)))
+    assert store.evictions > 0
+    for t in ts:
+        lf = svn._log_factorials(t)
+        assert got[t] == [chunked_tail_pvalues(c, ki, kj, t, lf).tobytes() for c, ki, kj in calls[t]]
