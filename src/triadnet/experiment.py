@@ -192,14 +192,14 @@ def _lattice_auc(lattice, labels) -> float:
     return _groups_auc(*_tie_counts(index, labels, len(values)))
 
 
-def _sweep(full, tasks, corr_kind: str, make, row=None):
-    """Yield (task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`, in the
+def _sweep(full, tasks, corr_kind: str, make, outcome, row=None) -> list:
+    """[outcome(task, in-window entry, pair) for each (t_in, t_out, end_idx) of `tasks`], in the
     order given. A pair is (common, in-product, out-product), with common the in-window's
     survivors that also survive the out-window in panel order, or a message: a window's "error",
     the in-window's "row" when that is a message, or a DataError of `make`. Each (t, end) window
     is preprocessed once and dropped after the last task that names it, in whatever order the
-    tasks come, as long as a consumer drops a task's entry and pair before asking for the next
-    task. Its entry holds an "error" (`_window`'s too) or its survivors' "assets", their panel
+    tasks come; a task's entry and pair are dropped before the next task's windows are built.
+    An entry holds an "error" (`_window`'s too) or its survivors' "assets", their panel
     "mask" and `_survivors` "cut" and, for an in-window, its "volatility" and, with `row`, its
     "row": row(entry, phi signs), made after its phi signs and then its own "product", or the
     message of the first of those to fail. Every side is make(cut(mask, common)), the window's
@@ -238,6 +238,7 @@ def _sweep(full, tasks, corr_kind: str, make, row=None):
             e["product"] = make(e["cut"](mask, common), corr_kind, key in in_keys)
         return e["product"]
 
+    outcomes = []
     for i, task in enumerate(tasks):
         t_in, t_out, end = task
         k_in, k_out = (t_in, end), (t_out, end + t_out)
@@ -251,11 +252,12 @@ def _sweep(full, tasks, corr_kind: str, make, row=None):
                 pair = common, product(k_in, mask, common, True), product(k_out, mask, common, False)
             except DataError as exc:
                 pair = str(exc)
-        yield task, e_in, pair
+        outcomes.append(outcome(task, e_in, pair))
         del e_in, pair  # the next task's windows are built without this one's
         for key in (k_in, k_out):
             if last_use[key] == i:
                 cache.pop(key, None)  # an out-window is never built when its in-window fails
+    return outcomes
 
 
 def build_dataset(
@@ -278,7 +280,7 @@ def build_dataset(
     _check_kind(corr_kind)
     end_idx = panel.date_index(end_in)
     full = _full(panel, median_scope)
-    ((_, _, pair),) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, _side)
+    (pair,) = _sweep(full, [(t_in, t_out, end_idx)], corr_kind, _side, lambda task, e_in, pair: pair)
     if isinstance(pair, str):
         raise DataError(pair)
     common, side_in, side_out = pair
@@ -350,32 +352,28 @@ def stability_profile(dataset: SignChangeDataset, which: str, bin_width: float =
             for b, (s, p) in enumerate(zip(switched, preserved))]
 
 
-def _evaluate(full, tasks, corr_kind):
-    """Yield (task, record or (skip reason, message)) for `tasks`, from one sweep."""
-    for task, e_in, pair in _sweep(full, tasks, corr_kind, _side):
-        if isinstance(pair, str):
-            outcome = "infeasible", f"window infeasible: {pair}"
-        elif (labels := pair[1]["signs"] != pair[2]["signs"]).all() or not labels.any():
-            outcome = "single_class", "single-class window (no switch variation)"
-        else:  # pair is (common, in-side, out-side)
-            (t_in, t_out, end_idx), n = task, len(pair[0])
-            outcome = ExperimentRecord(full[0].dates[end_idx - 1], t_in, t_out, t_in / n, t_out / n,
-                                       *(_lattice_auc(pair[1][name], labels) for name in SCORE_KINDS),
-                                       pair[1]["h"], pair[2]["h"], e_in["volatility"], labels.size)
-        del e_in, pair  # the next task's windows are built without this one's
-        yield task, outcome
+def _grid_outcome(dates, task, e_in, pair):
+    """A grid task's record, or its (skip reason, message); `dates` are the returns' dates."""
+    if isinstance(pair, str):
+        return "infeasible", f"window infeasible: {pair}"
+    if (labels := pair[1]["signs"] != pair[2]["signs"]).all() or not labels.any():
+        return "single_class", "single-class window (no switch variation)"
+    (t_in, t_out, end_idx), n = task, len(pair[0])  # pair is (common, in-side, out-side)
+    return ExperimentRecord(dates[end_idx - 1], t_in, t_out, t_in / n, t_out / n,
+                            *(_lattice_auc(pair[1][name], labels) for name in SCORE_KINDS),
+                            pair[1]["h"], pair[2]["h"], e_in["volatility"], labels.size)
 
 
-# A pool worker's `work`, its args and the returns and market mode its windows slice.
+# A pool worker's `_sweep` arguments: the returns and market mode its windows slice, and the rest.
 _POOL_STATE = {}
 
 
-def _pool_init(work, full, args):
-    _POOL_STATE.update(work=work, full=full, args=args)
+def _pool_init(full, args):
+    _POOL_STATE.update(full=full, args=args)
 
 
 def _pool_run(chunk):
-    return list(_POOL_STATE["work"](_POOL_STATE["full"], chunk, *_POOL_STATE["args"]))
+    return _sweep(_POOL_STATE["full"], chunk, *_POOL_STATE["args"])
 
 
 def _pool_size(jobs: int, n_tasks: int) -> int:
@@ -386,20 +384,20 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
     return min(jobs, n_tasks, cores // next((int(v) for v in values if v.isdigit() and int(v) > 0), cores))
 
 
-def _map_chunks(work, tasks, jobs: int, full, corr_kind, *extra) -> list:
-    """work(full, chunk, corr_kind, *extra) over `tasks` cut into one contiguous run per
-    `_pool_size` worker, in order, concatenated; `full` is a panel's `_with_mode`, made once in
-    the parent. Below 2 workers, one in-process `work` call takes all. Workers are forked
-    whatever the Python's default start method, so they inherit `full` and the parent's BLAS
-    threads: results do not depend on `jobs`, workers never run more BLAS threads than cores,
-    and each cut adds at most the windows that straddle it."""
-    workers, args = _pool_size(jobs, len(tasks)), (corr_kind, *extra)
+def _map_chunks(tasks, jobs: int, full, *args) -> list:
+    """_sweep(full, chunk, *args) over `tasks` cut into one contiguous run per `_pool_size`
+    worker, in order, concatenated; `full` is a panel's `_with_mode`, made once in the parent.
+    Below 2 workers, one in-process sweep takes all. Workers are forked whatever the Python's
+    default start method, so they inherit `full`, `args` and the parent's BLAS threads: results
+    do not depend on `jobs`, workers never run more BLAS threads than cores, and each cut adds
+    at most the windows that straddle it."""
+    workers = _pool_size(jobs, len(tasks))
     if workers < 2:
-        return list(work(full, tasks, *args))
+        return _sweep(full, tasks, *args)
     chunks = [tasks[i * len(tasks) // workers : (i + 1) * len(tasks) // workers] for i in range(workers)]
     logger.debug("process pool of %d workers for %d tasks, one run each", workers, len(tasks))
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_pool_init, initargs=(work, full, args)) as pool:
+                             initializer=_pool_init, initargs=(full, args)) as pool:
         return [r for part in pool.map(_pool_run, chunks) for r in part]
 
 
@@ -434,10 +432,10 @@ def run_grid(
         raise DataError("step must be at least 1 day")
     full = _full(panel, median_scope)
     tasks = grid_tasks(panel, t_values, step)
-    results = _map_chunks(_evaluate, tasks, jobs, full, corr_kind)
-    records = [r for _, r in results if isinstance(r, ExperimentRecord)]
+    results = _map_chunks(tasks, jobs, full, corr_kind, _side, partial(_grid_outcome, full[0].dates))
+    records = [r for r in results if isinstance(r, ExperimentRecord)]
     skipped = {"infeasible": 0, "single_class": 0}
-    for task, skip in results:
+    for task, skip in zip(tasks, results):
         if not isinstance(skip, ExperimentRecord):
             skipped[skip[0]] += 1
             logger.debug("skipping t_in=%d t_out=%d end_idx=%d: %s", *task, skip[1])
@@ -478,18 +476,15 @@ def _leading(data, corr_kind, scores):
     return (*spectral_summary(corr, k=1), corr)
 
 
-def _timeseries_chunk(full, tasks, corr_kind, sectors, alpha):
-    """Yield (end index, row without its date, or skip message) for `tasks`, swept in the order
-    given; an overlap on fewer than 2 common assets is a DataError of its kernels, so null."""
-    row = partial(_timeseries_row, sectors, alpha)
-    for (_, _, end_idx), e_in, pair in _sweep(full, tasks, corr_kind, _leading, row):
-        made = e_in.get("error") or e_in["row"]
-        if not isinstance(made, str):
-            made["v1_overlap"] = None
-            with suppress(DataError):  # a constant eigenvector has no Pearson correlation
-                made["v1_overlap"] = None if isinstance(pair, str) else eigvec_overlap(pair[1][1], pair[2][1])
-        del e_in, pair  # the next task's windows are built without this one's
-        yield end_idx, made
+def _timeseries_outcome(task, e_in, pair):
+    """A timeseries row without its date, or its skip message; an overlap on fewer than 2
+    common assets is a DataError of its kernels, so null."""
+    made = e_in.get("error") or e_in["row"]
+    if not isinstance(made, str):
+        made["v1_overlap"] = None
+        with suppress(DataError):  # a constant eigenvector has no Pearson correlation
+            made["v1_overlap"] = None if isinstance(pair, str) else eigvec_overlap(pair[1][1], pair[2][1])
+    return made
 
 
 def timeseries_rows(
@@ -519,8 +514,9 @@ def timeseries_rows(
     ends = sorted(range(window, panel.n_dates, step), key=lambda end: end % window)  # stable: chain order
     tasks, rows = [(window, window, end) for end in ends], []
     full = _full(panel, median_scope)
-    results = _map_chunks(_timeseries_chunk, tasks, jobs, full, corr_kind, panel.sectors, alpha)
-    for end_idx, made in sorted(results, key=lambda r: r[0]):
+    row = partial(_timeseries_row, panel.sectors, alpha)
+    results = _map_chunks(tasks, jobs, full, corr_kind, _leading, _timeseries_outcome, row)
+    for end_idx, made in sorted(zip(ends, results), key=lambda r: r[0]):
         if isinstance(made, str):
             logger.debug("timeseries skips %s: %s", panel.dates[end_idx], made)
             continue

@@ -8,6 +8,7 @@ simply a row of the panel.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from contextlib import contextmanager
@@ -93,12 +94,12 @@ def _csv(path, empty: str):
     records from 1. line(k) is the physical line that record k, the last one
     read, starts on. Read errors raise DataError, also while body is walked."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             def line(k):  # k until a quoted field spans lines; after that, a re-read finds it
                 if reader.line_num == k:
                     return k
-                with open(path, "r", encoding="utf-8", newline="") as again:
+                with open(path, "r", encoding="utf-8-sig", newline="") as again:
                     before = csv.reader(again)
                     next(islice(before, k - 2, None))  # records 1 .. k-1
                     return before.line_num + 1
@@ -262,7 +263,7 @@ def _long_blocks(path):
                 raise DataError(f"{path}: a line longer than {_BLOCK} bytes")
             return raw
 
-        header = next(csv.reader(map(bytes.decode, iter(rest_of_line, b""))), None)
+        header = next(csv.reader(codecs.iterdecode(iter(rest_of_line, b""), "utf-8-sig")), None)
         if header is None:
             raise DataError(f"{path}: empty file")
         cols, d_ix, a_ix, grid = _long_columns(header, path), {}, {}, np.full((64, 64), np.nan)
@@ -336,7 +337,8 @@ def load_panel(prices_path, sectors_path, format: str = "long") -> PricePanel:
     Args:
         prices_path: CSV of adjusted closes. Long format has header columns
             date,ticker,adj_close; wide format has a date column followed by
-            one column per ticker (empty or "NaN" cells mean missing).
+            one column per ticker (empty or "NaN" cells mean missing). A
+            leading UTF-8 byte-order mark is skipped.
         sectors_path: CSV of (ticker,sector) rows with a header. Tickers not
             listed get the label "UNKNOWN".
         format: "long" or "wide".

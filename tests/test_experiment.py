@@ -329,7 +329,7 @@ def test_pool_starts_no_idle_workers(in_process_pool, monkeypatch):
     assert pooled == run_grid(panel, [10], 7, jobs=1) and pooled[0]
 
 
-def test_huge_jobs_slice_the_tasks_at_most_once_per_task(in_process_pool):
+def test_huge_jobs_slice_the_tasks_at_most_once_per_task(in_process_pool, monkeypatch):
     """Workers stop at one per task, and each takes one run, so a huge --jobs slices the
     task list at most once per task."""
     class SliceCountingList(list):
@@ -341,7 +341,8 @@ def test_huge_jobs_slice_the_tasks_at_most_once_per_task(in_process_pool):
             return super().__getitem__(index)
 
     tasks = SliceCountingList([(10, 10, 10), (10, 10, 17), (10, 10, 24)])
-    chunks = experiment._map_chunks(lambda full, chunk, corr_kind: [chunk], tasks, 1000, None, "phi")
+    monkeypatch.setattr(experiment, "_sweep", lambda full, chunk, *args: [chunk])
+    chunks = experiment._map_chunks(tasks, 1000, None, "phi")
     assert tasks.slices <= 3
     assert chunks == [[task] for task in tasks]
     assert in_process_pool == [3, 3]

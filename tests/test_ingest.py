@@ -664,10 +664,12 @@ def test_load_panel_memory_does_not_grow_with_the_file(tmp_path):
     assert peak < 16 * 2**20, peak
 
 
-def test_crlf_and_fully_quoted_copies_load_as_the_plain_file(tmp_path):
+def test_crlf_and_fully_quoted_copies_load_as_the_plain_file(tmp_path, monkeypatch):
     """A long file of 300 dates x 40 assets with 15% of its cells absent (about 370 KB, so
     more than one block of the block loader) loads to the same panel, byte for byte, from a
-    copy with CRLF line ends and from a copy with every cell quoted."""
+    copy with CRLF line ends and from a copy with every cell quoted. So do the plain and the
+    quoted file with a leading UTF-8 byte-order mark, the first read a block at a time and
+    the second by the record loop, and a wide file of the same panel with or without one."""
     rng = np.random.default_rng(31)
     prices = rng.uniform(1, 100, size=(300, 40))
     prices[rng.random(prices.shape) < 0.15] = np.nan
@@ -683,6 +685,18 @@ def test_crlf_and_fully_quoted_copies_load_as_the_plain_file(tmp_path):
     assert not isinstance(want, str) and len(want[0]) == 300
     assert _outcome(load_panel, crlf, s, "long") == want
     assert _outcome(load_panel, quoted, s, "long") == want
+    panel = load_panel(p, s, "long")
+    rows = (",".join([date, *("" if math.isnan(x) else repr(x) for x in row)])
+            for date, row in zip(panel.dates, panel.prices.tolist()))
+    wide = _write_bytes(tmp_path / "wide.csv", "\n".join([",".join(["date", *panel.assets]), *rows]) + "\n")
+    assert _outcome(load_panel, wide, s, "wide") == want
+    calls, records = [], ingest._records
+    monkeypatch.setattr(ingest, "_records", lambda *args: calls.append(args) or records(*args))
+    for path, fmt, loops in ((p, "long", 0), (quoted, "long", 1), (wide, "wide", 0)):
+        bom = _write_bytes(tmp_path / f"bom-{path.name}", b"\xef\xbb\xbf" + path.read_bytes())
+        calls.clear()
+        assert _outcome(load_panel, bom, s, fmt) == want, path.name
+        assert len(calls) == loops, path.name  # the plain file's blocks never reach the record loop
 
 
 # --- the block loader: a long file is parsed a block of whole lines at a time --------

@@ -14,7 +14,6 @@ its windows (complete, in either asset order) and where some do (gaps).
 
 import logging
 import weakref
-from collections import deque
 from functools import partial
 from itertools import compress
 from math import comb
@@ -516,9 +515,9 @@ def last_tasks(tasks):
 @pytest.mark.parametrize("kind", CORR_KINDS)
 def test_sweep_keeps_each_window_until_its_last_task_in_any_order(monkeypatch, kind):
     """On a shuffled task list over a gappy panel, each window is preprocessed once, and
-    once the sweep yields a task, every product of a window whose last task came before
-    it is freed: no entry outlives its last task, whatever the order. Nor does the sweep
-    hold the last task's pair while it builds the next task's windows."""
+    when the sweep hands a task to its outcome, every product of a window whose last task
+    came before it is freed: no entry outlives its last task, whatever the order. Nor does
+    the sweep hold the last task's pair while it builds the next task's windows."""
     panel = gappy_panel(14)
     full = _with_mode(log_returns(panel), "universe")
     tasks = grid_tasks(panel, T_VALUES, STEP)
@@ -541,24 +540,28 @@ def test_sweep_keeps_each_window_until_its_last_task_in_any_order(monkeypatch, k
         return counted(*args)
 
     monkeypatch.setattr(experiment, "_survivors", checked)
-    i = 0  # not enumerate: its reused result tuple would hold the last item into the next build
-    for task, e_in, pair in experiment._sweep(full, tasks, kind, make):
+
+    def outcome(task, e_in, pair):
+        i = done[0] + 1
         assert task == tasks[i]
         assert not [key for key, ref in products if last[key] < i and ref() is not None], i
-        del e_in, pair
-        done[0], i = i, i + 1
-    assert i == len(tasks)
+        done[0] = i
+        return task
+
+    assert experiment._sweep(full, tasks, kind, make, outcome) == tasks
     assert builds == dict.fromkeys(builds, 1) and len(builds) > 50
     assert all(ref() is None for _, ref in products)
     assert sum(last[key] < len(tasks) - 1 for key, _ in products) > 50
-    in_order = grid_tasks(panel, T_VALUES, STEP)
-    assert dict(experiment._evaluate(full, tasks, kind)) == dict(experiment._evaluate(full, in_order, kind))
+    grid = partial(experiment._grid_outcome, full[0].dates)
+    records = [dict(zip(order, experiment._sweep(full, order, kind, experiment._side, grid)))
+               for order in (tasks, grid_tasks(panel, T_VALUES, STEP))]
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("kind", CORR_KINDS)
 def test_grid_holds_no_finished_window_while_it_builds_the_next(monkeypatch, kind):
-    """The grid's sweep and `_evaluate` drop a task's entry and pair before the next task's
-    windows are built: at each build, every window whose last task came before the first
+    """The grid's sweep drops a task's entry and pair, after its outcome, before the next
+    task's windows are built: at each build, every window whose last task came before the first
     task that names the new one has freed its survivors' mask."""
     panel = gappy_panel(14)
     tasks = grid_tasks(panel, T_VALUES, STEP)
@@ -582,11 +585,11 @@ def test_grid_holds_no_finished_window_while_it_builds_the_next(monkeypatch, kin
 @pytest.mark.parametrize("step", [STEP, 3], ids=["step-divides-window", "step-does-not"])
 def test_timeseries_sweeps_in_chain_order_and_holds_at_most_two_windows(monkeypatch, kind, step):
     """`timeseries_rows` hands its sweep the end dates in chain order, unsorted, and a sweep
-    in that order holds at most two window entries: when a window is built, at most one
-    other is alive, through `timeseries_rows` as through a drained sweep, so neither the
-    sweep nor its consumer keeps the last task's entry or pair. Swept by end date instead,
-    with the step dividing the window, a row's out-window waits window / step rows for its
-    own row, and that many are alive."""
+    in that order holds at most two windows: when a window is built, the survivors or
+    products of at most one other are alive, through `timeseries_rows` as through a sweep
+    called directly, so the sweep keeps neither the last task's entry nor its pair. Swept
+    by end date instead, with the step dividing the window, a row's out-window waits
+    window / step rows for its own row, and that many are alive."""
     panel, sweep = gappy_panel(14), experiment._sweep
     ends = range(TS_WINDOW, panel.n_dates, step)
     chain = [(TS_WINDOW, TS_WINDOW, end) for end in sorted(ends, key=lambda end: end % TS_WINDOW)]
@@ -601,7 +604,7 @@ def test_timeseries_sweeps_in_chain_order_and_holds_at_most_two_windows(monkeypa
     assert rows == ref_timeseries(panel, kind, "universe", step)
     assert swept == [chain]
 
-    survivors, masks, held = experiment._survivors, [], []
+    survivors, leading, masks, held = experiment._survivors, experiment._leading, [], []
 
     def tracked(returns, *args):
         key = window_key(panel, returns.dates)
@@ -610,16 +613,23 @@ def test_timeseries_sweeps_in_chain_order_and_holds_at_most_two_windows(monkeypa
         masks.append((key, weakref.ref(mask)))
         return data, mask, cut
 
+    def product(data, *args):  # a window's products, a pair's too, count as that window held
+        made = leading(data, *args)
+        masks.append((window_key(panel, data[0]), weakref.ref(made[2])))
+        return made
+
     monkeypatch.setattr(experiment, "_survivors", tracked)
+    monkeypatch.setattr(experiment, "_leading", product)
     assert timeseries_rows(panel, TS_WINDOW, step, kind, "universe", ALPHA) == rows
     assert max(held) == 1
     held.clear()
     full = _with_mode(log_returns(panel), "universe")
+    args = kind, experiment._leading, experiment._timeseries_outcome
     row = partial(experiment._timeseries_row, panel.sectors, ALPHA)
-    deque(sweep(full, chain, kind, experiment._leading, row), maxlen=0)  # keeps no item
+    sweep(full, chain, *args, row)
     assert max(held) == 1
     held.clear()  # by end date, each window that is a later in-window stays until then
-    deque(sweep(full, sorted(chain), kind, experiment._leading, row), maxlen=0)
+    sweep(full, sorted(chain), *args, row)
     assert max(held) == (TS_WINDOW // step if TS_WINDOW % step == 0 else 1)
 
 
