@@ -48,7 +48,7 @@ from .preprocess import (
     log_returns,
     volatility,
 )
-from .svn import build_svn
+from .svn import _check_alpha, build_svn
 
 logger = logging.getLogger(__name__)
 
@@ -509,6 +509,7 @@ def timeseries_rows(
     `_map_chunks`) cuts the chain order between workers, so it adds at most workers - 1 builds.
     """
     _check_kind(corr_kind)
+    _check_alpha(alpha)
     if window < 2 or step < 1:
         raise DataError("timeseries needs a window of at least 2 returns and a step of at least 1")
     ends = sorted(range(window, panel.n_dates, step), key=lambda end: end % window)  # stable: chain order

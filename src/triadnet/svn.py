@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +27,13 @@ POLARITIES = ("positive", "negative")
 
 @dataclass(eq=False)
 class Svn:
-    """Validated adjacency plus the p-values of the retained links."""
+    """Validated adjacency plus the retained links as (i, j, p) sequences, i < j."""
 
     assets: tuple
     adjacency: np.ndarray
     polarity: str
     alpha: float
-    pvalues: dict = field(default_factory=dict)
+    links: tuple = ((), (), ())
 
     def __post_init__(self):
         self.assets = tuple(self.assets)
@@ -41,6 +42,12 @@ class Svn:
     @property
     def n_links(self) -> int:
         return int(self.adjacency.sum()) // 2
+
+    @cached_property
+    def pvalues(self) -> dict:
+        """(i, j) -> p of each retained link, made from `links` when first read."""
+        i, j, p = (np.asarray(v).tolist() for v in self.links)
+        return dict(zip(zip(i, j), p))
 
 
 _CHUNK_ELEMS = 1 << 17  # float64 entries per (laws x width) table chunk: 1 MB
@@ -53,9 +60,10 @@ def _log_factorials(t: int) -> np.ndarray:
 
 
 class _LawStore:
-    """Log-tail rows kept across calls in a buffer of `_STORE_ELEMS` float64s made at first use: the
-    law (a, b) of window length t, key (t << 42) | (a << 21) | b, has log P(X >= a - j) at
-    rows[start + j] for j < width. `keys` is sorted and ends in a sentinel above every key."""
+    """Log-tail rows kept across calls in a buffer of `_STORE_ELEMS` float64s, made at first use
+    with a workspace of four `_CHUNK_ELEMS` rows: the law (a, b) of window length t, key
+    (t << 42) | (a << 21) | b, has log P(X >= a - j) at rows[start + j] for j < width.
+    `keys` is sorted and ends in a sentinel above every key."""
 
     def __init__(self):
         self.rows = None
@@ -66,25 +74,34 @@ class _LawStore:
 
     def add(self, laws, width, t, lf):
         """Build `laws`' rows, `width` long, into the room left, widest first in chunks of at most
-        `_CHUNK_ELEMS` entries padded to their first row; a law's shallower row becomes dead space."""
+        `_CHUNK_ELEMS` entries padded to their first row. A chunk is built in place in the
+        workspace (in its own, if one row is wider) and its rows lie side by side in the store;
+        a law's shallower row becomes dead space."""
         if self.rows is None:
-            self.rows = np.empty(_STORE_ELEMS)
-        start = self.used + np.cumsum(width) - width
-        a, b = (laws >> 21) & (_MAX_T - 1), laws & (_MAX_T - 1)
+            self.rows, self.work = np.empty(_STORE_ELEMS), np.empty((4, _CHUNK_ELEMS))
         by_width = np.argsort(-width)
+        start = np.empty_like(width)
+        start[by_width] = self.used + np.cumsum(width[by_width]) - width[by_width]
+        a, b = (laws >> 21) & (_MAX_T - 1), laws & (_MAX_T - 1)
         while by_width.size:
             w = int(width[by_width[0]])
             n = max(1, _CHUNK_ELEMS // w)
-            g, by_width = by_width[:n, None], by_width[n:]
+            g, by_width = by_width[:n], by_width[n:]
+            size, ag, bg = g.size * w, a[g, None], b[g, None]
+            work = self.work if size <= self.work.shape[1] else np.empty((4, size))
+            x, i = (v[:size].view(np.int64).reshape(-1, w) for v in work[:2])
+            terms, got = (v[:size].reshape(-1, w) for v in work[2:])
             # x = a, a-1, ... down to c; a padded column repeats c's term and is not stored
-            x = np.maximum(a[g] - np.arange(w), a[g] - width[g] + 1)
-            terms = (
-                lf[a[g]] - lf[x] - lf[a[g] - x]
-                + lf[t - a[g]] - lf[b[g] - x] - lf[t - a[g] - b[g] + x]
-                - (lf[t] - lf[b[g]] - lf[t - b[g]])
-            )
-            row = np.arange(w) < width[g]
-            self.rows[(start[g] + np.arange(w))[row]] = np.logaddexp.accumulate(terms, axis=1)[row]
+            np.maximum(np.subtract(ag, np.arange(w), out=x), ag - width[g, None] + 1, out=x)
+            terms[...] = lf[ag]
+            terms -= np.take(lf, x, out=got, mode="clip")  # in range; "clip" fills `got` unbuffered
+            terms -= np.take(lf, np.subtract(ag, x, out=i), out=got, mode="clip")
+            terms += lf[t - ag]
+            terms -= np.take(lf, np.subtract(bg, x, out=i), out=got, mode="clip")
+            terms -= np.take(lf, np.add(x, t - ag - bg, out=i), out=got, mode="clip")
+            terms -= lf[t] - lf[bg] - lf[t - bg]
+            np.logaddexp.accumulate(terms, axis=1, out=got)
+            self.rows[start[g[0]] : start[g[0]] + width[g].sum()] = got[np.arange(w) < width[g, None]]
         self.used += int(width.sum())
         i = np.searchsorted(self.keys, laws)
         found = self.keys[i] == laws
@@ -114,9 +131,10 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
     so the columns both rows have keep their bits. A pair reads its p-value at
     column a - c in one gather, so it depends on (c, a, b, t) alone, not on the
     call, the store or the chunks. Memory is O(pairs) plus the store's 8 MB and
-    a 1 MB chunk: new rows that do not fit empty the store, which takes as many
-    as fit, until every pair is read. Calls from several threads take turns at
-    the store. The key packs t, a and b into 21 bits each, hence t < 2**21.
+    4 MB chunk workspace: new rows that do not fit empty the store, which takes
+    as many as fit, until every pair is read. Calls from several threads take
+    turns at the store. The key packs t, a and b into 21 bits each, hence
+    t < 2**21. `build_svn` asks only for the pairs BH could keep (see there).
     """
     if t >= _MAX_T:
         raise DataError(f"window length must be below {_MAX_T} days")
@@ -152,13 +170,17 @@ def _tail_pvalues(c: np.ndarray, ki: np.ndarray, kj: np.ndarray, t: int,
             _STORE.add(laws[new], need[new] + 1, t, lf)
 
 
-def _bh_cutoff(p: np.ndarray, alpha: float) -> float:
-    """Benjamini-Hochberg step-up cutoff: the largest sorted p_(r) <= r * alpha / p.size, or
-    -inf if none; every p-value at or below it is kept, ties included."""
+def _check_alpha(alpha: float) -> None:
     if not 0 < alpha < 1:
         raise DataError("alpha must be in (0, 1)")
-    sorted_p = np.sort(p)
-    ok = np.flatnonzero(sorted_p <= np.arange(1, p.size + 1) * alpha / p.size)
+
+
+def _bh_cutoff(p: np.ndarray, alpha: float) -> float:
+    """Benjamini-Hochberg step-up cutoff: the largest sorted p_(r) <= r * alpha / p.size, or
+    -inf if none; every p-value at or below it is kept, ties included. Only the p-values at or
+    below alpha are sorted, since a larger one can never meet r * alpha / p.size <= alpha."""
+    sorted_p = np.sort(p[p <= alpha])
+    ok = np.flatnonzero(sorted_p <= np.arange(1, sorted_p.size + 1) * alpha / p.size)
     return float(sorted_p[ok[-1]]) if ok.size else -np.inf
 
 
@@ -169,31 +191,38 @@ def build_svn(b: BinaryPanel, alpha: float = 0.1, polarity: str = "positive") ->
     Negative polarity counts up/down disagreement days in both directions,
     takes the smaller of the two tail p-values and doubles it before the
     step-up selection. The counts come from one float32 BLAS product, exact
-    below 2**24 days (see `util.count_product`). Memory is O(N^2) plus the law
-    store's fixed 8 MB and a 1 MB chunk: the tail p-values come from one tail row
-    per (k_i, k_j) law, kept across calls (see `_tail_pvalues`), never from one
-    pairs x tail-width array.
+    below 2**24 days (see `util.count_product`).
+
+    A tail is summed only where the selection could keep the pair. A count at
+    or below its hypergeometric mean, c * t <= k_i * k_j in exact int64, has
+    p >= 1/2, as the law's median is at least the floor of its mean. So at
+    alpha < 1/2 such a positive pair gets p = 1 without a tail, and a negative
+    direction gets 1 at any alpha, as doubling p >= 1/2 gives 1 already; no
+    kept link or p-value moves. Memory is O(N^2) plus the law store's fixed
+    8 MB and 4 MB chunk workspace: the tail p-values come from one tail row
+    per (k_i, k_j) law, kept across calls (see `_tail_pvalues`), never from
+    one pairs x tail-width array.
     """
     if polarity not in POLARITIES:
         raise DataError(f"polarity must be one of {POLARITIES}")
+    _check_alpha(alpha)
     t, n = b.values.shape
     adjacency = np.zeros((n, n), dtype=np.int8)
-    if n < 2:
-        return Svn(b.assets, adjacency, polarity, alpha, {})
     up = b.values > 0
     k = up.sum(axis=0)
     iu, ju = np.triu_indices(n, k=1)
-    lf = _log_factorials(t)
+    lf, tails = _log_factorials(t), []
     if polarity == "positive":
-        both_up = count_product(up, up)
-        p = _tail_pvalues(both_up[iu, ju], k[iu], k[ju], t, lf)
+        counts = [(count_product(up, up)[iu, ju], k[iu], k[ju])]
     else:
         cross = count_product(up, ~up)  # cross[i, j] = days i up and j down
-        p_ij = _tail_pvalues(cross[iu, ju], k[iu], t - k[ju], t, lf)
-        p_ji = _tail_pvalues(cross[ju, iu], k[ju], t - k[iu], t, lf)
-        p = np.minimum(2.0 * np.minimum(p_ij, p_ji), 1.0)
+        counts = ((cross[i, j], k[i], t - k[j]) for i, j in ((iu, ju), (ju, iu)))
+    for c, ki, kj in counts:
+        tested = np.flatnonzero(c * t > ki * kj) if alpha < 0.5 or polarity == "negative" else slice(None)
+        tails.append(np.ones(c.shape))
+        tails[-1][tested] = _tail_pvalues(c[tested], ki[tested], kj[tested], t, lf)
+    p = tails[0] if polarity == "positive" else np.minimum(2.0 * np.minimum(*tails), 1.0)
     kept = np.flatnonzero(p <= _bh_cutoff(p, alpha))
     i, j = iu[kept], ju[kept]
     adjacency[i, j] = adjacency[j, i] = 1
-    pvalues = dict(zip(zip(i.tolist(), j.tolist()), p[kept].tolist()))
-    return Svn(b.assets, adjacency, polarity, alpha, pvalues)
+    return Svn(b.assets, adjacency, polarity, alpha, (i, j, p[kept]))

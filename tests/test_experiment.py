@@ -437,6 +437,16 @@ def test_timeseries_rows_shape():
     assert rows[-1]["v1_overlap"] is None
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, float("nan")])
+@pytest.mark.parametrize("n_assets", [2, 6])
+def test_timeseries_rows_rejects_a_bad_alpha_before_it_builds_a_window(alpha, n_assets, monkeypatch):
+    """With 2 assets every row is skipped, so no SVN is ever built: alpha is checked first."""
+    panel = generate(SynthSpec(n_assets=n_assets, n_days=40, model="bipolar", seed=2))
+    monkeypatch.setattr(experiment, "_map_chunks", lambda *args: pytest.fail("built a window"))
+    with pytest.raises(DataError, match=r"alpha must be in \(0, 1\)"):
+        timeseries_rows(panel, 20, alpha=alpha)
+
+
 @pytest.mark.parametrize("window,step", [(1, 1), (25, 0)])
 def test_timeseries_rows_rejects_a_short_window_or_a_zero_step(window, step):
     panel = generate(SynthSpec(n_assets=6, n_days=40, model="bipolar", seed=2))

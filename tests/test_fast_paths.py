@@ -573,3 +573,91 @@ def test_threads_that_share_the_law_store_get_the_chunked_kernels_bytes(monkeypa
     for t in ts:
         lf = svn._log_factorials(t)
         assert got[t] == [chunked_tail_pvalues(c, ki, kj, t, lf).tobytes() for c, ki, kj in calls[t]]
+
+
+def every_pair_svn(b, alpha, polarity):
+    """The SVN before pairs at or below their mean were skipped, kept as its oracle: every pair's
+    tail through `chunked_tail_pvalues` and a step-up cutoff from a sort of every p-value. Gives
+    the adjacency, the kept links' p-values and the full p vector."""
+    t, n = b.values.shape
+    up = b.values > 0
+    k = up.sum(axis=0)
+    iu, ju = np.triu_indices(n, k=1)
+    lf = svn._log_factorials(t)
+    if polarity == "positive":
+        p = chunked_tail_pvalues(int64_product(up, up)[iu, ju], k[iu], k[ju], t, lf)
+    else:
+        cross = int64_product(up, ~up)
+        p_ij = chunked_tail_pvalues(cross[iu, ju], k[iu], t - k[ju], t, lf)
+        p_ji = chunked_tail_pvalues(cross[ju, iu], k[ju], t - k[iu], t, lf)
+        p = np.minimum(2.0 * np.minimum(p_ij, p_ji), 1.0)
+    sorted_p = np.sort(p)
+    ok = np.flatnonzero(sorted_p <= np.arange(1, p.size + 1) * alpha / p.size)
+    kept = np.flatnonzero(p <= (sorted_p[ok[-1]] if ok.size else -np.inf))
+    adjacency = np.zeros((n, n), dtype=np.int8)
+    adjacency[iu[kept], ju[kept]] = adjacency[ju[kept], iu[kept]] = 1
+    return adjacency, dict(zip(zip(iu[kept].tolist(), ju[kept].tolist()), p[kept].tolist())), p
+
+
+def followers(rng, t, signs, flip):
+    """A column per sign: the sign times a common driver, each day flipped with chance `flip`."""
+    driver = rng.choice([-1, 1], size=t)
+    return [s * np.where(rng.random(t) < flip, -driver, driver) for s in signs]
+
+
+def skip_panels():
+    rng = np.random.default_rng(53)
+    cols = followers(rng, 90, [1] * 16, 0.15) + [rng.choice([-1, 1], size=90) for _ in range(14)]
+    yield "random", [np.column_stack(cols)]
+    patterns = np.column_stack(followers(rng, 60, [1, 1, -1, 1], 0.25))
+    yield "tie-heavy", [patterns[:, rng.integers(0, 4, 30)]]  # many equal counts and p-values
+    yield "anti-correlated", [np.column_stack(followers(rng, 80, [1, -1] * 15, 0.1))]
+    tiny = [np.array([[1, -1], [-1, 1]]), np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1]])]
+    yield "tiny", tiny + [random_binary(rng, t, 7).values for t in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.49, 0.5, 0.9])
+@pytest.mark.parametrize("polarity", svn.POLARITIES)
+@pytest.mark.parametrize("name,panels", list(skip_panels()))
+def test_build_svn_that_skips_pairs_at_or_below_their_mean_matches_every_pair_bitwise(
+    name, panels, polarity, alpha, monkeypatch
+):
+    """The adjacency and p-values equal the every-pair oracle's bitwise, and so does the negative
+    polarity's full p vector. A positive tail call at alpha < 1/2, and every negative one, gets
+    exactly the pairs with c * t > k_i * k_j; a positive call at alpha >= 1/2 gets every pair."""
+    real_tails, real_cutoff, calls, cut = svn._tail_pvalues, svn._bh_cutoff, [], []
+    monkeypatch.setattr(svn, "_tail_pvalues", lambda *a: calls.append(a[:3]) or real_tails(*a))
+    monkeypatch.setattr(svn, "_bh_cutoff", lambda p, alpha: cut.append(p) or real_cutoff(p, alpha))
+    for values in panels:
+        values = values.astype(np.int8)
+        assert (values.min(axis=0) < values.max(axis=0)).all()
+        b = make_binary(values)
+        calls.clear(), cut.clear()
+        net = build_svn(b, alpha=alpha, polarity=polarity)
+        adjacency, pvalues, p = every_pair_svn(b, alpha, polarity)
+        assert np.array_equal(net.adjacency, adjacency), name
+        assert list(net.pvalues) == list(pvalues)
+        assert np.array(list(net.pvalues.values())).tobytes() == np.array(list(pvalues.values())).tobytes()
+        t, n = values.shape
+        up = values > 0
+        k, (iu, ju) = up.sum(axis=0), np.triu_indices(n, k=1)
+        if polarity == "positive":
+            expected = [(int64_product(up, up)[iu, ju], k[iu], k[ju])]
+        else:
+            cross = int64_product(up, ~up)
+            expected = [(cross[i, j], k[i], t - k[j]) for i, j in ((iu, ju), (ju, iu))]
+        skips = alpha < 0.5 or polarity == "negative"
+        below = expected[0][0] * t <= expected[0][1] * expected[0][2]
+        if polarity == "negative":
+            assert cut[0].tobytes() == p.tobytes()
+        else:
+            assert cut[0].tobytes() == np.where(below & skips, 1.0, p).tobytes()
+            assert (p[below] >= 0.5).all()
+        assert len(calls) == len(expected)
+        for got, (c, ki, kj) in zip(calls, expected):
+            tested = c * t > ki * kj if skips else np.ones(c.shape, dtype=bool)
+            assert all(np.array_equal(g, v[tested]) for g, v in zip(got, (c, ki, kj)))
+    if polarity == "positive" and name == "anti-correlated":
+        assert below.mean() > 0.5  # most pairs sum no tail
+    if polarity == "positive" and name == "random" and alpha == 0.9:
+        assert max(pvalues.values()) >= 0.5  # kept pairs that the skip would drop

@@ -23,7 +23,7 @@ RECORDS = [
 ]
 CELLS = {(20, 20): (0.6, 0.55, 3), (20, 33): (0.7, 0.5 + 1 / 3, 1)}
 ADJACENCY = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=np.int8)
-NET = Svn(("AAA", "BBB", "CCC"), ADJACENCY, "negative", 0.1, {(0, 2): 0.0123456789012345, (0, 1): 1.5e-9})
+NET = Svn(("AAA", "BBB", "CCC"), ADJACENCY, "negative", 0.1, ([0, 0], [2, 1], [0.0123456789012345, 1.5e-9]))
 DELTA = np.array([[0.0, 1 / 3, -1.0], [1 / 3, 0.0, 0.25], [-1.0, 0.25, 0.0]])
 TIMESERIES = [
     {"date": "2020-05-06", "h": -0.2, "g": None, "density": 0.5, "volatility": 0.0123,

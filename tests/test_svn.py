@@ -95,6 +95,27 @@ def test_tail_pvalues_at_the_edges_of_the_support():
     assert (_tail_pvalues(ki * kj, ki, kj, 1, _log_factorials(1)) == 1.0).all()
 
 
+def test_a_count_at_the_floor_of_its_mean_keeps_at_least_half_the_law():
+    """`build_svn` sums no tail for a count at or below its hypergeometric mean k_i k_j / t: its
+    p-value is at least P(X >= floor(k_i k_j / t)), at least 1/2 on every law of t <= 60 days
+    in exact integers (the margins are symmetric, so k_i <= k_j)."""
+    for t in range(1, 61):
+        for k_i in range(t + 1):
+            ways_i = [math.comb(k_i, x) for x in range(k_i + 1)]
+            ways_rest = [math.comb(t - k_i, y) for y in range(t - k_i + 1)]
+            for k_j in range(k_i, t + 1):
+                low = max(k_i * k_j // t, k_i + k_j - t)
+                tail = sum(ways_i[x] * ways_rest[k_j - x] for x in range(low, k_i + 1))
+                assert 2 * tail >= math.comb(t, k_j), (t, k_i, k_j)
+
+
+@pytest.mark.parametrize("t", [1000, 2000, 5000])
+def test_tail_pvalues_at_the_floor_of_the_mean_read_above_a_half(t):
+    k_i, k_j = np.random.default_rng(t).integers(0, t + 1, (2, 3000))
+    p = _tail_pvalues(k_i * k_j // t, k_i, k_j, t, _log_factorials(t))
+    assert (p > 0.5).all()
+
+
 def bh_select(p, alpha):
     """Indices of the p-values `build_svn` keeps: those at or below the step-up cutoff."""
     p = np.asarray(p, dtype=float)
@@ -105,10 +126,15 @@ def test_bh_select_examples():
     assert bh_select([1.0, 1.0, 1.0], 0.1) == set()
     assert bh_select([0.001], 0.1) == {0}
     assert bh_select([0.01, 0.04, 0.9], 0.1) == {0, 1}
-    with pytest.raises(DataError):
-        bh_select([0.5], 0.0)
-    with pytest.raises(DataError):
-        bh_select([0.5], 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.1, float("nan")])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("polarity", ["positive", "negative"])
+def test_build_svn_rejects_alpha_outside_the_unit_interval_at_any_size(alpha, n, polarity):
+    b = make_binary(np.resize([1, -1, -1, 1, 1], (5, n)))
+    with pytest.raises(DataError, match=r"alpha must be in \(0, 1\)"):
+        build_svn(b, alpha=alpha, polarity=polarity)
 
 
 def test_bh_select_keeps_ties_together():

@@ -633,16 +633,22 @@ def test_timeseries_sweeps_in_chain_order_and_holds_at_most_two_windows(monkeypa
     assert max(held) == (TS_WINDOW // step if TS_WINDOW % step == 0 else 1)
 
 
-def test_timeseries_raises_what_its_network_raises():
-    """Only preprocessing skips a row; a bad alpha fails the call, as it did row by row."""
-    with pytest.raises(DataError, match="alpha"):
-        timeseries_rows(complete_panel(16), TS_WINDOW, STEP, alpha=1.5)
+def failing_network(*args, **kwargs):
+    raise DataError("the network failed")
+
+
+def test_timeseries_raises_what_its_network_raises(monkeypatch):
+    """Only preprocessing skips a row; a network's DataError fails the call."""
+    monkeypatch.setattr(experiment, "build_svn", failing_network)
+    with pytest.raises(DataError, match="the network failed"):
+        timeseries_rows(complete_panel(16), TS_WINDOW, STEP)
 
 
 @forks_blas_threads
-def test_pooled_timeseries_raises_what_a_worker_raises(pool_spy):
-    with pytest.raises(DataError, match="alpha"):
-        timeseries_rows(complete_panel(16), TS_WINDOW, STEP, alpha=1.5, jobs=2)
+def test_pooled_timeseries_raises_what_a_worker_raises(pool_spy, monkeypatch):
+    monkeypatch.setattr(experiment, "build_svn", failing_network)  # forked workers inherit it
+    with pytest.raises(DataError, match="the network failed"):
+        timeseries_rows(complete_panel(16), TS_WINDOW, STEP, jobs=2)
     assert pool_spy.workers == [2]
 
 
